@@ -163,6 +163,20 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         raise UsageError(f"field CSV not found: {cfg.field_csv}")
     if cfg.random_fields < 1:
         raise UsageError("--random-fields must be at least 1")
+    if cfg.command in ("solve", "verify"):
+        if cfg.multistarts < 1:
+            raise UsageError("--multistarts must be at least 1")
+        if cfg.grid_points < 16:
+            raise UsageError("--grid-points must be at least 16 cells")
+    if cfg.command == "oracle" and not 16 <= cfg.grid_points <= 200:
+        raise UsageError("--grid-points must lie in [16, 200] for oracle")
+    if cfg.command in ("solve", "oracle") and not 2 <= cfg.u_levels <= 400:
+        raise UsageError("--u-levels must lie in [2, 400]")
+    if cfg.rays < 1:
+        raise UsageError("--rays must be at least 1")
+    if (cfg.command == "symmetry" and cfg.field_csv is None
+            and (cfg.grid_points < 33 or cfg.grid_points % 2 == 0)):
+        raise UsageError("--grid-points must be odd and at least 33 for symmetry")
     for path in (cfg.out, cfg.profile_csv):
         if path is not None:
             parent = os.path.dirname(path) or "."
@@ -278,7 +292,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         oracle = dp_oracle(spec, r_levels=100, u_levels=cfg.u_levels,
                            slope_levels=cfg.u_levels)
         report.oracle_gap = ((report.relaxed_energy - oracle.relaxed_energy)
-                             / abs(oracle.relaxed_energy))
+                             / (abs(oracle.relaxed_energy) or 1.0))
         results["oracle"] = {
             "relaxed_energy": oracle.relaxed_energy,
             "original_energy": oracle.original_energy,

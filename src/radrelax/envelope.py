@@ -18,7 +18,8 @@ from typing import List, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from radrelax.potentials import Potential1D, _require_coercive, compute_M
+from radrelax.potentials import (Potential1D, _require_coercive,
+                                 _second_derivative, compute_M)
 
 __all__ = ["DetachmentComponent", "EnvelopeResult", "convexify", "detachment_components"]
 
@@ -87,6 +88,15 @@ class EnvelopeResult:
             m = c.contains(ts)
             if np.any(m):
                 out[m] = c.alpha
+        return float(out[0]) if arr.ndim == 0 else out
+
+    def deriv2(self, t):
+        """Envelope curvature: W'' outside detachment intervals, 0 inside."""
+        arr = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(arr)
+        out = np.asarray(_second_derivative(self.potential, ts), dtype=float).copy()
+        for c in self.components:
+            out[c.contains(ts)] = 0.0
         return float(out[0]) if arr.ndim == 0 else out
 
     def to_dict(self) -> dict:

@@ -73,6 +73,8 @@ class Potential1D:
     domain_halfwidth: Optional[float] = None
     even: bool = False
     _pchip: object = field(default=None, init=False, repr=False, compare=False)
+    _dcoeffs: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -154,21 +156,33 @@ class Potential1D:
                                             extrapolate=True)
         return self._pchip(t)
 
+    def _derivative_coeffs(self, order: int):
+        """Coefficients of the order-th derivative: of P for the t^2 kind
+        (W = P(t^2)), per piece for the piecewise kind. Built once per order."""
+        coeffs = self._dcoeffs.get(order)
+        if coeffs is None:
+            if self.kind == "poly_in_t_squared":
+                coeffs = npoly.polyder(np.asarray(self.coefficients), order)
+            else:
+                coeffs = tuple(npoly.polyder(np.asarray(p), order)
+                               for p in self.coefficients)
+            self._dcoeffs[order] = coeffs
+        return coeffs
+
     def _derivative_arr(self, t: np.ndarray, order: int) -> np.ndarray:
         if self.kind == "poly_in_t_squared":
-            c = np.asarray(self.coefficients)
-            dP = npoly.polyder(c)
+            dP = npoly.polyval(t * t, self._derivative_coeffs(1))
             if order == 1:
-                return npoly.polyval(t * t, dP) * 2.0 * t
-            ddP = npoly.polyder(dP)
-            return npoly.polyval(t * t, ddP) * 4.0 * t * t + 2.0 * npoly.polyval(t * t, dP)
+                return dP * 2.0 * t
+            ddP = npoly.polyval(t * t, self._derivative_coeffs(2))
+            return ddP * 4.0 * t * t + 2.0 * dP
         if self.kind == "piecewise_poly":
             out = np.empty_like(t, dtype=float)
             idx = self._piece_index(t)
-            for k, piece in enumerate(self.coefficients):
+            for k, dpiece in enumerate(self._derivative_coeffs(order)):
                 m = idx == k
                 if np.any(m):
-                    out[m] = npoly.polyval(t[m], npoly.polyder(np.asarray(piece), order))
+                    out[m] = npoly.polyval(t[m], dpiece)
             return out
         # sampled: centered difference on the interpolant
         h = 1e-6 * np.maximum(1.0, np.abs(t))
@@ -217,6 +231,20 @@ class Potential1D:
         if self.kind == "piecewise_poly":
             return max(len(_trim(p)) - 1 for p in self.coefficients)
         return None
+
+
+def _second_derivative(pot: Potential1D, t):
+    """pot'' for every kind, as a Newton model needs it.
+
+    ``derivative(order=2)`` refuses sampled kinds because the result is not
+    trustworthy as data; a Newton step only needs a curvature estimate, so
+    sampled kinds get a centered difference of the first derivative.
+    """
+    if pot.kind != "sampled":
+        return pot.derivative(t, 2)
+    t = np.asarray(t, dtype=float)
+    h = 1e-4 * np.maximum(1.0, np.abs(t))
+    return (pot.derivative(t + h) - pot.derivative(t - h)) / (2.0 * h)
 
 
 def _require_coercive(W: Potential1D):

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.optimize import minimize
 
 from radrelax.envelope import EnvelopeResult, convexify
-from radrelax.potentials import ProblemSpec, check_G_shape
+from radrelax.potentials import ProblemSpec, _second_derivative
 
 __all__ = [
     "NumericalFailure",
@@ -192,11 +193,13 @@ def _multistart_profiles(spec, grid, env, multistarts, rng):
     M = env.M
     base = max(M, 0.5) * (R - nodes)
     # the quadratic start leaves the origin at slope -M and steepens,
-    # the shape the first integral of the reduced problem dictates
-    starts = [np.zeros_like(nodes),
-              M * (R - nodes),
+    # the shape the first integral of the reduced problem dictates; the
+    # zero profile (the cones when M = 0) is never a start, because it is
+    # stationary whenever G'(0) = 0
+    starts = [M * (R - nodes),
               M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2),
               1.25 * M * (R - nodes)]
+    starts = [u for u in starts if np.any(u)]
     while len(starts) < multistarts:
         scale = rng.uniform(0.25, 1.75)
         wobble = rng.uniform(-0.3, 0.3)
@@ -206,81 +209,180 @@ def _multistart_profiles(spec, grid, env, multistarts, rng):
     return starts[:multistarts]
 
 
-def _descent(spec, env, grid: RadialGrid, start_u: np.ndarray, max_iters: int):
-    """One L-BFGS run of the relaxed energy over interior nodal values."""
-    dr = grid.dr
-    rbar = grid.midpoints
-    weight = sphere_area(spec.dimension) * rbar ** (spec.dimension - 1) * dr
-    K = grid.cells
+class _RelaxedEnergy:
+    """The relaxed energy as a function of the free nodal values x = u[:K]
+    (u[K] = 0), with its gradient and its tridiagonal Hessian.
 
-    def objective(x):
+    Cell i contributes w_i [Wc(s_i) + G(ubar_i)] and couples nodes i and
+    i + 1 only, so the Hessian is the sum of per-cell 2 x 2 blocks
+    a_i [[1, -1], [-1, 1]] + b_i [[1, 1], [1, 1]] with
+    a_i = w_i Wc''(s_i) / dr_i^2 and b_i = w_i G''(ubar_i) / 4.
+    """
+
+    def __init__(self, spec, env, grid: RadialGrid):
+        self.spec, self.env, self.dr = spec, env, grid.dr
+        self.weight = (sphere_area(spec.dimension)
+                       * grid.midpoints ** (spec.dimension - 1) * grid.dr)
+        # lumped node mass: scales the gradient test and the Levenberg shift
+        self.mass = self._to_nodes(0.5 * self.weight, 0.5 * self.weight)
+
+    @staticmethod
+    def _to_nodes(left, right):
+        # per-cell terms on a cell's left and right node, free nodes only
+        out = np.zeros(len(left) + 1)
+        out[:-1] += left
+        out[1:] += right
+        return out[:-1]
+
+    def _cells(self, x):
         u = np.append(x, 0.0)
-        s = np.diff(u) / dr
-        ubar = 0.5 * (u[1:] + u[:-1])
-        e = float(np.sum(weight * (env.eval(s) + spec.G.eval(ubar))))
-        a = weight * env.deriv(s) / dr
-        g = 0.5 * weight * spec.G.derivative(ubar)
-        grad = np.zeros(K + 1)
-        np.add.at(grad, np.arange(K), -a + g)
-        np.add.at(grad, np.arange(1, K + 1), a + g)
-        return e, grad[:K]
+        return np.diff(u) / self.dr, 0.5 * (u[1:] + u[:-1])
 
-    return minimize(objective, start_u[:K], jac=True, method="L-BFGS-B",
-                    options={"maxiter": max_iters, "maxcor": 50,
-                             "ftol": 1e-14, "gtol": 1e-10})
+    def value(self, x) -> float:
+        s, ubar = self._cells(x)
+        return float(np.sum(self.weight * (self.env.eval(s)
+                                           + self.spec.G.eval(ubar))))
+
+    def gradient(self, x) -> np.ndarray:
+        s, ubar = self._cells(x)
+        a = self.weight * self.env.deriv(s) / self.dr
+        g = 0.5 * self.weight * self.spec.G.derivative(ubar)
+        return self._to_nodes(g - a, g + a)
+
+    def hessian(self, x):
+        """Diagonal and superdiagonal of the Hessian."""
+        s, ubar = self._cells(x)
+        a = self.weight * self.env.deriv2(s) / self.dr ** 2
+        b = 0.25 * self.weight * _second_derivative(self.spec.G, ubar)
+        return self._to_nodes(a + b, a + b), (b - a)[:-1]
 
 
-_COARSE_CELLS = 128
+_NEWTON_ITERS = 200
+_GTOL = 1e-8
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_ROUNDOFF = 8.0 * np.finfo(float).eps
+
+
+def _newton_direction(diag, off, mass, g):
+    """-(H + lam D)^-1 g, D the node masses, for the first lam in
+    0, lam0, 10 lam0, ... at which the shifted Hessian is positive definite."""
+    ab = np.empty((2, len(diag)))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = off
+    lam = 0.0
+    # a positive definite matrix needs a positive diagonal; start at twice
+    # the shift that gives one. Inside detachment intervals this leaves the
+    # smooth mode nearly singular, and the long step along it is what walks
+    # slopes out of the interval: starting at 4x or 10x took 3.4x as many
+    # steps on the 1024-cell prototype and stalled on the three-well spec
+    lam0 = max(2.0 * float(np.max(-diag / mass)), 1e-8)
+    while True:
+        ab[1] = diag + lam * mass
+        try:
+            return -solveh_banded(ab, g)
+        except LinAlgError:
+            lam = 10.0 * lam if lam > 0.0 else lam0
+
+
+def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
+    """Damped Newton descent with Armijo backtracking.
+
+    Returns (x, E, iterations, converged). A start converges when its
+    mass-scaled gradient falls to _GTOL, or when no step decreases E and
+    the Newton decrement |g.d| is below what E resolves in floating point.
+    It stops unconverged at the iteration cap, when a step that is not
+    negligible fails to decrease E, or when the derivatives stop being
+    finite.
+    """
+    e = energy.value(x)
+    for it in range(max_iters + 1):
+        g = energy.gradient(x)
+        if float(np.max(np.abs(g) / energy.mass)) <= _GTOL:
+            return x, e, it, True
+        if it == max_iters:
+            break
+        diag, off = energy.hessian(x)
+        if not all(np.all(np.isfinite(a)) for a in (g, diag, off)):
+            break
+        d = _newton_direction(diag, off, energy.mass, g)
+        slope = float(g @ d)
+        # the quadratic model is trusted for slope changes up to 1 + max|s|
+        # per step: a near-singular shift must not leap out of the basin
+        s = np.diff(np.append(x, 0.0)) / energy.dr
+        ds = np.diff(np.append(d, 0.0)) / energy.dr
+        t = min(1.0, (1.0 + np.max(np.abs(s))) / np.max(np.abs(ds)))
+        # below the roundoff floor shorter steps cannot resolve a decrease
+        # the full step did not show, so one trial decides
+        negligible = -slope <= _ROUNDOFF * (1.0 + abs(e))
+        for _ in range(1 if negligible else _HALVINGS):
+            trial = x + t * d
+            e_trial = energy.value(trial)
+            if e_trial < e and e_trial <= e + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return x, e, it, negligible
+        x, e = trial, e_trial
+    return x, e, max_iters, False
 
 
 def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
                      multistarts: int = 8, max_iters: int = 20000,
                      seed: int = 0) -> SolveReport:
-    """Gradient-based minimization of the relaxed reduced energy.
+    """Newton minimization of the relaxed reduced energy on ``grid``.
 
-    The multistart competition (zero, cones at slopes -M and -1.25 M, a
-    quadratically steepening profile, then seeded random profiles) runs
-    on a coarse grid where full convergence is cheap; the winner by
-    energy, with a lexicographic tie-break on the nodal values, is then
-    refined onto the requested grid through successive doublings with
-    warm starts. Descending directly on a fine grid stalls in line
-    search long before convergence, while the warm-started chain
-    reproduces the first-integral solution to ten digits. The envelope
-    supplies both the gradient term and its derivative (the affine
-    slope inside detachment intervals).
+    Every start (cones at slopes -M and -1.25 M, a quadratically
+    steepening profile, then seeded random profiles; never the zero
+    profile) descends by damped Newton on the requested grid: the
+    relaxed energy is a sum of per-cell terms, so its Hessian is
+    tridiagonal and one step costs a banded solve, with a Levenberg
+    shift where the Hessian is indefinite (inside detachment intervals,
+    where Wc'' = 0, and wherever G is concave). Each start takes at most
+    min(max_iters, 200) Newton steps. The winner is the lowest energy,
+    with a lexicographic tie-break on the nodal values. A winner that
+    did not converge (Newton cannot settle at kinks of Wc'', such as
+    affine pieces of the envelope outside (-M, M) under a concave G) is
+    finished by L-BFGS-B on the same grid, with up to ``max_iters``
+    iterations, and ``converged`` is that run's success flag. When the
+    result is not converged, ``warnings`` says why.
+
+    Raises:
+        ValueError: if multistarts < 1.
     """
+    if multistarts < 1:
+        raise ValueError("multistarts must be at least 1")
     env = ensure_envelope(spec)
-    levels = [grid.cells]
-    while levels[-1] > _COARSE_CELLS:
-        levels.append((levels[-1] + 1) // 2)
-    levels.reverse()
-    coarse = grid if len(levels) == 1 else RadialGrid.uniform(spec.radius,
-                                                              levels[0])
-
-    rng = np.random.default_rng(seed)
+    energy = _RelaxedEnergy(spec, env, grid)
+    starts = _multistart_profiles(spec, grid, env, multistarts,
+                                  np.random.default_rng(seed))
     best = None
     total_iters = 0
-    for start in _multistart_profiles(spec, coarse, env, multistarts, rng):
-        res = _descent(spec, env, coarse, start, max_iters)
-        total_iters += int(res.nit)
-        key = (float(res.fun), tuple(res.x))
+    settled = 0
+    for k, start in enumerate(starts):
+        x, e, nit, ok = _newton(energy, start[:-1], min(max_iters, _NEWTON_ITERS))
+        total_iters += nit
+        settled += ok
+        key = (e, tuple(x))
         if best is None or key < best[0]:
-            best = (key, res.x, bool(res.success))
+            best = (key, x, ok, k)
+    _, x, converged, k = best
 
-    u = np.append(best[1], 0.0)
-    level_grid = coarse
-    converged = best[2]
-    for cells in levels[1:]:
-        next_grid = grid if cells == grid.cells else RadialGrid.uniform(
-            spec.radius, cells)
-        u0 = np.interp(next_grid.nodes, level_grid.nodes, u)
-        res = _descent(spec, env, next_grid, u0, max_iters)
+    warnings = []
+    if not converged:
+        res = minimize(lambda y: (energy.value(y), energy.gradient(y)), x,
+                       jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iters, "maxcor": 50,
+                                "ftol": 1e-14, "gtol": 1e-10})
         total_iters += int(res.nit)
-        converged = converged and bool(res.success)
-        u = np.append(res.x, 0.0)
-        level_grid = next_grid
+        x, converged = res.x, bool(res.success)
+        if not converged:
+            warnings.append(
+                f"descent did not converge: the winning start ({k + 1} of "
+                f"{len(starts)}) and its L-BFGS finish ({res.message}) both "
+                f"stopped short; {settled} of {len(starts)} starts converged")
 
-    profile = RadialProfile(level_grid, u)
+    profile = RadialProfile(grid, np.append(x, 0.0))
     return SolveReport(
         profile=profile,
         relaxed_energy=energy_reduced(profile, spec, use_envelope=True),
@@ -288,6 +390,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
         iterations=total_iters,
         multistart_seed=seed,
         converged=converged,
+        warnings=warnings,
     )
 
 
@@ -504,8 +607,7 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
 
     report = minimize_relaxed(spec, grid, multistarts=multistarts,
                               max_iters=max_iters, seed=seed)
-    if not report.converged:
-        warnings.append("descent did not converge from any start")
+    warnings.extend(report.warnings)
 
     if spec.shape_flag in ("G2", "G2_strict"):
         v = monotone_rearrange(report.profile, env)

@@ -86,6 +86,56 @@ def test_solve_with_oracle_gap(prototype_ini, tmp_path):
     assert res["oracle_gap"] <= 1e-3
 
 
+def test_solve_oracle_on_zero_energy_problem(convex_ini, tmp_path):
+    # the DP optimum is exactly 0 here, so the gap is taken absolutely
+    out = tmp_path / "rep.json"
+    assert main(["solve", "--spec", convex_ini, "--grid-points", "64",
+                 "--oracle", "--out", str(out)]) == 0
+    res = _load(out)["results"]
+    assert res["oracle"]["relaxed_energy"] == 0.0
+    assert abs(res["oracle_gap"]) <= 1e-12
+
+
+def test_solve_single_start_finds_the_minimizer(prototype_ini, tmp_path):
+    # a lone start must not be the zero profile, a stationary point of
+    # the prototype that once came back labelled converged
+    energies = []
+    for starts in ("1", "8"):
+        out = tmp_path / f"rep{starts}.json"
+        assert main(["solve", "--spec", prototype_ini, "--grid-points", "128",
+                     "--multistarts", starts, "--out", str(out)]) == 0
+        res = _load(out)["results"]
+        assert res["converged"] is True
+        energies.append(res["relaxed_energy"])
+    assert abs(energies[0] - energies[1]) <= 1e-9
+
+
+def test_multistarts_below_one_exits_1(prototype_ini, capsys):
+    assert main(["solve", "--spec", prototype_ini, "--multistarts", "0"]) == 1
+    assert "--multistarts" in capsys.readouterr().err
+
+
+def test_grid_points_out_of_range_exits_1(prototype_ini, capsys):
+    assert main(["solve", "--spec", prototype_ini, "--grid-points", "8"]) == 1
+    assert "--grid-points" in capsys.readouterr().err
+    assert main(["oracle", "--spec", prototype_ini,
+                 "--grid-points", "500"]) == 1
+    assert "--grid-points" in capsys.readouterr().err
+    assert main(["symmetry", "--spec", prototype_ini,
+                 "--grid-points", "8"]) == 1
+    assert "--grid-points" in capsys.readouterr().err
+
+
+def test_u_levels_out_of_range_exits_1(prototype_ini, capsys):
+    assert main(["oracle", "--spec", prototype_ini, "--u-levels", "1"]) == 1
+    assert "--u-levels" in capsys.readouterr().err
+
+
+def test_rays_below_one_exits_1(prototype_ini, capsys):
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "0"]) == 1
+    assert "--rays" in capsys.readouterr().err
+
+
 def test_envelope_report(convex_ini, tmp_path):
     out = tmp_path / "env.json"
     assert main(["envelope", "--spec", convex_ini, "--out", str(out)]) == 0

@@ -135,6 +135,18 @@ def test_eval_and_deriv_split_inside_outside():
     assert env.eval(np.array([0.0])).shape == (1,)
 
 
+def test_deriv2_zero_inside_detachment():
+    env = convexify(double_well())
+    assert env.deriv2(0.5) == 0.0
+    assert env.deriv2(2.0) == 44.0
+    # sampled kinds: a centered difference of W', not a ValueError
+    t = np.linspace(-3.0, 3.0, 601)
+    sampled = convexify(Potential1D(kind="sampled", samples=(t, (t * t - 1.0) ** 2)))
+    x = np.array([-2.5, -1.7, 0.0, 0.5, 1.3, 2.0])
+    exact = np.where(np.abs(x) < 1.0, 0.0, 12.0 * x * x - 4.0)
+    assert np.max(np.abs(sampled.deriv2(x) - exact)) <= 0.01
+
+
 def test_convexify_input_validation():
     with pytest.raises(ValueError, match="grid_points"):
         convexify(double_well(), grid_points=32)

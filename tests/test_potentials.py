@@ -37,6 +37,17 @@ def test_polynomial_derivatives_exact():
     assert G.derivative(0.0) == 0.0
 
 
+def test_cached_derivative_orders_stay_apart():
+    W = three_well()
+    t = np.array([-3.0, -1.2, 0.0, 0.7, 1.5, 2.5])
+    inner = np.abs(t) < math.sqrt(151.0 / 60.0)
+    d1 = np.where(inner, 4.0 * t ** 3 - 4.0 * t, 4.0 * t ** 3 - 16.0 * t)
+    d2 = np.where(inner, 12.0 * t * t - 4.0, 12.0 * t * t - 16.0)
+    for _ in range(2):
+        assert np.allclose(W.derivative(t, order=2), d2, rtol=0, atol=1e-12)
+        assert np.allclose(W.derivative(t), d1, rtol=0, atol=1e-12)
+
+
 def test_piecewise_eval_continuity_and_values():
     W = three_well()
     assert W.eval(1.0) == 0.0

@@ -18,13 +18,18 @@ from radrelax.radial_solver import (
     sphere_area,
 )
 
-from conftest import make_m0_spec, make_prototype_spec, three_well
+from conftest import double_well, make_m0_spec, make_prototype_spec, three_well
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
 DP_PROTOTYPE_ORIGINAL = -0.5236239229165072
 
 CONE_ENERGY_K1024 = -0.5235990252696511
+
+# Relaxed optima of the coarse-to-fine L-BFGS chain that preceded the
+# Newton descent.
+PROTOTYPE_RELAXED_K1024 = -0.546130991874
+THREE_WELL_RELAXED_K256 = -1.803067194
 
 
 def _cone(grid):
@@ -124,6 +129,57 @@ def test_minimize_prototype_beats_cone(prototype_spec):
     assert report.converged
     assert report.relaxed_energy < -math.pi / 6.0
     assert report.relaxed_energy < -0.5455
+
+
+def test_minimize_prototype_fine_grid_direct(prototype_spec):
+    # the first-integral solution on 1024 cells, reached without any
+    # coarse-grid warm start
+    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 1024),
+                              seed=0)
+    assert report.converged
+    assert abs(report.relaxed_energy - PROTOTYPE_RELAXED_K1024) <= 1e-9
+
+
+def test_minimize_three_well(three_well_spec):
+    # affine envelope pieces outside (-M, M) under a concave G
+    report = minimize_relaxed(three_well_spec, RadialGrid.uniform(1.0, 256),
+                              seed=0)
+    assert report.converged
+    assert report.relaxed_energy <= THREE_WELL_RELAXED_K256 + 1e-9
+
+
+def test_minimize_iteration_cap_reports_not_converged(prototype_spec):
+    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128),
+                              max_iters=1, seed=0)
+    assert not report.converged
+    assert len(report.warnings) == 1
+    assert "winning start" in report.warnings[0]
+    assert "L-BFGS finish" in report.warnings[0]
+    assert "of 8 starts converged" in report.warnings[0]
+
+
+def test_minimize_rejects_no_starts(prototype_spec):
+    with pytest.raises(ValueError, match="multistarts"):
+        minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 64),
+                         multistarts=0)
+
+
+def test_minimize_sampled_potentials(prototype_spec):
+    # sampled kinds have no order-2 derivative; the Newton model takes a
+    # centered difference of their first derivative instead
+    grid = RadialGrid.uniform(1.0, 64)
+    mu = np.linspace(-4.0, 4.0, 801)
+    G = Potential1D(kind="sampled", samples=(mu, -mu * mu))
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(), G=G)
+    report = minimize_relaxed(spec, grid, multistarts=3, seed=0)
+    exact = minimize_relaxed(prototype_spec, grid, multistarts=3, seed=0)
+    assert report.converged
+    assert abs(report.relaxed_energy - exact.relaxed_energy) <= 1e-5
+    t = np.linspace(-3.0, 3.0, 601)
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, G=G,
+                       W=Potential1D(kind="sampled", samples=(t, (t * t - 1.0) ** 2)))
+    report = minimize_relaxed(spec, grid, multistarts=3, seed=0)
+    assert report.converged or report.warnings
 
 
 def test_minimize_deterministic(prototype_spec):
