@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from radrelax.potentials import (Potential1D, _require_coercive,
                                  _second_derivative, compute_M)
@@ -133,6 +132,8 @@ def _hull_values(t: np.ndarray, w: np.ndarray, hull: list) -> np.ndarray:
 
 
 def _support_argmin(W: Potential1D, sigma: float, lo: float, hi: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda x: W.eval(x) - sigma * x, bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-13})
     return float(res.x)

@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "Potential1D",
@@ -151,6 +149,8 @@ class Potential1D:
                     out[m] = npoly.polyval(t[m], np.asarray(piece))
             return out
         if self._pchip is None:
+            from scipy.interpolate import PchipInterpolator
+
             tg, vals = self.samples
             self._pchip = PchipInterpolator(np.asarray(tg), np.asarray(vals),
                                             extrapolate=True)
@@ -292,6 +292,8 @@ def _refine_min_poly(W: Potential1D, lo: float, hi: float) -> float:
 
 
 def _refine_min_sampled(W: Potential1D, lo: float, hi: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(W.eval, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x)

@@ -4,6 +4,17 @@ import pytest
 
 from radrelax.potentials import Potential1D, ProblemSpec
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # derandomized and without an example database, so every run of the
+    # suite draws the same examples
+    settings.register_profile("deterministic", derandomize=True,
+                              database=None, deadline=None)
+    settings.load_profile("deterministic")
+
 THREE_WELL_BREAK = math.sqrt(151.0 / 60.0)
 
 

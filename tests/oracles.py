@@ -103,3 +103,46 @@ def brute_force_largest_argmin(W, points=1_000_000):
     if W.eval(cand) <= W.eval(t[i]):
         return cand
     return float(t[i])
+
+
+def quadratic_outermost_levels(W, env, y):
+    """Largest nu >= 0 with W(nu) = W(y), per entry of y.
+
+    The K x 4097 bracket-matrix form that preceded the suffix-table search
+    in ``radial_solver._outermost_levels``: every scan interval is tested
+    against every target and the last bracketing one is kept.  Quadratic
+    memory; call it only on small K.
+    """
+    M = env.M
+    T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
+            M + 1.0)
+    grid = np.linspace(M, T, 4097)
+    vals = np.asarray(W.eval(grid), dtype=float)
+    targets = np.asarray(W.eval(y), dtype=float)
+    sign = vals[None, :] - targets[:, None]
+    bracket = sign[:, :-1] * sign[:, 1:] <= 0.0
+    has = bracket.any(axis=1)
+    last = grid.shape[0] - 2 - np.argmax(bracket[:, ::-1], axis=1)
+    lo = np.where(has, grid[last], np.maximum(y, M))
+    hi = np.where(has, grid[np.minimum(last + 1, len(grid) - 1)], lo)
+    flo = np.asarray(W.eval(lo), dtype=float) - targets
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(W.eval(mid), dtype=float) - targets
+        same = np.sign(fm) == np.sign(flo)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    nu = 0.5 * (lo + hi)
+    nu = np.where(~has, np.maximum(y, M), nu)
+    nu = np.maximum(nu, y)
+    snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
+    return np.where(snap, y, nu)
+
+
+def quadratic_window_density(rbar, inside, radius):
+    """Per-cell fraction of neighbours within ``radius`` that are inside,
+    from the full K x K neighbour matrix that preceded the sliding window
+    in ``verify.concavity_exclusion_check``.  Quadratic memory."""
+    near = np.abs(rbar[:, None] - rbar[None, :]) <= radius
+    return (near & inside[None, :]).sum(axis=1) / near.sum(axis=1)

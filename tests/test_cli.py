@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import radrelax
 from radrelax.cli import main
 from radrelax.disc2d import DiscField
 from radrelax.specfile import parse_spec, parse_spec_text
@@ -300,3 +304,26 @@ def test_tight_corner_window_exits_2(prototype_ini, capsys):
     assert main(["verify", "--spec", prototype_ini, *FAST,
                  "--window", "0.02"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cold_start_loads_no_scipy(prototype_ini, tmp_path):
+    # the command line and a polynomial envelope never touch scipy, so
+    # start-up must not pay for importing it
+    code = (
+        "import json, sys\n"
+        "from radrelax.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = scipy_modules()\n"
+        f"rc = main(['envelope', '--spec', {prototype_ini!r}, "
+        f"'--out', {str(tmp_path / 'env.json')!r}])\n"
+        "print(json.dumps([rc, after_import, scipy_modules()]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    rc, after_import, after_envelope = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert after_import == []
+    assert after_envelope == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radrelax.envelope import convexify
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.radial_solver import (
     NumericalFailure,
@@ -17,8 +18,10 @@ from radrelax.radial_solver import (
     solve_pipeline,
     sphere_area,
 )
+from radrelax.radial_solver import _outermost_levels
 
 from conftest import double_well, make_m0_spec, make_prototype_spec, three_well
+from oracles import quadratic_outermost_levels, random_even_sampled
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -288,6 +291,29 @@ def test_rearrange_slopes_grazing_the_well(prototype_spec):
         nu = -float(v.slopes[0])
         assert nu >= y - 1e-15
         assert abs(float(W.eval(nu)) - float(W.eval(y))) <= 1e-12
+
+
+def test_outermost_levels_equal_the_quadratic_scan():
+    # (t^2 - 1)^2 sampled on [-1.5, 1.5]: the PCHIP extension turns down
+    # past the samples, so the scan ends below the targets
+    t = np.linspace(-1.5, 1.5, 61)
+    turning = Potential1D(kind="sampled", samples=(t, (t * t - 1.0) ** 2))
+    potentials = [double_well(), three_well(), turning]
+    potentials += [random_even_sampled(seed) for seed in range(4)]
+    ends_below = False
+    for k, W in enumerate(potentials):
+        env = convexify(W)
+        M = env.M
+        rng = np.random.default_rng(100 + k)
+        for cells in (16, 33, 257, 4096):
+            y = np.abs(rng.uniform(-3.0, 3.0, cells))
+            y[:4] = (M + 1e-9, max(M - 1e-9, 0.0), 0.0, M)
+            new = _outermost_levels(W, env, y)
+            old = quadratic_outermost_levels(W, env, y)
+            assert np.array_equal(new, old), (k, cells)
+            T = max(W.domain_halfwidth, 1.5 * float(np.max(y)) + 1.0, M + 1.0)
+            ends_below |= bool(np.any(W.eval(T) < W.eval(y)))
+    assert ends_below
 
 
 def test_rearrange_never_increases_energy_under_G2(prototype_spec):

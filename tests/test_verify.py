@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from radrelax.radial_solver import (
     RadialProfile,
     energy_reduced,
     ensure_envelope,
+    monotone_rearrange,
     solve_pipeline,
 )
 from radrelax.verify import (
@@ -21,8 +23,10 @@ from radrelax.verify import (
     full_report,
     slope_and_sign_check,
 )
+from radrelax.verify import _window_density
 
 from conftest import make_prototype_spec, three_well
+from oracles import quadratic_window_density
 
 K = 128
 
@@ -182,6 +186,62 @@ def test_concavity_exclusion_vacuous_on_cone(proto_env, cone):
     rec = concavity_exclusion_check(cone, env, spec)
     assert rec["passed"]
     assert rec["details"]["vacuous"]
+
+
+def test_window_density_equals_the_neighbour_matrix():
+    rng = np.random.default_rng(5)
+    cases = []
+    for cells in (16, 33, 257, 4096):
+        for _ in range(12 if cells < 4096 else 1):
+            R = float(rng.uniform(0.1, 10.0))
+            cases += [RadialGrid.uniform(R, cells),
+                      RadialGrid.graded_near_zero(R, cells)]
+    # radii at which searchsorted on rbar +- radius misplaces a window
+    # edge against the float predicate |rbar_i - rbar_j| <= radius
+    edge_cases = [RadialGrid.uniform(R, 16)
+                  for R in (1.031330872069093, 3.7746830781740854)]
+    for grid in cases + edge_cases:
+        rbar = grid.midpoints
+        radius = 5.0 * float(np.max(grid.dr))
+        inside = rng.random(grid.cells) < rng.uniform(0.2, 0.8)
+        assert np.array_equal(_window_density(rbar, inside, radius),
+                              quadratic_window_density(rbar, inside, radius))
+    misplaced = 0
+    for grid in edge_cases:
+        rbar = grid.midpoints
+        radius = 5.0 * float(np.max(grid.dr))
+        near = np.abs(rbar[:, None] - rbar[None, :]) <= radius
+        misplaced += int(np.sum(
+            np.searchsorted(rbar, rbar - radius, side="left")
+            != np.argmax(near, axis=1)))
+        misplaced += int(np.sum(
+            np.searchsorted(rbar, rbar + radius, side="right")
+            != grid.cells - np.argmax(near[:, ::-1], axis=1)))
+    assert misplaced > 0
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 2.0 ** 20
+
+
+def test_rearrange_and_full_report_memory_linear(proto_env):
+    # the K x 4097 bracket matrix and the K x K neighbour matrix that
+    # these replaced would need about 1 GB here
+    spec, env = proto_env
+    grid = RadialGrid.uniform(1.0, 16384)
+    rng = np.random.default_rng(0)
+    u = np.concatenate([[0.0], np.cumsum(rng.uniform(-1.6, 1.6, grid.cells)
+                                         * grid.dr)])
+    prof = RadialProfile(grid, u - u[-1])
+    assert _peak_mb(monotone_rearrange, prof, env) < 16.0
+    assert _peak_mb(full_report, prof, spec, env) < 16.0
 
 
 def test_energy_consistency_cone(proto_env, cone):
