@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .disc2d import DiscField, averaged_ray_energy_check, colinearity_defect, ray_profile
+from .disc2d import DiscField, averaged_ray_energy_check, colinearity_defect, ray_profiles
 from .envelope import convexify
 from .potentials import ProblemSpec
 from .radial_solver import (
@@ -373,11 +373,20 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 def _cmd_symmetry(cfg: RunConfig) -> int:
     spec = parse_spec(cfg.spec_path)
+    if spec.dimension != 2:
+        raise SpecFileError(
+            f"{cfg.spec_path}: symmetry needs a spec of dimension 2, "
+            f"got {spec.dimension}")
     if cfg.field_csv is not None:
         try:
-            fields = [(None, DiscField.from_csv(cfg.field_csv))]
+            fld = DiscField.from_csv(cfg.field_csv)
         except ValueError as exc:
             raise SpecFileError(str(exc)) from None
+        if abs(fld.radius - spec.radius) > 1e-12 * max(1.0, spec.radius):
+            raise SpecFileError(
+                f"{cfg.field_csv}: field radius {fld.radius} does not match "
+                f"spec radius {spec.radius}")
+        fields = [(None, fld)]
     else:
         fields = [(cfg.seed + k,
                    DiscField.random_smooth(cfg.field_n, spec.radius,
@@ -394,9 +403,8 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         all_pass &= rep.passes
     if cfg.profile_csv and len(fields) == 1:
         import math
-        fld = fields[0][1]
-        for k in range(cfg.rays):
-            prof = ray_profile(fld, 2.0 * math.pi * k / cfg.rays)
+        thetas = [2.0 * math.pi * k / cfg.rays for k in range(cfg.rays)]
+        for k, prof in enumerate(ray_profiles(fields[0][1], thetas)):
             _write_text(f"{cfg.profile_csv}ray{k:03d}.csv",
                         _csv_text(["r", "u", "du_dr"], _profile_rows(prof)))
     if cfg.fmt == "csv":

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import ProblemSpec
-from .radial_solver import RadialGrid, RadialProfile, energy_reduced, ensure_envelope
+from .radial_solver import RadialGrid, RadialProfile, ensure_envelope, sphere_area
 
 __all__ = [
     "DiscField",
     "RayAverageReport",
     "energy_2d",
     "ray_profile",
+    "ray_profiles",
     "averaged_ray_energy_check",
     "colinearity_defect",
     "angular_average",
@@ -123,7 +124,13 @@ class DiscField:
 
     @classmethod
     def from_csv(cls, path: str) -> "DiscField":
-        """Read an x,y,u table written by to_csv (any row order)."""
+        """Read an x,y,u table written by to_csv (any row order).
+
+        Raises:
+            ValueError: naming the file, and the line where there is one,
+                on a bad header, a short row, a value that is not a finite
+                number, a node off the grid, or a missing node.
+        """
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -136,9 +143,13 @@ class DiscField:
                 if len(row) < 3:
                     raise ValueError(f"{path}: line {lineno}: need 3 columns")
                 try:
-                    rows.append((float(row[0]), float(row[1]), float(row[2])))
+                    vals = (float(row[0]), float(row[1]), float(row[2]))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(
+                        f"{path}: line {lineno}: x, y and u must be finite")
+                rows.append(vals)
         m = len(rows)
         n = int(round(math.sqrt(m)))
         if n * n != m:
@@ -213,29 +224,41 @@ def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
     gradient term badly whenever the radial slope at the rim is
     nonzero.  Copying the gradient from the adjacent interior cell
     keeps the error at O(h) on an O(h) strip.
+
+    Every cell that is not full walks toward the center at once, in at
+    most six array steps: each step moves one cell along the axis whose
+    center coordinate is larger in magnitude, and a cell stops walking
+    once it stands on a full cell (its donor).  A step that would leave
+    the grid sends the cell back to its origin and stops it, so it keeps
+    its own gradient, as does a cell that finds no full cell in six
+    steps.  Donors are full cells and targets never are, so one
+    fancy-indexed copy reads no value it has already written.
     """
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
     x = fld.coords
     xc = 0.5 * (x[:-1] + x[1:])
     nc = len(xc)
+    i0, j0 = np.nonzero(~full)
+    ci, cj = i0.copy(), j0.copy()
+    walking = np.ones(len(i0), dtype=bool)
+    for _ in range(6):
+        walking &= ~full[ci, cj]
+        if not walking.any():
+            break
+        xi, xj = xc[ci], xc[cj]
+        along_x = np.abs(xi) >= np.abs(xj)
+        ci = np.where(walking & along_x, ci + np.where(xi < 0, 1, -1), ci)
+        cj = np.where(walking & ~along_x, cj + np.where(xj < 0, 1, -1), cj)
+        off = (ci < 0) | (ci >= nc) | (cj < 0) | (cj >= nc)
+        ci[off] = i0[off]
+        cj[off] = j0[off]
+        walking &= ~off
+    landed = full[ci, cj]
     ux = ux.copy()
     uy = uy.copy()
-    for i, j in zip(*np.nonzero(~full)):
-        ci, cj = i, j
-        for _ in range(6):
-            if full[ci, cj]:
-                break
-            if abs(xc[ci]) >= abs(xc[cj]):
-                ci += 1 if xc[ci] < 0 else -1
-            else:
-                cj += 1 if xc[cj] < 0 else -1
-            if not (0 <= ci < nc and 0 <= cj < nc):
-                ci, cj = i, j
-                break
-        if full[ci, cj]:
-            ux[i, j] = ux[ci, cj]
-            uy[i, j] = uy[ci, cj]
+    ux[i0[landed], j0[landed]] = ux[ci[landed], cj[landed]]
+    uy[i0[landed], j0[landed]] = uy[ci[landed], cj[landed]]
     return ux, uy
 
 
@@ -282,6 +305,30 @@ def _bilinear(fld: DiscField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
             + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
 
 
+def _ray_samples(fld: DiscField, thetas):
+    """Sample u along every ray at once, one row per theta.
+
+    Row k holds u(r cos theta_k, r sin theta_k) by bilinear
+    interpolation at the nodes r of a uniform radial grid with as many
+    cells as the field has nodes per side; the outer value is pinned to
+    zero.  cos and sin come from ``math`` one theta at a time, so each
+    row equals the samples of a single ray bit for bit.
+    """
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    r = grid.nodes
+    c = np.array([math.cos(th) for th in thetas])
+    s = np.array([math.sin(th) for th in thetas])
+    u = _bilinear(fld, c[:, None] * r, s[:, None] * r)
+    u[:, -1] = 0.0
+    return grid, u
+
+
+def ray_profiles(fld: DiscField, thetas) -> list:
+    """Restrict the field to the ray in each direction of thetas."""
+    grid, u = _ray_samples(fld, thetas)
+    return [RadialProfile(grid, row) for row in u]
+
+
 def ray_profile(fld: DiscField, theta: float) -> RadialProfile:
     """Restrict the field to the ray in direction theta.
 
@@ -289,10 +336,33 @@ def ray_profile(fld: DiscField, theta: float) -> RadialProfile:
     uniform radial grid with as many cells as the field has nodes per
     side; the outer value is pinned to zero.
     """
-    grid = RadialGrid.uniform(fld.radius, fld.n)
-    r = grid.nodes
-    u = _bilinear(fld, r * math.cos(theta), r * math.sin(theta))
-    return RadialProfile(grid, u)
+    return ray_profiles(fld, [theta])[0]
+
+
+def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
+    """Envelope-priced reduced energy of the ray in each direction.
+
+    The arithmetic of ``energy_reduced(..., use_envelope=True)`` applied
+    to all rows at once, with one envelope and one G evaluation; a
+    separate function so its temporaries are freed before the caller
+    goes on to the planar energy.
+
+    Raises:
+        ValueError: if the field radius disagrees with the spec.
+    """
+    grid, u = _ray_samples(fld, thetas)
+    nodes = grid.nodes
+    if abs(nodes[-1] - spec.radius) > 1e-12 * max(1.0, spec.radius):
+        raise ValueError(
+            f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
+    dr = grid.dr
+    s = np.diff(u, axis=1) / dr
+    ubar = 0.5 * (u[:, 1:] + u[:, :-1])
+    wterm = ensure_envelope(spec).eval(s.ravel()).reshape(s.shape)
+    gterm = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
+    area = sphere_area(spec.dimension)
+    return area * np.sum(grid.midpoints ** (spec.dimension - 1)
+                         * (wterm + gterm) * dr, axis=1)
 
 
 @dataclass
@@ -321,13 +391,20 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
     nondecreasing on [0, inf); with the raw nonconvex W the one-sided
     bound can fail, so the envelope is used unconditionally.  Passes
     when lhs <= rhs + tol with tol proportional to the grid spacing.
+
+    The rays are sampled together as one (n_thetas, n + 1) bilinear
+    gather and priced with one envelope and one G evaluation; each
+    per-ray energy equals ``energy_reduced`` on ``ray_profile`` of that
+    ray bit for bit.
+
+    Raises:
+        ValueError: if n_thetas < 1, the radii disagree, or the spec is
+            not two-dimensional.
     """
     if n_thetas < 1:
         raise ValueError("need at least one ray")
     thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
-    energies = np.array([
-        energy_reduced(ray_profile(fld, th), spec, use_envelope=True)
-        for th in thetas])
+    energies = _ray_energies(fld, spec, thetas)
     lhs = float(np.mean(energies))
     rhs = energy_2d(fld, spec, use_envelope=True)
     tol = RAY_CHECK_TOL_COEFF * fld.h
@@ -360,11 +437,9 @@ def colinearity_defect(fld: DiscField) -> float:
 
 def angular_average(fld: DiscField, n_thetas: int = 256) -> DiscField:
     """Replace the field by its average over rays (a radial field)."""
-    grid = RadialGrid.uniform(fld.radius, fld.n)
-    acc = np.zeros(fld.n + 1)
-    for k in range(n_thetas):
-        acc += ray_profile(fld, 2.0 * math.pi * k / n_thetas).u
-    acc /= n_thetas
+    grid, rows = _ray_samples(
+        fld, [2.0 * math.pi * k / n_thetas for k in range(n_thetas)])
+    acc = np.sum(rows, axis=0) / n_thetas
     x = fld.coords
     X, Y = np.meshgrid(x, x, indexing="ij")
     rad = np.sqrt(X * X + Y * Y)

@@ -5,6 +5,8 @@ written against different algorithms so agreement is evidence and not
 tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -146,3 +148,87 @@ def quadratic_window_density(rbar, inside, radius):
     in ``verify.concavity_exclusion_check``.  Quadratic memory."""
     near = np.abs(rbar[:, None] - rbar[None, :]) <= radius
     return (near & inside[None, :]).sum(axis=1) / near.sum(axis=1)
+
+
+def loop_donor_gradients(fld, ux, uy):
+    """Rim-cell donor gradients by walking one cell at a time.
+
+    The per-cell loop that preceded the array walk in
+    ``disc2d._donor_gradients``.
+    """
+    m = fld.mask
+    full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    x = fld.coords
+    xc = 0.5 * (x[:-1] + x[1:])
+    nc = len(xc)
+    ux = ux.copy()
+    uy = uy.copy()
+    for i, j in zip(*np.nonzero(~full)):
+        ci, cj = i, j
+        for _ in range(6):
+            if full[ci, cj]:
+                break
+            if abs(xc[ci]) >= abs(xc[cj]):
+                ci += 1 if xc[ci] < 0 else -1
+            else:
+                cj += 1 if xc[cj] < 0 else -1
+            if not (0 <= ci < nc and 0 <= cj < nc):
+                ci, cj = i, j
+                break
+        if full[ci, cj]:
+            ux[i, j] = ux[ci, cj]
+            uy[i, j] = uy[ci, cj]
+    return ux, uy
+
+
+def single_ray_profile(fld, theta):
+    """One ray sampled on its own, as ``disc2d.ray_profile`` did before
+    the rays were gathered in one batch."""
+    from radrelax.disc2d import _bilinear
+    from radrelax.radial_solver import RadialGrid, RadialProfile
+
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    r = grid.nodes
+    u = _bilinear(fld, r * math.cos(theta), r * math.sin(theta))
+    return RadialProfile(grid, u)
+
+
+def loop_ray_check(fld, spec, n_thetas):
+    """(per_theta, lhs, rhs) of the ray check with one ``energy_reduced``
+    call per ray, the loop that preceded the batched ray energies in
+    ``disc2d.averaged_ray_energy_check``; the planar side walks the rim
+    donors one cell at a time."""
+    from radrelax.disc2d import _cell_area_weights, _cell_gradients
+    from radrelax.radial_solver import energy_reduced, ensure_envelope
+
+    thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
+    energies = np.array([
+        energy_reduced(single_ray_profile(fld, th), spec, use_envelope=True)
+        for th in thetas])
+    lhs = float(np.mean(energies))
+    ux, uy, ubar, _, _ = _cell_gradients(fld)
+    ux, uy = loop_donor_gradients(fld, ux, uy)
+    weights = _cell_area_weights(fld) * fld.h ** 2
+    gnorm = np.hypot(ux, uy)
+    wvals = ensure_envelope(spec).eval(gnorm.ravel()).reshape(gnorm.shape)
+    gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
+    rhs = float(np.sum(weights * (wvals + gvals)))
+    return energies, lhs, rhs
+
+
+def loop_angular_average(fld, n_thetas):
+    """Angular average by accumulating one ray at a time, then dividing,
+    as ``disc2d.angular_average`` did before the batched rays."""
+    from radrelax.disc2d import DiscField
+    from radrelax.radial_solver import RadialGrid
+
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    acc = np.zeros(fld.n + 1)
+    for k in range(n_thetas):
+        acc += single_ray_profile(fld, 2.0 * math.pi * k / n_thetas).u
+    acc /= n_thetas
+    x = fld.coords
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    rad = np.sqrt(X * X + Y * Y)
+    vals = np.interp(rad.ravel(), grid.nodes, acc).reshape(rad.shape)
+    return DiscField(fld.n, fld.radius, vals)

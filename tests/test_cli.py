@@ -257,6 +257,52 @@ def test_symmetry_field_csv(prototype_ini, tmp_path):
     assert res["fields"][0]["defect"] <= 0.01
 
 
+def _no_ray_work(*args, **kwargs):
+    raise AssertionError("rays priced before the input was checked")
+
+
+def test_symmetry_rejects_3d_spec_before_ray_work(prototype_ini, tmp_path,
+                                                  monkeypatch, capsys):
+    spec3 = tmp_path / "d3.ini"
+    spec3.write_text(open(prototype_ini).read().replace("dimension = 2",
+                                                        "dimension = 3"))
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    assert main(["symmetry", "--spec", str(spec3), "--grid-points", "33",
+                 "--rays", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "d3.ini: symmetry needs a spec of dimension 2, got 3" in err
+    assert "numerical failure" not in err
+
+
+def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
+                                                monkeypatch, capsys):
+    path = tmp_path / "r2.csv"
+    DiscField.random_smooth(33, 2.0, seed=1).to_csv(str(path))
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                 "--field-csv", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "r2.csv: field radius 2.0 does not match spec radius 1.0" in err
+    assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_symmetry_rejects_non_finite_field_csv(prototype_ini, tmp_path,
+                                               token, capsys):
+    path = tmp_path / "field.csv"
+    DiscField.random_smooth(33, 1.0, seed=1).to_csv(str(path))
+    lines = path.read_text().splitlines()
+    x, y, _ = lines[300].split(",")
+    lines[300] = f"{x},{y},{token}"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                 "--field-csv", str(path), "--out", str(out)]) == 1
+    assert "field.csv: line 301: x, y and u must be finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symmetry_csv_needs_single_field(prototype_ini, capsys):
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "65",
                  "--random-fields", "2", "--format", "csv"]) == 1

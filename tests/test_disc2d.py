@@ -10,11 +10,19 @@ from radrelax.disc2d import (
     colinearity_defect,
     energy_2d,
     ray_profile,
+    ray_profiles,
     _cell_gradients,
+    _donor_gradients,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
 from conftest import make_prototype_spec
+from oracles import (
+    loop_angular_average,
+    loop_donor_gradients,
+    loop_ray_check,
+    single_ray_profile,
+)
 
 N = 129
 R = 1.0
@@ -46,17 +54,69 @@ def test_cone_energy_matches_radial_value(spec):
     assert abs(e + math.pi / 6.0) <= 0.02 * (math.pi / 6.0)
 
 
-def test_offcenter_cone_envelope_gradient_term_is_zero():
-    # unit cone at (0.5, 0) inside a radius-2 disc; every bilinear cell
-    # gradient has norm at most 1, where the double-well envelope is flat
-    spec0 = ProblemSpec(
+def _offcenter_spec():
+    return ProblemSpec(
         dimension=2, radius=2.0, p=4.0,
         W=Potential1D(kind="poly_in_t_squared", coefficients=(1.0, -2.0, 1.0)),
         G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0,)))
-    fld = DiscField.from_function(
+
+
+def _offcenter_cone():
+    return DiscField.from_function(
         lambda X, Y: np.clip(1.0 - np.sqrt((X - 0.5) ** 2 + Y * Y), 0.0, None),
         N, 2.0)
-    assert energy_2d(fld, spec0, use_envelope=True) == 0.0
+
+
+def test_offcenter_cone_envelope_gradient_term_is_zero():
+    # unit cone at (0.5, 0) inside a radius-2 disc; every bilinear cell
+    # gradient has norm at most 1, where the double-well envelope is flat
+    assert energy_2d(_offcenter_cone(), _offcenter_spec(),
+                     use_envelope=True) == 0.0
+
+
+@pytest.mark.parametrize("n", [33, 35, 65, 129, 257])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
+def test_donor_gradients_match_cell_walk(n, radius):
+    fld = DiscField.random_smooth(n, radius, seed=n)
+    ux, uy, _, _, _ = _cell_gradients(fld)
+    new = _donor_gradients(fld, ux, uy)
+    old = loop_donor_gradients(fld, ux, uy)
+    assert np.array_equal(new[0], old[0])
+    assert np.array_equal(new[1], old[1])
+
+
+@pytest.mark.parametrize("n_thetas", [1, 7, 64])
+@pytest.mark.parametrize("case", ["prototype", "offcenter"])
+def test_ray_check_matches_per_ray_loop(n_thetas, case):
+    if case == "prototype":
+        spec0 = make_prototype_spec()
+        fields = [DiscField.random_smooth(N, R, seed=11), _tilted()]
+    else:
+        spec0 = _offcenter_spec()
+        fields = [_offcenter_cone(),
+                  DiscField.random_smooth(65, 2.0, seed=12)]
+    for fld in fields:
+        rep = averaged_ray_energy_check(fld, spec0, n_thetas=n_thetas)
+        per_theta, lhs, rhs = loop_ray_check(fld, spec0, n_thetas)
+        assert np.array_equal(rep.per_theta, per_theta)
+        assert rep.lhs == lhs
+        assert rep.rhs == rhs
+
+
+def test_ray_check_rejects_radius_mismatch(spec):
+    with pytest.raises(ValueError, match="grid ends at 2.0, spec radius is 1.0"):
+        averaged_ray_energy_check(DiscField.random_smooth(65, 2.0, seed=1),
+                                  spec, n_thetas=4)
+
+
+def test_ray_profiles_match_single_rays():
+    fld = DiscField.random_smooth(65, 1.3, seed=2)
+    thetas = [2.0 * math.pi * k / 9 for k in range(9)]
+    for prof, theta in zip(ray_profiles(fld, thetas), thetas):
+        ref = single_ray_profile(fld, theta)
+        assert np.array_equal(prof.grid.nodes, ref.grid.nodes)
+        assert prof.u.tobytes() == ref.u.tobytes()
+        assert ray_profile(fld, theta).u.tobytes() == ref.u.tobytes()
 
 
 def test_energy_2d_rejects_wrong_dimension_and_radius(spec):
@@ -167,6 +227,16 @@ def test_angular_average_removes_defect():
     assert defects[-1] <= 5.0 * mix.h
 
 
+def test_angular_average_matches_ray_loop():
+    negative_zeros = DiscField(33, R, np.full((33, 33), -0.0))
+    for fld in (DiscField.random_smooth(65, 1.2, seed=4), _tilted(),
+                negative_zeros):
+        for n_thetas in (1, 7, 256):
+            new = angular_average(fld, n_thetas).values
+            old = loop_angular_average(fld, n_thetas).values
+            assert new.tobytes() == old.tobytes()
+
+
 def test_csv_round_trip(tmp_path):
     fld = DiscField.random_smooth(33, 1.5, seed=9)
     path = str(tmp_path / "field.csv")
@@ -190,6 +260,18 @@ def test_from_csv_errors(tmp_path):
     bad_value.write_text("x,y,u\n0.0,0.0,oops\n")
     with pytest.raises(ValueError, match="line 2"):
         DiscField.from_csv(str(bad_value))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_from_csv_rejects_non_finite_values(tmp_path, token):
+    path = tmp_path / "field.csv"
+    DiscField.random_smooth(33, R, seed=1).to_csv(str(path))
+    lines = path.read_text().splitlines()
+    x, y, _ = lines[500].split(",")
+    lines[500] = f"{x},{y},{token}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 501: .*finite"):
+        DiscField.from_csv(str(path))
 
 
 def test_grid_validation():

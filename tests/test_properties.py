@@ -1,4 +1,6 @@
-"""Property tests of the monotone rearrangement on arbitrary profiles."""
+"""Property tests on arbitrary inputs: the monotone rearrangement laws,
+the spec emit/parse round trip, and the sampled-kind hull against the
+chord-walk oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from radrelax.potentials import Potential1D, ProblemSpec  # noqa: E402
+from radrelax.envelope import _hull_values, _lower_hull  # noqa: E402
+from radrelax.potentials import (  # noqa: E402
+    GrowthDeclaration,
+    Potential1D,
+    ProblemSpec,
+)
 from radrelax.radial_solver import (  # noqa: E402
     RadialGrid,
     RadialProfile,
@@ -14,8 +21,10 @@ from radrelax.radial_solver import (  # noqa: E402
     ensure_envelope,
     monotone_rearrange,
 )
+from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
 from conftest import double_well, three_well  # noqa: E402
+from oracles import chord_hull_values, chord_hull_vertices  # noqa: E402
 
 # G(u) = -u^2 does not increase in |u| (G2), so the energy cannot rise
 _SPECS = {
@@ -55,3 +64,71 @@ def test_rearrangement_laws(prof, name):
     e_before = energy_reduced(prof, spec)
     e_after = energy_reduced(v, spec)
     assert e_after <= e_before + 1e-9 * (1.0 + abs(e_before))
+
+
+_COEFF = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def specs(draw):
+    # W coercive and even: a t^2 polynomial with a positive leading
+    # coefficient, or one piece even in t; G any polynomial in u, whole
+    # or piecewise, with shape flag none (a drawn G rarely meets G2)
+    lead = draw(st.floats(0.01, 10.0))
+    coeffs = draw(st.lists(_COEFF, min_size=1, max_size=3)) + [lead]
+    if draw(st.booleans()):
+        W = Potential1D(kind="poly_in_t_squared", coefficients=coeffs)
+    else:
+        even = [c for k in coeffs for c in (k, 0.0)][:-1]
+        W = Potential1D(kind="piecewise_poly", coefficients=(even,), even=True)
+    if draw(st.booleans()):
+        G = Potential1D(kind="poly_in_t_squared", coefficients=draw(
+            st.lists(_COEFF, min_size=1, max_size=4)))
+    else:
+        breaks = sorted(draw(st.lists(_COEFF, max_size=3, unique=True)))
+        pieces = [draw(st.lists(_COEFF, min_size=1, max_size=4))
+                  for _ in range(len(breaks) + 1)]
+        G = Potential1D(kind="piecewise_poly", coefficients=pieces,
+                        breakpoints=breaks)
+    growth = None
+    if draw(st.booleans()):
+        keys = ("nu1", "nu2", "nu3", "nu4", "rho", "C", "p_tilde")
+        growth = GrowthDeclaration(**{
+            k: draw(st.none() | st.floats(-1e6, 1e6, allow_nan=False))
+            for k in keys})
+    return ProblemSpec(
+        dimension=draw(st.integers(2, 6)),
+        radius=draw(st.floats(1e-3, 1e3)),
+        p=draw(st.floats(1.001, 50.0)),
+        W=W, G=G, declared_growth=growth)
+
+
+@given(spec=specs())
+def test_spec_emit_parse_round_trip(spec):
+    text = emit_spec_text(spec)
+    back = parse_spec_text(text)
+    assert back == spec
+    assert emit_spec_text(back) == text
+
+
+@st.composite
+def even_samples(draw):
+    # arbitrary spacings and values on [0, T], mirrored to [-T, T]
+    k = draw(st.integers(2, 80))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    tpos = np.concatenate([[0.0], np.cumsum(gaps)])
+    vpos = np.array(draw(st.lists(_COEFF, min_size=k + 1, max_size=k + 1)))
+    t = np.concatenate([-tpos[:0:-1], tpos])
+    w = np.concatenate([vpos[:0:-1], vpos])
+    return t, w
+
+
+@given(samples=even_samples())
+def test_sampled_hull_matches_chord_oracle(samples):
+    # the hull convexify builds for a sampled W, on the samples themselves
+    t, w = samples
+    verts = chord_hull_vertices(t, w)
+    hull = _lower_hull(t, w)
+    assert list(hull) == verts
+    assert np.array_equal(_hull_values(t, w, hull),
+                          chord_hull_values(t, w, verts))
