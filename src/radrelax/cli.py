@@ -35,7 +35,7 @@ from .radial_solver import (
 )
 from .specfile import SpecFileError, emit_spec_text, parse_spec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_VERSION = 1
 
 EXIT_OK = 0
@@ -62,7 +62,6 @@ class RunConfig:
     command: str
     spec_path: Optional[str] = None
     grid_points: int = 256
-    multistarts: int = 8
     seed: int = 0
     oracle: bool = False
     u_levels: int = 200
@@ -90,7 +89,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid-points", type=int, default=grid_default,
                        help="grid resolution")
         p.add_argument("--seed", type=int, default=0,
-                       help="64-bit seed behind all randomness")
+                       help="64-bit seed of the random fields (symmetry); "
+                            "echoed in every report")
         p.add_argument("--out", default=None,
                        help="report path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -102,8 +102,6 @@ def _build_parser() -> _Parser:
     for name, help_text in (("solve", "minimize the relaxed energy and verify"),
                             ("verify", "run the pipeline; checks are the result")):
         p = add(name, help_text, 256)
-        p.add_argument("--multistarts", type=int, default=8,
-                       help="number of descent starts")
         p.add_argument("--window", type=float, default=None,
                        help="near-origin window for the corner fit "
                             "(default: 0.2 R)")
@@ -147,9 +145,9 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         raise UsageError("radrelax: a subcommand is required "
                          "(envelope, solve, oracle, verify, symmetry)")
     cfg = RunConfig(command=ns.command)
-    for name in ("spec_path", "grid_points", "multistarts", "seed", "oracle",
-                 "u_levels", "rays", "window", "tol_corner", "out",
-                 "profile_csv", "fmt", "field_csv", "random_fields"):
+    for name in ("spec_path", "grid_points", "seed", "oracle", "u_levels",
+                 "rays", "window", "tol_corner", "out", "profile_csv", "fmt",
+                 "field_csv", "random_fields"):
         src = "spec" if name == "spec_path" else name
         if hasattr(ns, src):
             setattr(cfg, name, getattr(ns, src))
@@ -163,11 +161,8 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         raise UsageError(f"field CSV not found: {cfg.field_csv}")
     if cfg.random_fields < 1:
         raise UsageError("--random-fields must be at least 1")
-    if cfg.command in ("solve", "verify"):
-        if cfg.multistarts < 1:
-            raise UsageError("--multistarts must be at least 1")
-        if cfg.grid_points < 16:
-            raise UsageError("--grid-points must be at least 16 cells")
+    if cfg.command in ("solve", "verify") and cfg.grid_points < 16:
+        raise UsageError("--grid-points must be at least 16 cells")
     if cfg.command == "oracle" and not 16 <= cfg.grid_points <= 200:
         raise UsageError("--grid-points must lie in [16, 200] for oracle")
     if cfg.command in ("solve", "oracle") and not 2 <= cfg.u_levels <= 400:
@@ -224,10 +219,22 @@ def _report_text(cfg: RunConfig, spec: Optional[ProblemSpec], results: dict) -> 
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _profile_rows(profile):
+def _profile_csv(profile) -> str:
     s = profile.slopes
     du = list(s) + [s[-1]]
-    return zip(profile.grid.nodes, profile.u, du)
+    return _csv_text(["r", "u", "du_dr"], zip(profile.grid.nodes, profile.u, du))
+
+
+def _emit_profile_report(cfg: RunConfig, spec: ProblemSpec, results: dict,
+                         profile, csv_path: Optional[str] = None) -> None:
+    """Write the profile CSV to ``csv_path`` if given, then emit the
+    profile as CSV (``--format csv``) or the JSON report."""
+    if csv_path:
+        _write_text(csv_path, _profile_csv(profile))
+    if cfg.fmt == "csv":
+        _emit(cfg, _profile_csv(profile))
+    else:
+        _emit(cfg, _report_text(cfg, spec, results))
 
 
 def _read_profile_csv(path: str, spec: ProblemSpec):
@@ -279,8 +286,7 @@ def _cmd_envelope(cfg: RunConfig) -> int:
 def _solve_common(cfg: RunConfig):
     spec = parse_spec(cfg.spec_path)
     grid = RadialGrid.uniform(spec.radius, cfg.grid_points)
-    report = solve_pipeline(spec, grid, multistarts=cfg.multistarts,
-                            seed=cfg.seed, corner_window=cfg.window,
+    report = solve_pipeline(spec, grid, corner_window=cfg.window,
                             corner_tol=cfg.tol_corner)
     return spec, report
 
@@ -300,15 +306,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             "u_levels": cfg.u_levels,
         }
     results.update(report.to_dict())
-    if cfg.profile_csv:
-        _write_text(cfg.profile_csv,
-                    _csv_text(["r", "u", "du_dr"],
-                              _profile_rows(report.profile)))
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(["r", "u", "du_dr"],
-                             _profile_rows(report.profile)))
-    else:
-        _emit(cfg, _report_text(cfg, spec, results))
+    _emit_profile_report(cfg, spec, results, report.profile, cfg.profile_csv)
     if report.verify is not None and not report.verify.overall:
         return EXIT_VERIFY
     return EXIT_OK
@@ -334,7 +332,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
             "verify": ver.to_dict(),
         }
         overall = ver.overall
-        prof = profile
     else:
         spec, report = _solve_common(cfg)
         results = {
@@ -344,11 +341,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
             "verify": report.verify.to_dict(),
         }
         overall = report.verify.overall
-        prof = report.profile
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(["r", "u", "du_dr"], _profile_rows(prof)))
-    else:
-        _emit(cfg, _report_text(cfg, spec, results))
+        profile = report.profile
+    _emit_profile_report(cfg, spec, results, profile)
     return EXIT_OK if overall else EXIT_VERIFY
 
 
@@ -359,15 +353,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     results = report.to_dict()
     results["r_levels"] = cfg.grid_points
     results["u_levels"] = cfg.u_levels
-    if cfg.profile_csv:
-        _write_text(cfg.profile_csv,
-                    _csv_text(["r", "u", "du_dr"],
-                              _profile_rows(report.profile)))
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(["r", "u", "du_dr"],
-                             _profile_rows(report.profile)))
-    else:
-        _emit(cfg, _report_text(cfg, spec, results))
+    _emit_profile_report(cfg, spec, results, report.profile, cfg.profile_csv)
     return EXIT_OK
 
 
@@ -405,8 +391,7 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         import math
         thetas = [2.0 * math.pi * k / cfg.rays for k in range(cfg.rays)]
         for k, prof in enumerate(ray_profiles(fields[0][1], thetas)):
-            _write_text(f"{cfg.profile_csv}ray{k:03d}.csv",
-                        _csv_text(["r", "u", "du_dr"], _profile_rows(prof)))
+            _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
     if cfg.fmt == "csv":
         if len(records) != 1:
             raise UsageError("csv format needs a single field")

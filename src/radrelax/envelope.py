@@ -57,7 +57,6 @@ class EnvelopeResult:
     w_values: np.ndarray
     components: List[DetachmentComponent]
     M: float
-    constant_radius_M0: float
     wcaffine_holds: bool
     potential: Potential1D = field(repr=False, compare=False, default=None)
 
@@ -101,7 +100,6 @@ class EnvelopeResult:
     def to_dict(self) -> dict:
         return {
             "M": float(self.M),
-            "constant_radius_M0": float(self.constant_radius_M0),
             "wcaffine_holds": bool(self.wcaffine_holds),
             "components": [c.to_dict() for c in self.components],
             "grid_points": int(len(self.grid)),
@@ -308,8 +306,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
 
     return EnvelopeResult(
         grid=t, values=env, w_values=w, components=comps, M=M,
-        constant_radius_M0=M, wcaffine_holds=_wcaffine(comps, M),
-        potential=W)
+        wcaffine_holds=_wcaffine(comps, M), potential=W)
 
 
 def detachment_components(env: EnvelopeResult) -> List[DetachmentComponent]:

@@ -115,7 +115,6 @@ class SolveReport:
     relaxed_energy: float
     original_energy: float
     iterations: int
-    multistart_seed: int
     oracle_gap: Optional[float] = None
     converged: bool = True
     warnings: List[str] = field(default_factory=list)
@@ -134,7 +133,6 @@ class SolveReport:
             "relaxed_energy": float(self.relaxed_energy),
             "original_energy": float(self.original_energy),
             "iterations": int(self.iterations),
-            "multistart_seed": int(self.multistart_seed),
             "converged": bool(self.converged),
             "warnings": list(self.warnings),
             "discretization": self.discretization,
@@ -185,11 +183,10 @@ def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
     return area * float(np.sum(rbar ** (spec.dimension - 1) * (wterm + gterm) * dr))
 
 
-def _multistart_profiles(spec, grid, env, multistarts, rng):
+def _multistart_profiles(spec, grid, env):
     nodes = grid.nodes
     R = spec.radius
     M = env.M
-    base = max(M, 0.5) * (R - nodes)
     # the quadratic start leaves the origin at slope -M and steepens,
     # the shape the first integral of the reduced problem dictates; the
     # zero profile (the cones when M = 0) is never a start, because it is
@@ -197,14 +194,7 @@ def _multistart_profiles(spec, grid, env, multistarts, rng):
     starts = [M * (R - nodes),
               M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2),
               1.25 * M * (R - nodes)]
-    starts = [u for u in starts if np.any(u)]
-    while len(starts) < multistarts:
-        scale = rng.uniform(0.25, 1.75)
-        wobble = rng.uniform(-0.3, 0.3)
-        waves = int(rng.integers(1, 4))
-        prof = scale * base * (1.0 + wobble * np.sin(np.pi * waves * nodes / R))
-        starts.append(prof)
-    return starts[:multistarts]
+    return [u for u in starts if np.any(u)]
 
 
 class _RelaxedEnergy:
@@ -328,13 +318,14 @@ def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
 
 
 def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
-                     multistarts: int = 8, max_iters: int = 20000,
-                     seed: int = 0) -> SolveReport:
+                     max_iters: int = 20000) -> SolveReport:
     """Newton minimization of the relaxed reduced energy on ``grid``.
 
-    Every start (cones at slopes -M and -1.25 M, a quadratically
-    steepening profile, then seeded random profiles; never the zero
-    profile) descends by damped Newton on the requested grid: the
+    Three starts with the shape of a minimizer (nonincreasing, u' <= -M,
+    u'(0) = -M): the cone at slope -M, a profile that leaves the origin
+    at slope -M and steepens quadratically, and the cone at slope
+    -1.25 M. Starts that are identically zero are dropped, so M = 0
+    keeps only the quadratic one. Each descends by damped Newton on the requested grid: the
     relaxed energy is a sum of per-cell terms, so its Hessian is
     tridiagonal and one step costs a banded solve, with a Levenberg
     shift where the Hessian is indefinite (inside detachment intervals,
@@ -346,16 +337,10 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
     finished by L-BFGS-B on the same grid, with up to ``max_iters``
     iterations, and ``converged`` is that run's success flag. When the
     result is not converged, ``warnings`` says why.
-
-    Raises:
-        ValueError: if multistarts < 1.
     """
-    if multistarts < 1:
-        raise ValueError("multistarts must be at least 1")
     env = ensure_envelope(spec)
     energy = _RelaxedEnergy(spec, env, grid)
-    starts = _multistart_profiles(spec, grid, env, multistarts,
-                                  np.random.default_rng(seed))
+    starts = _multistart_profiles(spec, grid, env)
     best = None
     total_iters = 0
     settled = 0
@@ -390,7 +375,6 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
         relaxed_energy=energy_reduced(profile, spec, use_envelope=True),
         original_energy=energy_reduced(profile, spec, use_envelope=False),
         iterations=total_iters,
-        multistart_seed=seed,
         converged=converged,
         warnings=warnings,
     )
@@ -522,7 +506,6 @@ def dp_oracle(spec: ProblemSpec, r_levels: int = 100, u_levels: int = 200,
         relaxed_energy=relaxed,
         original_energy=original,
         iterations=int(r_levels),
-        multistart_seed=0,
         converged=True,
         discretization="dp_value_grid",
     )
@@ -605,8 +588,7 @@ def monotone_rearrange(profile: RadialProfile, env: EnvelopeResult,
 
 
 def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
-                   multistarts: int = 8, max_iters: int = 20000, seed: int = 0,
-                   corner_window: Optional[float] = None,
+                   max_iters: int = 20000, corner_window: Optional[float] = None,
                    corner_tol: float = 0.05) -> SolveReport:
     """Convexify, minimize, rearrange (under a monotone G), and verify.
 
@@ -630,8 +612,7 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
     if not env.wcaffine_holds:
         warnings.append("a detachment interval is not contained in (-M, M)")
 
-    report = minimize_relaxed(spec, grid, multistarts=multistarts,
-                              max_iters=max_iters, seed=seed)
+    report = minimize_relaxed(spec, grid, max_iters=max_iters)
     warnings.extend(report.warnings)
 
     if spec.shape_flag in ("G2", "G2_strict"):
@@ -640,8 +621,7 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
         original = energy_reduced(v, spec, use_envelope=False)
         report = SolveReport(
             profile=v, relaxed_energy=relaxed, original_energy=original,
-            iterations=report.iterations, multistart_seed=seed,
-            converged=report.converged)
+            iterations=report.iterations, converged=report.converged)
 
     vrep = verify_mod.full_report(report.profile, spec, env,
                                   corner_window=corner_window,

@@ -11,7 +11,7 @@ from radrelax.cli import main
 from radrelax.disc2d import DiscField
 from radrelax.specfile import parse_spec, parse_spec_text
 
-FAST = ["--grid-points", "128", "--multistarts", "4"]
+FAST = ["--grid-points", "128"]
 
 
 def _half_slope_csv(path, nodes=65):
@@ -31,7 +31,7 @@ def test_solve_report_structure(prototype_ini, tmp_path):
     assert main(["solve", "--spec", prototype_ini, *FAST,
                  "--seed", "0", "--out", str(out)]) == 0
     rep = _load(out)
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["command"] == "solve"
     assert rep["seed"] == 0
     assert rep["spec"]["dimension"] == 2
@@ -101,22 +101,31 @@ def test_solve_oracle_on_zero_energy_problem(convex_ini, tmp_path):
 
 
 def test_solve_single_start_finds_the_minimizer(prototype_ini, tmp_path):
-    # a lone start must not be the zero profile, a stationary point of
-    # the prototype that once came back labelled converged
-    energies = []
-    for starts in ("1", "8"):
-        out = tmp_path / f"rep{starts}.json"
-        assert main(["solve", "--spec", prototype_ini, "--grid-points", "128",
-                     "--multistarts", starts, "--out", str(out)]) == 0
-        res = _load(out)["results"]
-        assert res["converged"] is True
-        energies.append(res["relaxed_energy"])
-    assert abs(energies[0] - energies[1]) <= 1e-9
+    # no start may be the zero profile, a stationary point of the
+    # prototype that once came back labelled converged
+    out = tmp_path / "rep.json"
+    assert main(["solve", "--spec", prototype_ini, "--grid-points", "128",
+                 "--out", str(out)]) == 0
+    res = _load(out)["results"]
+    assert res["converged"] is True
+    assert any(res["profile"]["u"])
 
 
-def test_multistarts_below_one_exits_1(prototype_ini, capsys):
-    assert main(["solve", "--spec", prototype_ini, "--multistarts", "0"]) == 1
-    assert "--multistarts" in capsys.readouterr().err
+def test_solve_results_do_not_depend_on_seed(prototype_ini, tmp_path):
+    # the descent starts are deterministic; solve only echoes --seed
+    reports = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"rep{seed}.json"
+        assert main(["solve", "--spec", prototype_ini, *FAST,
+                     "--seed", seed, "--out", str(out)]) == 0
+        reports.append(_load(out))
+    assert [rep["seed"] for rep in reports] == [0, 5]
+    assert reports[0]["results"] == reports[1]["results"]
+
+
+def test_multistarts_flag_is_unknown(prototype_ini, capsys):
+    assert main(["solve", "--spec", prototype_ini, "--multistarts", "4"]) == 1
+    assert "unrecognized arguments: --multistarts 4" in capsys.readouterr().err
 
 
 def test_grid_points_out_of_range_exits_1(prototype_ini, capsys):

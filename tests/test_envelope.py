@@ -27,7 +27,6 @@ def test_double_well_envelope_closed_form():
     ref = np.where(np.abs(t) <= 1.0, 0.0, (t * t - 1.0) ** 2)
     assert float(np.max(np.abs(env.values - ref))) <= 1e-8
     assert env.M == 1.0
-    assert env.constant_radius_M0 == 1.0
     assert env.wcaffine_holds
     assert len(env.components) == 1
     comp = env.components[0]

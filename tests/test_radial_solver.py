@@ -119,16 +119,14 @@ def test_minimize_convex_goes_to_zero():
         dimension=2, radius=1.0, p=2.0,
         W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0)),
         G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 0.0)))
-    report = minimize_relaxed(spec, RadialGrid.uniform(1.0, 64),
-                              multistarts=4, seed=0)
+    report = minimize_relaxed(spec, RadialGrid.uniform(1.0, 64))
     assert report.converged
     assert abs(report.relaxed_energy) <= 1e-10
     assert float(np.max(np.abs(report.profile.u))) <= 1e-5
 
 
 def test_minimize_prototype_beats_cone(prototype_spec):
-    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128),
-                              multistarts=4, seed=3)
+    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128))
     assert report.converged
     assert report.relaxed_energy < -math.pi / 6.0
     assert report.relaxed_energy < -0.5455
@@ -137,34 +135,26 @@ def test_minimize_prototype_beats_cone(prototype_spec):
 def test_minimize_prototype_fine_grid_direct(prototype_spec):
     # the first-integral solution on 1024 cells, reached without any
     # coarse-grid warm start
-    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 1024),
-                              seed=0)
+    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 1024))
     assert report.converged
     assert abs(report.relaxed_energy - PROTOTYPE_RELAXED_K1024) <= 1e-9
 
 
 def test_minimize_three_well(three_well_spec):
     # affine envelope pieces outside (-M, M) under a concave G
-    report = minimize_relaxed(three_well_spec, RadialGrid.uniform(1.0, 256),
-                              seed=0)
+    report = minimize_relaxed(three_well_spec, RadialGrid.uniform(1.0, 256))
     assert report.converged
     assert report.relaxed_energy <= THREE_WELL_RELAXED_K256 + 1e-9
 
 
 def test_minimize_iteration_cap_reports_not_converged(prototype_spec):
     report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128),
-                              max_iters=1, seed=0)
+                              max_iters=1)
     assert not report.converged
     assert len(report.warnings) == 1
     assert "winning start" in report.warnings[0]
     assert "L-BFGS finish" in report.warnings[0]
-    assert "of 8 starts converged" in report.warnings[0]
-
-
-def test_minimize_rejects_no_starts(prototype_spec):
-    with pytest.raises(ValueError, match="multistarts"):
-        minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 64),
-                         multistarts=0)
+    assert "of 3 starts converged" in report.warnings[0]
 
 
 def test_minimize_sampled_potentials(prototype_spec):
@@ -174,21 +164,21 @@ def test_minimize_sampled_potentials(prototype_spec):
     mu = np.linspace(-4.0, 4.0, 801)
     G = Potential1D(kind="sampled", samples=(mu, -mu * mu))
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(), G=G)
-    report = minimize_relaxed(spec, grid, multistarts=3, seed=0)
-    exact = minimize_relaxed(prototype_spec, grid, multistarts=3, seed=0)
+    report = minimize_relaxed(spec, grid)
+    exact = minimize_relaxed(prototype_spec, grid)
     assert report.converged
     assert abs(report.relaxed_energy - exact.relaxed_energy) <= 1e-5
     t = np.linspace(-3.0, 3.0, 601)
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, G=G,
                        W=Potential1D(kind="sampled", samples=(t, (t * t - 1.0) ** 2)))
-    report = minimize_relaxed(spec, grid, multistarts=3, seed=0)
+    report = minimize_relaxed(spec, grid)
     assert report.converged or report.warnings
 
 
 def test_minimize_deterministic(prototype_spec):
     grid = RadialGrid.uniform(1.0, 64)
-    a = minimize_relaxed(prototype_spec, grid, multistarts=4, seed=11)
-    b = minimize_relaxed(make_prototype_spec(), grid, multistarts=4, seed=11)
+    a = minimize_relaxed(prototype_spec, grid)
+    b = minimize_relaxed(make_prototype_spec(), grid)
     assert a.relaxed_energy == b.relaxed_energy
     assert np.array_equal(a.profile.u, b.profile.u)
 
@@ -240,7 +230,7 @@ def test_solve_report_energy_invariant():
     prof = RadialProfile(grid, np.zeros(33))
     with pytest.raises(NumericalFailure, match="fell below"):
         SolveReport(profile=prof, relaxed_energy=1.0, original_energy=0.5,
-                    iterations=0, multistart_seed=0)
+                    iterations=0)
 
 
 def test_rearrange_alternating_sawtooth(prototype_spec):
@@ -333,20 +323,17 @@ def test_pipeline_warning_without_monotone_shape():
         W=Potential1D(kind="poly_in_t_squared", coefficients=(1.0, -2.0, 1.0)),
         G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0)),
         shape_flag="none")
-    report = solve_pipeline(spec, RadialGrid.uniform(1.0, 64),
-                            multistarts=2, seed=0)
+    report = solve_pipeline(spec, RadialGrid.uniform(1.0, 64))
     assert any("G2" in w for w in report.warnings)
 
 
 def test_pipeline_warning_detachment_escapes(three_well_spec):
-    report = solve_pipeline(three_well_spec, RadialGrid.uniform(1.0, 64),
-                            multistarts=2, seed=0)
+    report = solve_pipeline(three_well_spec, RadialGrid.uniform(1.0, 64))
     assert any("not contained" in w for w in report.warnings)
 
 
 def test_pipeline_prototype_small_grid(prototype_spec):
-    report = solve_pipeline(prototype_spec, RadialGrid.uniform(1.0, 128),
-                            multistarts=4, seed=0)
+    report = solve_pipeline(prototype_spec, RadialGrid.uniform(1.0, 128))
     assert report.warnings == []
     assert report.relaxed_energy <= report.original_energy + 1e-12
     assert report.verify is not None and report.verify.overall

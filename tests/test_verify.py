@@ -57,8 +57,7 @@ def pipeline_reports():
     out = {}
     for cells in (256, 512):
         spec = make_prototype_spec()
-        out[cells] = solve_pipeline(spec, RadialGrid.uniform(1.0, cells),
-                                    multistarts=4, seed=0)
+        out[cells] = solve_pipeline(spec, RadialGrid.uniform(1.0, cells))
     return out
 
 
