@@ -14,7 +14,7 @@ from radrelax.potentials import (
     compute_M,
     validate_spec,
 )
-from radrelax.envelope import EnvelopeResult, DetachmentComponent, convexify, detachment_components
+from radrelax.envelope import EnvelopeResult, DetachmentComponent, convexify
 from radrelax.radial_solver import (
     RadialGrid,
     RadialProfile,

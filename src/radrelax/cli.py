@@ -55,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    # append "(default: X)" only where the help text does not already give
+    # the default and there is one to give
+    def _get_help_string(self, action):
+        if action.default is None or "default" in action.help:
+            return action.help
+        return super()._get_help_string(action)
+
+
 @dataclass
 class RunConfig:
     """Parsed command line; paths are checked before any compute starts."""
@@ -83,8 +92,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def add(name, help_text, grid_default):
-        p = sub.add_parser(name, help=help_text,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         p.add_argument("--spec", required=True, help="problem spec file (INI)")
         p.add_argument("--grid-points", type=int, default=grid_default,
                        help="grid resolution")
@@ -108,7 +116,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--tol-corner", type=float, default=0.05,
                        help="tolerance on the extrapolated origin slope")
         p.add_argument("--profile-csv", default=None,
-                       help="also write the profile as CSV")
+                       help="also write the profile as CSV" if name == "solve"
+                       else "check this r,u profile CSV instead of solving")
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="run the DP reference and report the gap")

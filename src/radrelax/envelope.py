@@ -2,8 +2,10 @@
 
 The envelope of a sampled graph is its lower convex hull; where it detaches
 from the potential it is affine. This module extracts the maximal open
-detachment intervals, refines their endpoints to tangency for polynomial
-kinds, and reports whether every interval is contained in (-M, M).
+detachment intervals and reports whether every interval is contained in
+(-M, M). For polynomial kinds each interval's endpoints are the tangency
+points of its affine piece, found by Newton's method from the hull chord
+and checked afterwards; a check that fails raises ``NumericalFailure``.
 
 Representable inputs (polynomial pieces, finite samples) only ever produce
 finitely many detachment intervals; potentials with infinitely many are out
@@ -13,16 +15,18 @@ of representational scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from radrelax.potentials import (Potential1D, _require_coercive,
                                  _second_derivative, compute_M)
 
-__all__ = ["DetachmentComponent", "EnvelopeResult", "convexify", "detachment_components"]
+__all__ = ["DetachmentComponent", "EnvelopeResult", "NumericalFailure", "convexify"]
 
-_ENDPOINT_TOL = 1e-10
+
+class NumericalFailure(RuntimeError):
+    """A numerical invariant of the pipeline failed."""
 
 
 @dataclass
@@ -129,64 +133,39 @@ def _hull_values(t: np.ndarray, w: np.ndarray, hull: list) -> np.ndarray:
     return env
 
 
-def _support_argmin(W: Potential1D, sigma: float, lo: float, hi: float) -> float:
-    from scipy.optimize import minimize_scalar
+def _refine_tangency(W, t, w, ia, ib, tol):
+    """Common tangent of W near the hull chord from node ia to node ib.
 
-    res = minimize_scalar(lambda x: W.eval(x) - sigma * x, bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    return float(res.x)
+    Newton's method starts from the chord itself (its end nodes and its
+    slope) and is then checked, not trusted: the result must have a < b,
+    W'(a) = W'(b) = sigma to 1e-9 relative, and W minus the line no lower
+    than -tol on the grid nodes of [a, b].
 
-
-def _refine_tangency(W, t, w, ia, ib):
-    """Bitangent line near contact nodes ia, ib by bisection on its slope.
-
-    g(sigma) = support gap between the two branches; g is strictly increasing
-    (g' = b - a > 0), so a sign-changing bracket around the raw chord slope
-    pins the common tangent to floating-point resolution.
+    Raises:
+        NumericalFailure: if any of those checks fails.
     """
-    h = t[1] - t[0]
-    lo_a, hi_a = t[ia] - 2 * h, t[ia] + 2 * h
-    lo_b, hi_b = t[ib] - 2 * h, t[ib] + 2 * h
-
-    def gap(sigma):
-        a = _support_argmin(W, sigma, lo_a, hi_a)
-        b = _support_argmin(W, sigma, lo_b, hi_b)
-        return (W.eval(a) - sigma * a) - (W.eval(b) - sigma * b), a, b
-
-    sigma0 = (w[ib] - w[ia]) / (t[ib] - t[ia])
-    dsig = max(1e-8, 1e-3 * abs(sigma0), h)
-    lo_s, hi_s = sigma0 - dsig, sigma0 + dsig
-    glo, _, _ = gap(lo_s)
-    ghi, _, _ = gap(hi_s)
-    for _ in range(60):
-        if glo < 0.0 <= ghi:
-            break
-        if glo >= 0.0:
-            lo_s -= dsig
-            glo, _, _ = gap(lo_s)
-        if ghi < 0.0:
-            hi_s += dsig
-            ghi, _, _ = gap(hi_s)
-        dsig *= 2.0
-    a = b = None
-    for _ in range(200):
-        mid = 0.5 * (lo_s + hi_s)
-        gmid, a, b = gap(mid)
-        if gmid < 0.0:
-            lo_s = mid
-        else:
-            hi_s = mid
-        if hi_s - lo_s < 1e-15 * max(1.0, abs(mid)):
-            break
-    sigma = 0.5 * (lo_s + hi_s)
-    a, b, sigma = _polish_tangency(W, a, b, sigma)
+    sigma = (w[ib] - w[ia]) / (t[ib] - t[ia])
+    a, b, sigma = _polish_tangency(W, float(t[ia]), float(t[ib]), sigma)
     beta = 0.5 * ((W.eval(a) - sigma * a) + (W.eval(b) - sigma * b))
+    where = f"tangency near [{t[ia]:.6g}, {t[ib]:.6g}]"
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise NumericalFailure(
+            f"{where}: contacts a = {a:.10g}, b = {b:.10g}, need finite a < b")
+    slope_tol = 1e-9 * max(1.0, abs(sigma))
+    residual = max(abs(W.derivative(a) - sigma), abs(W.derivative(b) - sigma))
+    if not residual <= slope_tol:
+        raise NumericalFailure(f"{where}: slope residual {residual:.3g}")
+    inside = (t >= a) & (t <= b)
+    cut = float(np.min(w[inside] - (sigma * t[inside] + beta), initial=0.0))
+    if cut < -tol:
+        raise NumericalFailure(f"{where}: the tangent cuts W by {-cut:.3g}")
     return float(a), float(b), float(sigma), float(beta)
 
 
 def _polish_tangency(W, a, b, sigma):
     # alternating Newton steps on W'(x) = sigma with the chord-slope update;
-    # quadratically sharpens the bisection estimate to float resolution
+    # the slope map is flat at the common tangent, so this converges
+    # quadratically to float resolution
     for _ in range(4):
         for _ in range(3):
             da = W.derivative(a, 2)
@@ -216,7 +195,8 @@ def _runs(mask: np.ndarray) -> list:
     return runs
 
 
-def _extract_components(t, w, env, W, M, refine):
+def _extract_components(t, w, env, W, M):
+    refine = W.kind != "sampled"
     scale = float(np.max(w) - np.min(w)) or 1.0
     tol = 1e-9 * scale
     comps = []
@@ -227,7 +207,7 @@ def _extract_components(t, w, env, W, M, refine):
             # even potential: the straddling component is the constant plateau
             a, b, alpha, beta = -M, M, 0.0, W.eval(M)
         elif refine:
-            a, b, alpha, beta = _refine_tangency(W, t, w, ia, ib)
+            a, b, alpha, beta = _refine_tangency(W, t, w, ia, ib, tol)
         else:
             a, b, alpha = float(t[ia]), float(t[ib]), float(slope)
             beta = float(w[ia] - alpha * t[ia])
@@ -267,14 +247,16 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
 
     Polynomial kinds are sampled symmetrically on [-T, T] with T pushed past
     the outermost inflection (extended automatically if the tail is not yet
-    convex); component endpoints are then refined to the true tangency and
-    the envelope re-evaluated exactly (W outside the intervals, the common
-    tangent inside). Sampled kinds keep their own grid as ground truth: the
-    envelope is the lower hull of the samples, with no sub-node refinement,
-    and ``grid_points`` is not used.
+    convex). Each hull chord across a detachment run then seeds Newton's
+    method for the common tangent; the envelope is re-evaluated exactly (W
+    outside the intervals, the common tangent inside). Sampled kinds keep
+    their own grid as ground truth: the envelope is the lower hull of the
+    samples, with no sub-node refinement, and ``grid_points`` is not used.
 
     Raises:
         ValueError: on fewer than 64 grid points, odd W, or non-coercive W.
+        NumericalFailure: if a tangency fails its checks (see
+            ``_refine_tangency``).
     """
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
@@ -287,7 +269,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
         t = np.asarray(W.samples[0], dtype=float)
         w = np.asarray(W.samples[1], dtype=float)
         env = _hull_values(t, w, _lower_hull(t, w))
-        comps = _extract_components(t, w, env, W, M, refine=False)
+        comps = _extract_components(t, w, env, W, M)
     else:
         T = float(W.domain_halfwidth)
         for _ in range(8):
@@ -298,7 +280,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
         t = np.linspace(-T, T, grid_points)
         w = W.eval(t)
         env = _hull_values(t, w, _lower_hull(t, w))
-        comps = _extract_components(t, w, env, W, M, refine=True)
+        comps = _extract_components(t, w, env, W, M)
         env = w.copy()
         for c in comps:
             m = c.contains(t)
@@ -308,17 +290,3 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
         grid=t, values=env, w_values=w, components=comps, M=M,
         wcaffine_holds=_wcaffine(comps, M), potential=W)
 
-
-def detachment_components(env: EnvelopeResult) -> List[DetachmentComponent]:
-    """Re-extract the detachment intervals of an envelope.
-
-    Pure recomputation from the stored grid and potential; refreshes the
-    ``components`` and ``wcaffine_holds`` fields and returns the list.
-    Idempotent on convexify output up to the endpoint refinement target.
-    """
-    refine = env.potential is not None and env.potential.kind != "sampled"
-    comps = _extract_components(env.grid, env.w_values, env.values,
-                                env.potential, env.M, refine=refine)
-    env.components = comps
-    env.wcaffine_holds = _wcaffine(comps, env.M)
-    return comps

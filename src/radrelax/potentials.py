@@ -291,39 +291,38 @@ def _refine_min_poly(W: Potential1D, lo: float, hi: float) -> float:
     return float(t)
 
 
-def _refine_min_sampled(W: Potential1D, lo: float, hi: float) -> float:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(W.eval, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
-
-
 def compute_M(W: Potential1D, scan_points: int = _SCAN_POINTS) -> float:
     """Largest nonnegative minimizer of W.
 
-    Scans [0, T] on ``scan_points`` points, refines every local minimum
-    (bisection on W' for polynomial kinds, bounded scalar minimization for
-    sampled ones), and resolves value ties toward the largest argmin.
-    Returns exactly 0.0 when the global minimum is attained only at t = 0.
+    Candidates are the discrete local minima (plateau points included, and
+    t = 0 when W does not fall from it): of the samples with t >= 0 for
+    sampled kinds, whose monotone interpolant has its minima on the
+    samples; of a ``scan_points`` scan of [0, T] for polynomial kinds,
+    each refined by bisection on W'. Value ties within 1e-10 resolve
+    toward the largest candidate. Returns exactly 0.0 when the global
+    minimum is attained only at t = 0.
 
     Raises:
         ValueError: if W is not coercive.
     """
     _require_coercive(W)
     T = W.domain_halfwidth
-    t = np.linspace(0.0, T, scan_points)
-    v = W.eval(t)
-    refine = _refine_min_sampled if W.kind == "sampled" else _refine_min_poly
-    cands = []
-    if v[0] <= v[1]:
-        cands.append(refine(W, t[0], t[1]))
-    interior = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
-    for i in interior:
-        cands.append(refine(W, t[i - 1], t[i + 1]))
-    if not cands:
-        cands.append(0.0)
-    cvals = np.array([W.eval(c) for c in cands])
+    if W.kind == "sampled":
+        t, v = (np.asarray(x, dtype=float) for x in W.samples)
+        t, v = t[t >= 0.0], v[t >= 0.0]
+    else:
+        t = np.linspace(0.0, T, scan_points)
+        v = W.eval(t)
+    mins = list(np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1)
+    if len(v) > 1 and v[0] <= v[1]:
+        mins.insert(0, 0)
+    if not mins:
+        return 0.0
+    if W.kind == "sampled":
+        cands, cvals = t[mins], v[mins]
+    else:
+        cands = [_refine_min_poly(W, t[max(i - 1, 0)], t[i + 1]) for i in mins]
+        cvals = np.array([W.eval(c) for c in cands])
     vstar = cvals.min()
     tie = 1e-10 * (1.0 + abs(vstar))
     best = max(c for c, cv in zip(cands, cvals) if cv <= vstar + tie)

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from radrelax.envelope import EnvelopeResult, convexify
+from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
 from radrelax.potentials import ProblemSpec, _second_derivative
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-class NumericalFailure(RuntimeError):
-    """A numerical invariant of the pipeline failed."""
-
-
 def sphere_area(dimension: int) -> float:
     """Surface measure of the unit sphere S^(N-1)."""
     return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
@@ -49,7 +45,6 @@ class RadialGrid:
     """Strictly increasing radial nodes r_0 = 0 < ... < r_K = R, K >= 16."""
 
     nodes: np.ndarray
-    refinement_hint: str = "uniform"
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -59,8 +54,6 @@ class RadialGrid:
             raise ValueError("first node must be exactly 0")
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.refinement_hint not in ("uniform", "graded_near_zero"):
-            raise ValueError(f"unknown refinement hint {self.refinement_hint!r}")
 
     @classmethod
     def uniform(cls, radius: float, cells: int) -> "RadialGrid":
@@ -70,7 +63,7 @@ class RadialGrid:
     def graded_near_zero(cls, radius: float, cells: int, power: float = 2.0) -> "RadialGrid":
         nodes = radius * np.linspace(0.0, 1.0, cells + 1) ** power
         nodes[-1] = radius
-        return cls(nodes, refinement_hint="graded_near_zero")
+        return cls(nodes)
 
     @property
     def cells(self) -> int:

@@ -22,14 +22,14 @@ def double_well():
     return Potential1D(kind="poly_in_t_squared", coefficients=(1.0, -2.0, 1.0))
 
 
-def three_well():
-    # min((t^2-1)^2, (t^2-4)^2 + 0.1); the pieces cross at t^2 = 151/60
-    bp = THREE_WELL_BREAK
+def three_well(offset=0.1):
+    # min((t^2-1)^2, (t^2-4)^2 + offset); the pieces cross at
+    # t^2 = (15 + offset)/6
+    bp = math.sqrt((15.0 + offset) / 6.0)
+    outer = (16.0 + offset, 0.0, -8.0, 0.0, 1.0)
     return Potential1D(
         kind="piecewise_poly",
-        coefficients=((16.1, 0.0, -8.0, 0.0, 1.0),
-                      (1.0, 0.0, -2.0, 0.0, 1.0),
-                      (16.1, 0.0, -8.0, 0.0, 1.0)),
+        coefficients=(outer, (1.0, 0.0, -2.0, 0.0, 1.0), outer),
         breakpoints=(-bp, bp),
         even=True,
     )

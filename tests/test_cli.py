@@ -9,7 +9,10 @@ import pytest
 import radrelax
 from radrelax.cli import main
 from radrelax.disc2d import DiscField
-from radrelax.specfile import parse_spec, parse_spec_text
+from radrelax.potentials import Potential1D, ProblemSpec
+from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
+
+from conftest import three_well
 
 FAST = ["--grid-points", "128"]
 
@@ -349,6 +352,23 @@ def test_help_exits_0(capsys):
     assert "envelope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_help_gives_each_default_once(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    # argparse wraps help lines; judge the text as one line
+    flat = " ".join(text.split())
+    assert "(default: stdout) (default:" not in flat
+    assert "(default: 0.2 R) (default:" not in flat
+    assert "(default: None)" not in flat
+    assert "(default: 256)" in flat
+    csv_help = flat.split("--profile-csv PROFILE_CSV")[-1]
+    if command == "verify":
+        assert csv_help.startswith(" check this r,u profile CSV")
+    else:
+        assert csv_help.startswith(" also write the profile as CSV")
+
+
 def test_numerical_failure_exits_2(prototype_ini, capsys):
     assert main(["envelope", "--spec", prototype_ini,
                  "--grid-points", "32"]) == 2
@@ -361,16 +381,27 @@ def test_tight_corner_window_exits_2(prototype_ini, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cold_start_loads_no_scipy(prototype_ini, tmp_path):
+@pytest.mark.parametrize("which", ["prototype", "three_well"])
+def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
     # the command line and a polynomial envelope never touch scipy, so
-    # start-up must not pay for importing it
+    # start-up must not pay for importing it; the three-well has affine
+    # pieces of nonzero slope, whose tangency points are found too
+    spec_path = prototype_ini
+    if which == "three_well":
+        spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
+                           G=Potential1D(kind="poly_in_t_squared",
+                                         coefficients=(0.0, -1.0)),
+                           shape_flag="G2")
+        spec_path = str(tmp_path / "three_well.ini")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            fh.write(emit_spec_text(spec))
     code = (
         "import json, sys\n"
         "from radrelax.cli import main\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "after_import = scipy_modules()\n"
-        f"rc = main(['envelope', '--spec', {prototype_ini!r}, "
+        f"rc = main(['envelope', '--spec', {spec_path!r}, "
         f"'--out', {str(tmp_path / 'env.json')!r}])\n"
         "print(json.dumps([rc, after_import, scipy_modules()]))\n")
     env = dict(os.environ)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radrelax.envelope import convexify, detachment_components
+from radrelax.envelope import NumericalFailure, _refine_tangency, convexify
 from radrelax.potentials import Potential1D
 
 from conftest import double_well, three_well
@@ -157,13 +157,55 @@ def test_convexify_input_validation():
         convexify(Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0)))
 
 
-def test_detachment_reextraction_matches():
-    env = convexify(three_well())
-    comps = detachment_components(env)
-    assert len(comps) == 3
-    for c, ref in zip(comps, env.components):
-        assert abs(c.a - ref.a) <= 1e-9
-        assert abs(c.b - ref.b) <= 1e-9
+TANGENCY_POTENTIALS = {
+    "three_well_0.02": lambda: three_well(0.02),
+    "three_well_0.1": lambda: three_well(0.1),
+    "three_well_0.3": lambda: three_well(0.3),
+    "octic_a": lambda: Potential1D(kind="poly_in_t_squared",
+                                   coefficients=(16, -39.9, 33, -10, 1)),
+    "octic_b": lambda: Potential1D(kind="poly_in_t_squared",
+                                   coefficients=(16, -39.5, 33, -10, 1)),
+    "octic_c": lambda: Potential1D(kind="poly_in_t_squared",
+                                   coefficients=(1, -4.95, 8.25, -5, 1)),
+    "dodecic": lambda: Potential1D(
+        kind="poly_in_t_squared",
+        coefficients=(16.2, -48.4, 54.45, -28.8, 7.7, -1, 0.05)),
+}
+
+
+@pytest.mark.parametrize("grid_points", [64, 257, 4097, 16385])
+@pytest.mark.parametrize("name", sorted(TANGENCY_POTENTIALS))
+def test_tangency_residuals(name, grid_points):
+    # each affine piece touches W tangentially at both ends and stays
+    # below W in between, at every grid size
+    W = TANGENCY_POTENTIALS[name]()
+    env = convexify(W, grid_points=grid_points)
+    pieces = [c for c in env.components if not c.is_constant]
+    assert pieces
+    for c in pieces:
+        tol = 1e-10 * max(1.0, abs(c.alpha))
+        chord = (W.eval(c.b) - W.eval(c.a)) / (c.b - c.a)
+        assert abs(W.derivative(c.a) - c.alpha) <= tol
+        assert abs(W.derivative(c.b) - c.alpha) <= tol
+        assert abs(chord - c.alpha) <= tol
+        x = np.linspace(c.a, c.b, 2001)
+        scale = max(1.0, float(np.max(np.abs(W.eval(x)))))
+        assert float(np.min(W.eval(x) - (c.alpha * x + c.beta))) >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("lo, hi, match", [
+    (1.2, 1.5, "need finite a < b"),
+    (0.2, 2.5, "cuts W"),
+])
+def test_refine_tangency_rejects_non_hull_chords(lo, hi, match):
+    # a chord that is not a hull edge has no common tangent near it; the
+    # checks after Newton's method must say so instead of returning one
+    env = convexify(three_well(), grid_points=4097)
+    t, w = env.grid, env.w_values
+    tol = 1e-9 * float(np.max(w) - np.min(w))
+    ia, ib = int(np.argmin(np.abs(t - lo))), int(np.argmin(np.abs(t - hi)))
+    with pytest.raises(NumericalFailure, match=match):
+        _refine_tangency(env.potential, t, w, ia, ib, tol)
 
 
 def test_sampled_envelope_matches_chord_oracle_exactly():

@@ -146,6 +146,30 @@ def test_compute_M_sampled_kind():
     assert abs(compute_M(W) - 1.0) <= float(t[1] - t[0])
 
 
+def test_compute_M_sampled_plateau_is_its_last_sample():
+    # 20 equal samples on [0, 1.9], then a rising tail: the plateau's
+    # points are all local minima, and the largest of them is M
+    tpos = np.concatenate([np.linspace(0.0, 1.9, 20),
+                           1.9 + 0.1 * np.arange(1, 11)])
+    wpos = np.maximum(tpos - 1.9, 0.0) ** 2
+    t = np.concatenate([-tpos[:0:-1], tpos])
+    w = np.concatenate([wpos[:0:-1], wpos])
+    W = Potential1D(kind="sampled", samples=(tuple(t), tuple(w)))
+    assert compute_M(W) == 1.9
+
+
+def test_compute_M_sampled_origin_win_is_exactly_zero():
+    # the neighbour node of t = 0 lies within the tie tolerance of the
+    # minimum but is not a local minimum, so it does not compete
+    assert compute_M(random_even_sampled(102)) == 0.0
+
+
+def test_compute_M_sampled_is_a_sample_node():
+    for seed in range(50):
+        W = random_even_sampled(seed)
+        assert compute_M(W) in set(W.samples[0])
+
+
 def test_coercivity_rejection():
     with pytest.raises(ValueError, match="coercive"):
         compute_M(Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0)))

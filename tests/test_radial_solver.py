@@ -62,7 +62,6 @@ def test_grid_validation():
         RadialGrid(nodes)
     graded = RadialGrid.graded_near_zero(2.0, 64)
     assert graded.nodes[-1] == 2.0
-    assert graded.refinement_hint == "graded_near_zero"
     assert graded.dr[0] < graded.dr[-1]
 
 
