@@ -164,12 +164,17 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         cfg.field_n = cfg.grid_points
     if not (0 <= cfg.seed < 2 ** 64):
         raise UsageError("--seed must fit in 64 bits")
-    if cfg.spec_path is not None and not os.path.isfile(cfg.spec_path):
-        raise UsageError(f"spec file not found: {cfg.spec_path}")
-    if cfg.field_csv is not None and not os.path.isfile(cfg.field_csv):
-        raise UsageError(f"field CSV not found: {cfg.field_csv}")
+    # verify reads --profile-csv; the other commands write it
+    reads_profile = cfg.command == "verify"
+    for what, path in (("spec file", cfg.spec_path),
+                       ("field CSV", cfg.field_csv),
+                       ("profile CSV", cfg.profile_csv if reads_profile else None)):
+        if path is not None and not os.path.isfile(path):
+            raise UsageError(f"{what} not found: {path}")
     if cfg.random_fields < 1:
         raise UsageError("--random-fields must be at least 1")
+    if cfg.command == "envelope" and cfg.grid_points < 64:
+        raise UsageError("--grid-points must be at least 64 for envelope")
     if cfg.command in ("solve", "verify") and cfg.grid_points < 16:
         raise UsageError("--grid-points must be at least 16 cells")
     if cfg.command == "oracle" and not 16 <= cfg.grid_points <= 200:
@@ -181,7 +186,7 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
     if (cfg.command == "symmetry" and cfg.field_csv is None
             and (cfg.grid_points < 33 or cfg.grid_points % 2 == 0)):
         raise UsageError("--grid-points must be odd and at least 33 for symmetry")
-    for path in (cfg.out, cfg.profile_csv):
+    for path in (cfg.out, None if reads_profile else cfg.profile_csv):
         if path is not None:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):

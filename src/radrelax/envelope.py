@@ -111,12 +111,14 @@ class EnvelopeResult:
 
 
 def _lower_hull(t: np.ndarray, w: np.ndarray) -> list:
-    # monotone chain over x-sorted points; linear time
+    # monotone chain over x-sorted points; linear time.  Python floats are
+    # IEEE doubles, so the predicate is the one numpy scalars would give
+    ts, ws = t.tolist(), w.tolist()
     idx: list = []
-    for i in range(len(t)):
+    for i, (ti, wi) in enumerate(zip(ts, ws)):
         while len(idx) >= 2:
             a, b = idx[-2], idx[-1]
-            if (w[b] - w[a]) * (t[i] - t[a]) >= (w[i] - w[a]) * (t[b] - t[a]):
+            if (ws[b] - ws[a]) * (ti - ts[a]) >= (wi - ws[a]) * (ts[b] - ts[a]):
                 idx.pop()
             else:
                 break
@@ -125,12 +127,9 @@ def _lower_hull(t: np.ndarray, w: np.ndarray) -> list:
 
 
 def _hull_values(t: np.ndarray, w: np.ndarray, hull: list) -> np.ndarray:
-    env = np.empty_like(w)
-    for ia, ib in zip(hull[:-1], hull[1:]):
-        s = (w[ib] - w[ia]) / (t[ib] - t[ia])
-        env[ia:ib] = w[ia] + (t[ia:ib] - t[ia]) * s
-    env[hull[-1]] = w[hull[-1]]
-    return env
+    # np.interp evaluates each hull chord left-anchored,
+    # slope * (t - t[ia]) + w[ia], and returns a vertex's own sample
+    return np.interp(t, t[hull], w[hull])
 
 
 def _refine_tangency(W, t, w, ia, ib, tol):
@@ -180,19 +179,9 @@ def _polish_tangency(W, a, b, sigma):
 
 
 def _runs(mask: np.ndarray) -> list:
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    # (first, last) index of each maximal run of True
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _extract_components(t, w, env, W, M):

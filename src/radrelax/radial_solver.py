@@ -391,11 +391,14 @@ def _slope_bound(spec, env) -> float:
                 break
             hi *= 2.0
         for _ in range(100):
+            # a step that moves neither end would repeat forever; stop
             mid = 0.5 * (lo + hi)
             if env.deriv(mid) < target:
-                lo = mid
+                lo, moved = mid, mid != lo
             else:
-                hi = mid
+                hi, moved = mid, mid != hi
+            if not moved:
+                break
         nu = 0.5 * (lo + hi)
         window = 1.5 * R * nu + 1e-9
     return nu

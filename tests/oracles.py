@@ -43,6 +43,27 @@ def chord_hull_values(t, w, verts):
     return env
 
 
+def runs_walk(mask):
+    """(first, last) index of each maximal run of True, by a scalar walk.
+
+    The loop ``envelope._runs`` ran before it took the runs from the
+    edges of the padded mask.
+    """
+    runs = []
+    i = 0
+    n = len(mask)
+    while i < n:
+        if mask[i]:
+            j = i
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return runs
+
+
 def naive_min_chord(t, w):
     """Pointwise minimum over every chord of the sample set.
 

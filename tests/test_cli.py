@@ -132,6 +132,12 @@ def test_multistarts_flag_is_unknown(prototype_ini, capsys):
 
 
 def test_grid_points_out_of_range_exits_1(prototype_ini, capsys):
+    # envelope below 64 points is a usage error, not a numerical failure
+    assert main(["envelope", "--spec", prototype_ini,
+                 "--grid-points", "32"]) == 1
+    err = capsys.readouterr().err
+    assert "--grid-points must be at least 64" in err
+    assert "numerical failure" not in err
     assert main(["solve", "--spec", prototype_ini, "--grid-points", "8"]) == 1
     assert "--grid-points" in capsys.readouterr().err
     assert main(["oracle", "--spec", prototype_ini,
@@ -335,6 +341,29 @@ def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "missing_file"])
+def test_verify_missing_profile_csv_exits_1(prototype_ini, tmp_path, capsys,
+                                            where):
+    # verify reads --profile-csv, so a missing one is an input not found,
+    # whether or not its directory exists
+    path = str(tmp_path / "no" / "x.csv" if where == "missing_dir"
+               else tmp_path / "missing.csv")
+    assert main(["verify", "--spec", prototype_ini,
+                 "--profile-csv", path]) == 1
+    assert capsys.readouterr().err == f"profile CSV not found: {path}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "symmetry"])
+def test_profile_csv_output_directory_checked(prototype_ini, tmp_path, capsys,
+                                              command):
+    # the other commands write --profile-csv: its directory must exist
+    missing = tmp_path / "no"
+    assert main([command, "--spec", prototype_ini,
+                 "--profile-csv", str(missing / "x.csv")]) == 1
+    assert (capsys.readouterr().err
+            == f"output directory does not exist: {missing}\n")
+
+
 def test_bad_ini_exits_1_with_line(prototype_ini, tmp_path, capsys):
     text = open(prototype_ini).read().replace("dimension = 2",
                                               "dimension = two")
@@ -367,12 +396,6 @@ def test_help_gives_each_default_once(command, capsys):
         assert csv_help.startswith(" check this r,u profile CSV")
     else:
         assert csv_help.startswith(" also write the profile as CSV")
-
-
-def test_numerical_failure_exits_2(prototype_ini, capsys):
-    assert main(["envelope", "--spec", prototype_ini,
-                 "--grid-points", "32"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_tight_corner_window_exits_2(prototype_ini, capsys):

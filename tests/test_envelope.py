@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from radrelax.envelope import NumericalFailure, _refine_tangency, convexify
+from radrelax.envelope import (NumericalFailure, _hull_values, _lower_hull,
+                               _refine_tangency, convexify)
 from radrelax.potentials import Potential1D
 
-from conftest import double_well, three_well
+from conftest import double_well, make_m0_spec, three_well
 from oracles import (
     chord_hull_values,
     chord_hull_vertices,
@@ -208,9 +209,31 @@ def test_refine_tangency_rejects_non_hull_chords(lo, hi, match):
         _refine_tangency(env.potential, t, w, ia, ib, tol)
 
 
-def test_sampled_envelope_matches_chord_oracle_exactly():
-    from radrelax.envelope import _lower_hull
+@pytest.mark.parametrize("points", [257, 4097])
+@pytest.mark.parametrize("name", ["double_well_1", "double_well_1.7",
+                                  "three_well", "m0"])
+def test_polynomial_grid_hull_matches_chord_oracle_exactly(name, points):
+    # the samples of a polynomial W that convexify hulls before it refines
+    # the tangencies; for the convex m0 W every node is a vertex, so the
+    # cross products are near-degenerate
+    a = 1.7
+    W = {"double_well_1": double_well(),
+         "double_well_1.7": Potential1D(kind="poly_in_t_squared",
+                                        coefficients=(a ** 4, -2 * a * a, 1.0)),
+         "three_well": three_well(),
+         "m0": make_m0_spec().W}[name]
+    env = convexify(W, grid_points=points)
+    t, w = env.grid, env.w_values
+    verts = chord_hull_vertices(t, w)
+    hull = _lower_hull(t, w)
+    assert hull == verts
+    assert np.array_equal(_hull_values(t, w, hull),
+                          chord_hull_values(t, w, verts))
+    if name == "m0":
+        assert len(hull) == points
 
+
+def test_sampled_envelope_matches_chord_oracle_exactly():
     for seed in (0, 1, 2):
         W = random_even_sampled(seed)
         t = np.asarray(W.samples[0])

@@ -1,14 +1,14 @@
 """Property tests on arbitrary inputs: the monotone rearrangement laws,
-the spec emit/parse round trip, and the sampled-kind hull against the
-chord-walk oracle."""
+the spec emit/parse round trip, the sampled-kind hull against the
+chord-walk oracle, and the detachment runs against the scalar walk."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from radrelax.envelope import _hull_values, _lower_hull  # noqa: E402
+from radrelax.envelope import _hull_values, _lower_hull, _runs  # noqa: E402
 from radrelax.potentials import (  # noqa: E402
     GrowthDeclaration,
     Potential1D,
@@ -24,7 +24,7 @@ from radrelax.radial_solver import (  # noqa: E402
 from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
 from conftest import double_well, three_well  # noqa: E402
-from oracles import chord_hull_values, chord_hull_vertices  # noqa: E402
+from oracles import chord_hull_values, chord_hull_vertices, runs_walk  # noqa: E402
 
 # G(u) = -u^2 does not increase in |u| (G2), so the energy cannot rise
 _SPECS = {
@@ -132,3 +132,15 @@ def test_sampled_hull_matches_chord_oracle(samples):
     assert list(hull) == verts
     assert np.array_equal(_hull_values(t, w, hull),
                           chord_hull_values(t, w, verts))
+
+
+@given(mask=st.lists(st.booleans(), max_size=64))
+@example(mask=[])
+@example(mask=[True])
+@example(mask=[False])
+@example(mask=[True] * 9)
+@example(mask=[False] * 9)
+def test_runs_match_scalar_walk(mask):
+    # the detachment runs convexify refines, against the scalar walk
+    mask = np.array(mask, dtype=bool)
+    assert _runs(mask) == runs_walk(mask)
