@@ -9,6 +9,7 @@ import pytest
 import radrelax
 from radrelax.cli import main
 from radrelax.disc2d import DiscField
+from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
@@ -396,6 +397,18 @@ def test_help_gives_each_default_once(command, capsys):
         assert csv_help.startswith(" check this r,u profile CSV")
     else:
         assert csv_help.startswith(" also write the profile as CSV")
+
+
+def test_numerical_failure_exits_2(prototype_ini, monkeypatch, capsys):
+    # a tangency that fails its checks is a numerical failure, not a usage
+    # error; no valid spec is known to trip one, so the envelope raises it
+    def _failing_convexify(W, grid_points):
+        raise NumericalFailure("tangency near [-1, 1]: slope residual 1")
+
+    monkeypatch.setattr("radrelax.cli.convexify", _failing_convexify)
+    assert main(["envelope", "--spec", prototype_ini]) == 2
+    assert (capsys.readouterr().err
+            == "numerical failure: tangency near [-1, 1]: slope residual 1\n")
 
 
 def test_tight_corner_window_exits_2(prototype_ini, capsys):
