@@ -18,7 +18,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -85,7 +87,9 @@ class RunConfig:
     field_n: int = 129
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built once per process: parse_args fills a fresh Namespace per call
     parser = _Parser(prog="radrelax",
                      description="Nonconvex radial variational problems: "
                                  "envelope, solver, oracle, checks.")
@@ -230,7 +234,31 @@ def _report_text(cfg: RunConfig, spec: Optional[ProblemSpec], results: dict) -> 
             "shape_flag": spec.shape_flag,
             "ini": emit_spec_text(spec),
         }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json_text(report) + "\n"
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed reports.
+
+    An indent sends json through its pure-Python encoder; here a list of
+    floats with a finite sum (so none is NaN or infinite) is one join.
+    Raises TypeError on a key that is not a str.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be str")
+        parts = [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    elif all(type(x) is float for x in obj) and math.isfinite(sum(obj)):
+        parts = list(map(float.__repr__, obj))
+    else:
+        parts = [_json_text(x, inner) for x in obj]
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    if not parts:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{ends[1]}"
 
 
 def _profile_csv(profile) -> str:
@@ -402,7 +430,6 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         records.append(rec)
         all_pass &= rep.passes
     if cfg.profile_csv and len(fields) == 1:
-        import math
         thetas = [2.0 * math.pi * k / cfg.rays for k in range(cfg.rays)]
         for k, prof in enumerate(ray_profiles(fields[0][1], thetas)):
             _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))

@@ -164,17 +164,24 @@ def _refine_tangency(W, t, w, ia, ib, tol):
 def _polish_tangency(W, a, b, sigma):
     # alternating Newton steps on W'(x) = sigma with the chord-slope update;
     # the slope map is flat at the common tangent, so this converges
-    # quadratically to float resolution
+    # quadratically to float resolution. A step (a round) that changes
+    # nothing would repeat unchanged to the end, so it ends its loop
     for _ in range(4):
+        start = (a, b, sigma)
         for _ in range(3):
+            before = (a, b)
             da = W.derivative(a, 2)
             db = W.derivative(b, 2)
             if abs(da) > 1e-12:
                 a -= (W.derivative(a) - sigma) / da
             if abs(db) > 1e-12:
                 b -= (W.derivative(b) - sigma) / db
+            if (a, b) == before:
+                break
         if b - a > 1e-12:
             sigma = (W.eval(b) - W.eval(a)) / (b - a)
+        if (a, b, sigma) == start:
+            break
     return a, b, sigma
 
 

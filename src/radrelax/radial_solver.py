@@ -464,11 +464,14 @@ def dp_oracle(spec: ProblemSpec, r_levels: int = 100, u_levels: int = 200,
     value = np.full(u_levels, np.inf)
     value[0] = 0.0
     choice = np.empty((r_levels, u_levels), dtype=np.int32)
+    cost = np.empty((u_levels, u_levels))
     for i in range(r_levels - 1, -1, -1):
         rbar = (i + 1) * dr if i < r_levels - 1 else 0.5 * (nodes[-2] + nodes[-1])
         step = dr if i < r_levels - 1 else nodes[-1] - nodes[-2]
-        cost = area * rbar ** (N - 1) * step * base + value[None, :]
-        choice[i] = np.argmin(cost, axis=1)
+        # in place, with the scalar factor first: the floats of c * base + value
+        np.multiply(base, area * rbar ** (N - 1) * step, out=cost)
+        cost += value
+        cost.argmin(axis=1, out=choice[i])
         value = cost[jj, choice[i]]
 
     sliver = area * (0.25 * dr) ** (N - 1) * (env.eval(0.0) + g_u) * (0.5 * dr)
@@ -549,6 +552,9 @@ def _outermost_levels(W, env, y: np.ndarray) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         fm = np.asarray(W.eval(mid), dtype=float) - targets
         same = np.sign(fm) == np.sign(flo)
+        # a step that moves no bracket would repeat forever; stop
+        if np.array_equal(mid, np.where(same, lo, hi)):
+            break
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
@@ -571,8 +577,8 @@ def monotone_rearrange(profile: RadialProfile, env: EnvelopeResult,
     outermost point of its W level set, and the profile is re-integrated
     inward from u(R) = 0. W is scanned once at 4097 points on [M, T]; the
     last scan interval that brackets W(|s|) comes from a searchsorted into
-    suffix minima (or maxima) of the scan, and 60 bisection steps refine
-    it, snapping to |s| when |s| is already outermost. Time is
+    suffix minima (or maxima) of the scan, and up to 60 bisection steps
+    refine it, snapping to |s| when |s| is already outermost. Time is
     O(4097 + K log 4097) and memory O(K) for K cells.
     """
     W = W if W is not None else env.potential

@@ -63,14 +63,18 @@ def m0_spec():
     return make_m0_spec()
 
 
-@pytest.fixture
-def three_well_spec():
+def make_three_well_spec():
     return ProblemSpec(
         dimension=2, radius=1.0, p=4.0,
         W=three_well(),
         G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0)),
         shape_flag="none",
     )
+
+
+@pytest.fixture
+def three_well_spec():
+    return make_three_well_spec()
 
 
 PROTOTYPE_INI = """\

@@ -253,3 +253,109 @@ def loop_angular_average(fld, n_thetas):
     rad = np.sqrt(X * X + Y * Y)
     vals = np.interp(rad.ravel(), grid.nodes, acc).reshape(rad.shape)
     return DiscField(fld.n, fld.radius, vals)
+
+
+def fixed_step_polish_tangency(W, a, b, sigma):
+    """``envelope._polish_tangency`` as it ran before its early exits:
+    always 4 rounds of 3 Newton steps."""
+    for _ in range(4):
+        for _ in range(3):
+            da = W.derivative(a, 2)
+            db = W.derivative(b, 2)
+            if abs(da) > 1e-12:
+                a -= (W.derivative(a) - sigma) / da
+            if abs(db) > 1e-12:
+                b -= (W.derivative(b) - sigma) / db
+        if b - a > 1e-12:
+            sigma = (W.eval(b) - W.eval(a)) / (b - a)
+    return a, b, sigma
+
+
+def allocating_dp_oracle(spec, r_levels=100, u_levels=200, slope_levels=None):
+    """``radial_solver.dp_oracle`` as it was before its sweep reused one
+    cost buffer: each step allocates the scaled base and the cost matrix."""
+    from radrelax.radial_solver import (NumericalFailure, RadialGrid,
+                                        RadialProfile, SolveReport,
+                                        _slope_bound, ensure_envelope,
+                                        sphere_area)
+
+    if not 16 <= r_levels <= 200:
+        raise ValueError("r_levels must lie in [16, 200]")
+    if not 2 <= u_levels <= 400:
+        raise ValueError("u_levels must lie in [2, 400]")
+    if slope_levels is None:
+        slope_levels = u_levels
+    if slope_levels < 1:
+        raise ValueError("slope_levels must be positive")
+
+    env = ensure_envelope(spec)
+    R, N, M = spec.radius, spec.dimension, env.M
+    area = sphere_area(N)
+    dr = R / (r_levels + 0.5)
+    nodes = (np.arange(r_levels + 1) + 0.5) * dr
+    nodes[-1] = R
+
+    nu = _slope_bound(spec, env)
+    u_need = max(1.5 * M * R, 1.25 * R * nu, 1e-9)
+    if M > 0:
+        k = max(1, int((u_levels - 1) * M * dr / u_need))
+        du = M * dr / k
+    else:
+        du = u_need / (u_levels - 1)
+    ugrid = np.arange(u_levels) * du
+
+    D = min(int(slope_levels), u_levels - 1)
+    deltas = np.arange(-D, D + 1)
+    wc_of_delta = env.eval(deltas * du / dr)
+    jj = np.arange(u_levels)
+    delta_mat = jj[None, :] - jj[:, None]
+    base = np.full((u_levels, u_levels), np.inf)
+    ok = np.abs(delta_mat) <= D
+    base[ok] = wc_of_delta[delta_mat[ok] + D]
+    g_u = spec.G.eval(ugrid)
+    base = base + 0.5 * (g_u[:, None] + g_u[None, :])
+
+    value = np.full(u_levels, np.inf)
+    value[0] = 0.0
+    choice = np.empty((r_levels, u_levels), dtype=np.int32)
+    for i in range(r_levels - 1, -1, -1):
+        rbar = (i + 1) * dr if i < r_levels - 1 else 0.5 * (nodes[-2] + nodes[-1])
+        step = dr if i < r_levels - 1 else nodes[-1] - nodes[-2]
+        cost = area * rbar ** (N - 1) * step * base + value[None, :]
+        choice[i] = np.argmin(cost, axis=1)
+        value = cost[jj, choice[i]]
+
+    sliver = area * (0.25 * dr) ** (N - 1) * (env.eval(0.0) + g_u) * (0.5 * dr)
+    total = value + sliver
+    j0 = int(np.argmin(total))
+    if not math.isfinite(total[j0]):
+        raise NumericalFailure("dp_oracle found no feasible path")
+
+    path = np.empty(r_levels + 1, dtype=np.int32)
+    path[0] = j0
+    for i in range(r_levels):
+        path[i + 1] = choice[i, path[i]]
+    u_path = ugrid[path]
+
+    full_nodes = np.concatenate([[0.0], nodes])
+    profile = RadialProfile(RadialGrid(full_nodes), np.concatenate([[u_path[0]], u_path]))
+
+    def price(pot_eval):
+        s = np.diff(u_path) / np.diff(nodes)
+        rb = 0.5 * (nodes[1:] + nodes[:-1])
+        st = np.diff(nodes)
+        gpart = 0.5 * (g_u[path[:-1]] + g_u[path[1:]])
+        e = float(np.sum(area * rb ** (N - 1) * st * (pot_eval(s) + gpart)))
+        return e + float(area * (0.25 * dr) ** (N - 1)
+                         * (pot_eval(np.zeros(1))[0] + g_u[j0]) * (0.5 * dr))
+
+    relaxed = float(total[j0])
+    original = price(lambda s: np.asarray(spec.W.eval(s), dtype=float))
+    return SolveReport(
+        profile=profile,
+        relaxed_energy=relaxed,
+        original_energy=original,
+        iterations=int(r_levels),
+        converged=True,
+        discretization="dp_value_grid",
+    )

@@ -399,6 +399,33 @@ def test_help_gives_each_default_once(command, capsys):
         assert csv_help.startswith(" also write the profile as CSV")
 
 
+def test_parser_reuse_carries_no_flag_values(prototype_ini, tmp_path,
+                                             monkeypatch, capsys):
+    # main builds its parser once per process; every call must still
+    # print and exit as a fresh ``python -m radrelax.cli`` does
+    csv_path = tmp_path / "profile.csv"
+    _half_slope_csv(csv_path)
+    calls = [
+        ["solve", "--spec", prototype_ini, "--oracle", "--u-levels", "50"],
+        ["solve", "--spec", prototype_ini],
+        ["verify", "--spec", prototype_ini, "--profile-csv", str(csv_path)],
+        ["oracle", "--spec", prototype_ini],
+        ["envelope", "--spec", prototype_ini, "--format", "csv"],
+        ["oracle", "--spec", prototype_ini, "--u-levels", "50", "--bogus"],
+        ["--help"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
+    for argv in calls:
+        rc = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "radrelax.cli", *argv],
+                               env=env, capture_output=True, timeout=120)
+        assert (rc, got.out.encode(), got.err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_numerical_failure_exits_2(prototype_ini, monkeypatch, capsys):
     # a tangency that fails its checks is a numerical failure, not a usage
     # error; no valid spec is known to trip one, so the envelope raises it

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radrelax import envelope
 from radrelax.envelope import (NumericalFailure, _hull_values, _lower_hull,
                                _refine_tangency, convexify)
 from radrelax.potentials import Potential1D
@@ -9,6 +10,7 @@ from conftest import double_well, make_m0_spec, three_well
 from oracles import (
     chord_hull_values,
     chord_hull_vertices,
+    fixed_step_polish_tangency,
     naive_min_chord,
     random_even_sampled,
 )
@@ -192,6 +194,39 @@ def test_tangency_residuals(name, grid_points):
         x = np.linspace(c.a, c.b, 2001)
         scale = max(1.0, float(np.max(np.abs(W.eval(x)))))
         assert float(np.min(W.eval(x) - (c.alpha * x + c.beta))) >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("grid_points", [64, 257, 4097, 16385])
+def test_polish_early_exit_keeps_components(grid_points, monkeypatch):
+    # leaving the Newton loops once a step or a round changes nothing must
+    # give the components the fixed 4 x 3 steps gave, bit for bit
+    new = {name: convexify(make(), grid_points=grid_points).components
+           for name, make in TANGENCY_POTENTIALS.items()}
+    monkeypatch.setattr(envelope, "_polish_tangency", fixed_step_polish_tangency)
+    for name, make in TANGENCY_POTENTIALS.items():
+        old = convexify(make(), grid_points=grid_points).components
+        assert [c.to_dict() for c in new[name]] == [c.to_dict() for c in old], name
+
+
+@pytest.mark.parametrize("offset, steps", [(0.02, 9), (0.1, 10)])
+def test_polish_stops_once_converged(offset, steps, monkeypatch):
+    # the three-well contacts settle before the last of the 12 steps
+    W = three_well(offset)
+    polish = envelope._polish_tangency
+    starts = []
+    monkeypatch.setattr(envelope, "_polish_tangency",
+                        lambda *args: starts.append(args[1:]) or polish(*args))
+    convexify(W, grid_points=4097)
+    assert len(starts) == 2
+    orders = []
+    derivative = W.derivative
+    monkeypatch.setattr(W, "derivative",
+                        lambda x, order=1: orders.append(order) or derivative(x, order))
+    for start in starts:
+        orders.clear()
+        got = polish(W, *start)
+        assert orders.count(2) == 2 * steps
+        assert got == fixed_step_polish_tangency(W, *start)
 
 
 @pytest.mark.parametrize("lo, hi, match", [

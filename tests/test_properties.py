@@ -1,6 +1,10 @@
 """Property tests on arbitrary inputs: the monotone rearrangement laws,
 the spec emit/parse round trip, the sampled-kind hull against the
-chord-walk oracle, and the detachment runs against the scalar walk."""
+chord-walk oracle, the detachment runs against the scalar walk, and the
+report writer against json.dumps."""
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
+from radrelax.cli import _json_text  # noqa: E402
 from radrelax.envelope import _hull_values, _lower_hull, _runs  # noqa: E402
 from radrelax.potentials import (  # noqa: E402
     GrowthDeclaration,
@@ -144,3 +149,38 @@ def test_runs_match_scalar_walk(mask):
     # the detachment runs convexify refines, against the scalar walk
     mask = np.array(mask, dtype=bool)
     assert _runs(mask) == runs_walk(mask)
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                1e308, -1e308])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS
+            | _FLOATS.map(np.float64) | st.text())
+# lists of plain floats take the writer's one-join path unless their sum
+# is not finite (NaN, an infinity, or an overflow such as 1e308 + 1e308)
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=12)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(st.text(), children, max_size=4))
+
+
+@given(obj=st.recursive(_SCALARS | _FLOAT_LISTS, _containers, max_leaves=30))
+@example(obj={})
+@example(obj=[])
+@example(obj={"a": [], "b": {}, "c": ()})
+@example(obj=[1e308, 1e308])
+@example(obj=[math.nan, 1.0, -0.0, 5e-324])
+@example(obj=[np.float64(0.1), 0.2])
+@example(obj={"\u00e9\"\n\x00\u2028": ["\x1f\\", ("quote\"", True, None)]})
+def test_report_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: 2.0}, {None: "x"}, {"a": [{(1, 2): 3}]}])
+def test_report_writer_rejects_non_str_keys(obj):
+    # reports only use str keys; json.dumps would have converted these
+    with pytest.raises(TypeError):
+        _json_text(obj)

@@ -20,8 +20,10 @@ from radrelax.radial_solver import (
 )
 from radrelax.radial_solver import _outermost_levels
 
-from conftest import double_well, make_m0_spec, make_prototype_spec, three_well
-from oracles import quadratic_outermost_levels, random_even_sampled
+from conftest import (double_well, make_m0_spec, make_prototype_spec,
+                      make_three_well_spec, three_well)
+from oracles import (allocating_dp_oracle, quadratic_outermost_levels,
+                     random_even_sampled)
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -189,6 +191,28 @@ def test_dp_oracle_frozen_prototype(prototype_spec):
     assert abs(report.original_energy - DP_PROTOTYPE_ORIGINAL) <= 1e-9
     assert report.relaxed_energy <= -math.pi / 6.0
     assert report.original_energy <= -math.pi / 6.0
+
+
+def _double_well_3d_spec():
+    return ProblemSpec(
+        dimension=3, radius=1.0, p=4.0, W=double_well(),
+        G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0)),
+        shape_flag="G2")
+
+
+@pytest.mark.parametrize("levels", [(100, 200, 200), (16, 2, 2), (50, 37, 5),
+                                    (64, 120, 1), (200, 400, None)])
+def test_dp_oracle_equals_the_allocating_sweep(levels):
+    # the in-place sweep must reproduce every float of the sweep that
+    # allocated per step; slope caps below u_levels - 1 put inf in base
+    for make in (make_prototype_spec, make_m0_spec, make_three_well_spec,
+                 _double_well_3d_spec):
+        spec = make()
+        new = dp_oracle(spec, *levels)
+        old = allocating_dp_oracle(spec, *levels)
+        assert new.relaxed_energy == old.relaxed_energy, make.__name__
+        assert new.original_energy == old.original_energy, make.__name__
+        assert new.profile.u.tobytes() == old.profile.u.tobytes(), make.__name__
 
 
 def test_dp_oracle_value_grid_refinement_monotone():
