@@ -429,16 +429,15 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         rec["field_seed"] = field_seed
         records.append(rec)
         all_pass &= rep.passes
+    # every field is priced on the same rays; the CSV outputs use their angles
+    thetas = rep.thetas
     if cfg.profile_csv and len(fields) == 1:
-        thetas = [2.0 * math.pi * k / cfg.rays for k in range(cfg.rays)]
         for k, prof in enumerate(ray_profiles(fields[0][1], thetas)):
             _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
     if cfg.fmt == "csv":
         if len(records) != 1:
             raise UsageError("csv format needs a single field")
-        rows = [(2.0 * 3.141592653589793 * k / cfg.rays, e)
-                for k, e in enumerate(records[0]["per_theta_energies"])]
-        _emit(cfg, _csv_text(["theta", "energy"], rows))
+        _emit(cfg, _csv_text(["theta", "energy"], zip(thetas, rep.per_theta)))
     else:
         _emit(cfg, _report_text(cfg, spec,
                                 {"fields": records, "all_pass": all_pass}))

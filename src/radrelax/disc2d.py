@@ -173,16 +173,19 @@ class DiscField:
 
 
 def _cell_gradients(fld: DiscField):
-    """Cell-centered bilinear gradient, cell mean, and center coordinates."""
+    """Cell-centered bilinear gradient and cell mean."""
     v = fld.values
     h = fld.h
     ux = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * h)
     uy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * h)
     ubar = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+    return ux, uy, ubar
+
+
+def _cell_centres(fld: DiscField) -> np.ndarray:
+    """Cell-centre coordinates along one axis (the same on both)."""
     x = fld.coords
-    xc = 0.5 * (x[:-1] + x[1:])
-    XC, YC = np.meshgrid(xc, xc, indexing="ij")
-    return ux, uy, ubar, XC, YC
+    return 0.5 * (x[:-1] + x[1:])
 
 
 def _cell_area_weights(fld: DiscField) -> np.ndarray:
@@ -191,18 +194,22 @@ def _cell_area_weights(fld: DiscField) -> np.ndarray:
     Cells with all four corners inside count fully; cells whose nearest
     point to the origin lies outside count zero; the ring in between is
     subsampled on a 16x16 lattice of subcell centers.
+
+    The farthest corner of a cell is its farthest node along each axis:
+    rounded squares, sums and square roots are monotone, so the corner
+    distance built from the 1-D maxima of |x| is the largest of the four
+    computed corner distances, bit for bit.
     """
     x = fld.coords
     R = fld.radius
     h = fld.h
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    rad = np.sqrt(X * X + Y * Y)
-    corner_max = np.maximum.reduce([rad[:-1, :-1], rad[1:, :-1],
-                                    rad[:-1, 1:], rad[1:, 1:]])
-    # nearest point of the cell box to the origin
-    nx = np.clip(0.0, X[:-1, :-1], X[1:, 1:])
-    ny = np.clip(0.0, Y[:-1, :-1], Y[1:, 1:])
-    nearest = np.sqrt(nx * nx + ny * ny)
+    ax = np.abs(x)
+    far = np.maximum(ax[:-1], ax[1:])
+    # nearest point of the cell box to the origin, per axis
+    near = np.clip(0.0, x[:-1], x[1:])
+    far2, near2 = far * far, near * near
+    corner_max = np.sqrt(far2[:, None] + far2[None, :])
+    nearest = np.sqrt(near2[:, None] + near2[None, :])
     w = np.zeros_like(corner_max)
     w[corner_max <= R] = 1.0
     straddle = (corner_max > R) & (nearest < R)
@@ -232,14 +239,20 @@ def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
     the grid sends the cell back to its origin and stops it, so it keeps
     its own gradient, as does a cell that finds no full cell in six
     steps.  Donors are full cells and targets never are, so one
-    fancy-indexed copy reads no value it has already written.
+    fancy-indexed copy reads no value it has already written.  Only
+    cells centred within reach of a full cell walk at all.
     """
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
-    x = fld.coords
-    xc = 0.5 * (x[:-1] + x[1:])
+    xc = _cell_centres(fld)
     nc = len(xc)
-    i0, j0 = np.nonzero(~full)
+    # a full cell's centre lies inside the disc and a step moves a centre
+    # by h, so a cell centred beyond R + 6h (one more h of margin) cannot
+    # land and keeps its own gradient without walking
+    reach = fld.radius + 7.0 * fld.h
+    xc2 = xc * xc
+    near = xc2[:, None] + xc2[None, :] <= reach * reach
+    i0, j0 = np.nonzero(near & ~full)
     ci, cj = i0.copy(), j0.copy()
     walking = np.ones(len(i0), dtype=bool)
     for _ in range(6):
@@ -279,7 +292,7 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     if abs(fld.radius - spec.radius) > 1e-12 * max(1.0, spec.radius):
         raise ValueError(
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
-    ux, uy, ubar, _, _ = _cell_gradients(fld)
+    ux, uy, ubar = _cell_gradients(fld)
     ux, uy = _donor_gradients(fld, ux, uy)
     weights = _cell_area_weights(fld) * fld.h ** 2
     gnorm = np.hypot(ux, uy)
@@ -367,11 +380,15 @@ def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
 
 @dataclass
 class RayAverageReport:
+    """Mean ray energy (lhs) against the planar energy (rhs); entry k of
+    ``per_theta`` is the energy of the ray at angle ``thetas[k]``."""
+
     lhs: float
     rhs: float
     tol: float
     passes: bool
     per_theta: np.ndarray = field(repr=False, compare=False, default=None)
+    thetas: np.ndarray = field(repr=False, compare=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -408,7 +425,7 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
     lhs = float(np.mean(energies))
     rhs = energy_2d(fld, spec, use_envelope=True)
     tol = RAY_CHECK_TOL_COEFF * fld.h
-    return RayAverageReport(lhs, rhs, tol, lhs <= rhs + tol, energies)
+    return RayAverageReport(lhs, rhs, tol, lhs <= rhs + tol, energies, thetas)
 
 
 def colinearity_defect(fld: DiscField) -> float:
@@ -419,9 +436,11 @@ def colinearity_defect(fld: DiscField) -> float:
     adding a constant to the interior nodes.  A gradient-free field has
     defect zero by convention.
     """
-    ux, uy, _, XC, YC = _cell_gradients(fld)
+    ux, uy, _ = _cell_gradients(fld)
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    xc = _cell_centres(fld)
+    XC, YC = xc[:, None], xc[None, :]
     rc = np.sqrt(XC * XC + YC * YC)
     # cell centers sit at half-node offsets, never at the origin
     ex, ey = XC / rc, YC / rc

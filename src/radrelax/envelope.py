@@ -65,7 +65,18 @@ class EnvelopeResult:
     potential: Potential1D = field(repr=False, compare=False, default=None)
 
     def eval(self, t):
-        """Envelope value: W outside detachment intervals, affine inside."""
+        """Envelope value: W outside detachment intervals, affine inside.
+
+        A float argument (np.float64 included) skips numpy when W is
+        polynomial; the result equals the array path's bit for bit.
+        """
+        if (isinstance(t, float) and self.potential is not None
+                and self.potential.kind != "sampled"):
+            out = self.potential.eval(t)
+            for c in self.components:
+                if c.contains(t):
+                    out = c.alpha * t + c.beta
+            return float(out)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
         if self.potential is not None and self.potential.kind != "sampled":
@@ -83,6 +94,12 @@ class EnvelopeResult:
 
     def deriv(self, t):
         """Envelope slope: W' outside detachment intervals, alpha inside."""
+        if isinstance(t, float):
+            out = self.potential.derivative(t)
+            for c in self.components:
+                if c.contains(t):
+                    out = c.alpha
+            return float(out)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
         out = np.asarray(self.potential.derivative(ts), dtype=float).copy()
@@ -94,6 +111,12 @@ class EnvelopeResult:
 
     def deriv2(self, t):
         """Envelope curvature: W'' outside detachment intervals, 0 inside."""
+        if isinstance(t, float):
+            out = _second_derivative(self.potential, t)
+            for c in self.components:
+                if c.contains(t):
+                    out = 0.0
+            return float(out)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
         out = np.asarray(_second_derivative(self.potential, ts), dtype=float).copy()

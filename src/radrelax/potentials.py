@@ -8,6 +8,7 @@ piecewise polynomial, or sampled on a grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -35,6 +36,15 @@ _EVEN_TOL = 1e-12
 
 def _as_tuple(x) -> tuple:
     return tuple(float(v) for v in x)
+
+
+def _horner(c: tuple, x: float) -> float:
+    # numpy.polynomial.polyval's recurrence, on Python floats: the same
+    # IEEE operations in the same order, so the same bits
+    y = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
 
 
 def _trim(coeffs: Sequence[float]) -> tuple:
@@ -157,14 +167,16 @@ class Potential1D:
         return self._pchip(t)
 
     def _derivative_coeffs(self, order: int):
-        """Coefficients of the order-th derivative: of P for the t^2 kind
-        (W = P(t^2)), per piece for the piecewise kind. Built once per order."""
+        """Coefficients of the order-th derivative, as Python-float tuples:
+        of P for the t^2 kind (W = P(t^2)), per piece for the piecewise
+        kind. Built once per order."""
         coeffs = self._dcoeffs.get(order)
         if coeffs is None:
             if self.kind == "poly_in_t_squared":
-                coeffs = npoly.polyder(np.asarray(self.coefficients), order)
+                coeffs = tuple(npoly.polyder(np.asarray(self.coefficients),
+                                             order).tolist())
             else:
-                coeffs = tuple(npoly.polyder(np.asarray(p), order)
+                coeffs = tuple(tuple(npoly.polyder(np.asarray(p), order).tolist())
                                for p in self.coefficients)
             self._dcoeffs[order] = coeffs
         return coeffs
@@ -188,8 +200,37 @@ class Potential1D:
         h = 1e-6 * np.maximum(1.0, np.abs(t))
         return (self._eval_arr(t + h) - self._eval_arr(t - h)) / (2.0 * h)
 
+    def _is_scalar_arg(self, t) -> bool:
+        # a finite float (np.float64 included) of a polynomial kind takes
+        # the Python-float path; NaN, infinities and sampled kinds do not
+        return (isinstance(t, float) and self.kind != "sampled"
+                and math.isfinite(t))
+
+    def _eval_scalar(self, x: float) -> float:
+        if self.kind == "poly_in_t_squared":
+            return _horner(self.coefficients, x * x)
+        # bisect_right is searchsorted(side="right")
+        return _horner(self.coefficients[bisect.bisect_right(self.breakpoints, x)], x)
+
+    def _derivative_scalar(self, x: float, order: int) -> float:
+        # the arithmetic of _derivative_arr, one float at a time
+        if self.kind == "poly_in_t_squared":
+            dP = _horner(self._derivative_coeffs(1), x * x)
+            if order == 1:
+                return dP * 2.0 * x
+            ddP = _horner(self._derivative_coeffs(2), x * x)
+            return ddP * 4.0 * x * x + 2.0 * dP
+        k = bisect.bisect_right(self.breakpoints, x)
+        return _horner(self._derivative_coeffs(order)[k], x)
+
     def eval(self, t):
-        """Evaluate W(t); scalar in, scalar out; arrays pass through."""
+        """Evaluate W(t); scalar in, scalar out; arrays pass through.
+
+        A finite float argument of a polynomial kind is evaluated on
+        Python floats, bit for bit as the array path would give it.
+        """
+        if self._is_scalar_arg(t):
+            return self._eval_scalar(float(t))
         arr = np.asarray(t, dtype=float)
         out = self._eval_arr(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
@@ -209,6 +250,8 @@ class Potential1D:
             raise ValueError("order must be 1 or 2")
         if order == 2 and self.kind == "sampled":
             raise ValueError("order 2 derivative unavailable for sampled kind")
+        if self._is_scalar_arg(t):
+            return self._derivative_scalar(float(t), order)
         arr = np.asarray(t, dtype=float)
         out = self._derivative_arr(np.atleast_1d(arr), order)
         return float(out[0]) if arr.ndim == 0 else out

@@ -38,6 +38,7 @@ from .potentials import (
     GrowthDeclaration,
     Potential1D,
     ProblemSpec,
+    _require_coercive,
 )
 
 __all__ = ["SpecFileError", "parse_spec", "parse_spec_text", "emit_spec_text"]
@@ -176,9 +177,16 @@ def _potential(src: str, name: str, sec: Dict[str, Tuple[str, int]],
         pot_args = dict(kind=kind, coefficients=tuple(groups),
                         breakpoints=breaks, even=force_even)
     try:
-        return Potential1D(**pot_args)
+        pot = Potential1D(**pot_args)
     except ValueError as exc:
         raise _err(src, kind_line, f"[{name}]: {exc}") from None
+    if name == "W":
+        # every command needs a coercive W; a bad one is a parse error
+        try:
+            _require_coercive(pot)
+        except ValueError as exc:
+            raise _err(src, coeffs_line, f"[W]: {exc}") from None
+    return pot
 
 
 def parse_spec_text(text: str, src: str = "<string>") -> ProblemSpec:

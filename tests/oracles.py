@@ -214,12 +214,66 @@ def single_ray_profile(fld, theta):
     return RadialProfile(grid, u)
 
 
+def meshgrid_cell_area_weights(fld):
+    """``disc2d._cell_area_weights`` as it was before it took the corner
+    distances from 1-D coordinates: the node distances as a 2-D array,
+    the largest of the four corners per cell, the nearest box point from
+    2-D coordinate arrays."""
+    from radrelax.disc2d import _SUBCELL
+
+    x = fld.coords
+    R = fld.radius
+    h = fld.h
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    rad = np.sqrt(X * X + Y * Y)
+    corner_max = np.maximum.reduce([rad[:-1, :-1], rad[1:, :-1],
+                                    rad[:-1, 1:], rad[1:, 1:]])
+    # nearest point of the cell box to the origin
+    nx = np.clip(0.0, X[:-1, :-1], X[1:, 1:])
+    ny = np.clip(0.0, Y[:-1, :-1], Y[1:, 1:])
+    nearest = np.sqrt(nx * nx + ny * ny)
+    w = np.zeros_like(corner_max)
+    w[corner_max <= R] = 1.0
+    straddle = (corner_max > R) & (nearest < R)
+    if np.any(straddle):
+        ii, jj = np.nonzero(straddle)
+        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
+        sx = x[ii][:, None, None] + off[None, :, None]
+        sy = x[jj][:, None, None] + off[None, None, :]
+        frac = np.mean(sx * sx + sy * sy < R * R, axis=(1, 2))
+        w[ii, jj] = frac
+    return w
+
+
+def meshgrid_colinearity_defect(fld):
+    """``disc2d.colinearity_defect`` with the cell centres as 2-D meshgrid
+    arrays, as it ran before they were broadcast from 1-D."""
+    from radrelax.disc2d import _cell_gradients
+
+    ux, uy, _ = _cell_gradients(fld)
+    m = fld.mask
+    full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    x = fld.coords
+    xc = 0.5 * (x[:-1] + x[1:])
+    XC, YC = np.meshgrid(xc, xc, indexing="ij")
+    rc = np.sqrt(XC * XC + YC * YC)
+    ex, ey = XC / rc, YC / rc
+    radial = ux * ex + uy * ey
+    tx = ux - radial * ex
+    ty = uy - radial * ey
+    tang2 = np.sum((tx * tx + ty * ty)[full])
+    grad2 = np.sum((ux * ux + uy * uy)[full])
+    if grad2 <= 0.0:
+        return 0.0
+    return float(math.sqrt(tang2 / grad2))
+
+
 def loop_ray_check(fld, spec, n_thetas):
     """(per_theta, lhs, rhs) of the ray check with one ``energy_reduced``
     call per ray, the loop that preceded the batched ray energies in
     ``disc2d.averaged_ray_energy_check``; the planar side walks the rim
-    donors one cell at a time."""
-    from radrelax.disc2d import _cell_area_weights, _cell_gradients
+    donors one cell at a time and weighs cells from 2-D corner arrays."""
+    from radrelax.disc2d import _cell_gradients
     from radrelax.radial_solver import energy_reduced, ensure_envelope
 
     thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
@@ -227,9 +281,9 @@ def loop_ray_check(fld, spec, n_thetas):
         energy_reduced(single_ray_profile(fld, th), spec, use_envelope=True)
         for th in thetas])
     lhs = float(np.mean(energies))
-    ux, uy, ubar, _, _ = _cell_gradients(fld)
+    ux, uy, ubar = _cell_gradients(fld)
     ux, uy = loop_donor_gradients(fld, ux, uy)
-    weights = _cell_area_weights(fld) * fld.h ** 2
+    weights = meshgrid_cell_area_weights(fld) * fld.h ** 2
     gnorm = np.hypot(ux, uy)
     wvals = ensure_envelope(spec).eval(gnorm.ravel()).reshape(gnorm.shape)
     gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
@@ -359,3 +413,78 @@ def allocating_dp_oracle(spec, r_levels=100, u_levels=200, slope_levels=None):
         converged=True,
         discretization="dp_value_grid",
     )
+
+
+def array_only(W):
+    """A copy of W whose scalar calls go through numpy, as every call did
+    before the Python-float kernels of ``Potential1D``."""
+    from radrelax.potentials import Potential1D
+
+    class ArrayOnlyPotential(Potential1D):
+        def eval(self, t):
+            arr = np.asarray(t, dtype=float)
+            out = self._eval_arr(np.atleast_1d(arr))
+            return float(out[0]) if arr.ndim == 0 else out
+
+        def derivative(self, t, order=1):
+            if order not in (1, 2):
+                raise ValueError("order must be 1 or 2")
+            if order == 2 and self.kind == "sampled":
+                raise ValueError("order 2 derivative unavailable for sampled kind")
+            arr = np.asarray(t, dtype=float)
+            out = self._derivative_arr(np.atleast_1d(arr), order)
+            return float(out[0]) if arr.ndim == 0 else out
+
+    return ArrayOnlyPotential(
+        kind=W.kind, coefficients=W.coefficients, breakpoints=W.breakpoints,
+        samples=W.samples, domain_halfwidth=W.domain_halfwidth, even=W.even)
+
+
+def array_only_envelope(env):
+    """A copy of env, over ``array_only`` of its potential, whose scalar
+    calls go through numpy, as ``EnvelopeResult`` ran before its scalar
+    branches."""
+    import dataclasses
+
+    from radrelax.envelope import EnvelopeResult
+    from radrelax.potentials import _second_derivative
+
+    class ArrayOnlyEnvelope(EnvelopeResult):
+        def eval(self, t):
+            arr = np.asarray(t, dtype=float)
+            ts = np.atleast_1d(arr)
+            if self.potential is not None and self.potential.kind != "sampled":
+                out = self.potential.eval(ts).copy()
+            else:
+                out = np.interp(ts, self.grid, self.values)
+                beyond = np.abs(ts) > max(abs(self.grid[0]), self.grid[-1])
+                if np.any(beyond) and self.potential is not None:
+                    out[beyond] = self.potential.eval(ts[beyond])
+            for c in self.components:
+                m = c.contains(ts)
+                if np.any(m):
+                    out[m] = c.alpha * ts[m] + c.beta
+            return float(out[0]) if arr.ndim == 0 else out
+
+        def deriv(self, t):
+            arr = np.asarray(t, dtype=float)
+            ts = np.atleast_1d(arr)
+            out = np.asarray(self.potential.derivative(ts), dtype=float).copy()
+            for c in self.components:
+                m = c.contains(ts)
+                if np.any(m):
+                    out[m] = c.alpha
+            return float(out[0]) if arr.ndim == 0 else out
+
+        def deriv2(self, t):
+            arr = np.asarray(t, dtype=float)
+            ts = np.atleast_1d(arr)
+            out = np.asarray(_second_derivative(self.potential, ts),
+                             dtype=float).copy()
+            for c in self.components:
+                out[c.contains(ts)] = 0.0
+            return float(out[0]) if arr.ndim == 0 else out
+
+    fields = {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+    fields["potential"] = array_only(env.potential)
+    return ArrayOnlyEnvelope(**fields)

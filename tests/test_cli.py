@@ -377,6 +377,51 @@ def test_bad_ini_exits_1_with_line(prototype_ini, tmp_path, capsys):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("command", ["envelope", "solve", "oracle", "verify",
+                                     "symmetry"])
+@pytest.mark.parametrize("coeffs", ["1.0, -2.0, -1.0", "1.0; 1.0, 0.0, -1.0; 1.0"])
+def test_non_coercive_w_exits_1_citing_its_line(prototype_ini, tmp_path, capsys,
+                                                command, coeffs):
+    # a W that does not rise at infinity is a parse error of its coeffs line
+    text = open(prototype_ini).read().replace(
+        "coeffs = 1.0, -2.0, 1.0", f"coeffs = {coeffs}")
+    if ";" in coeffs:
+        text = text.replace("kind = poly_in_t_squared\n",
+                            "kind = piecewise_poly\nbreakpoints = -1.0, 1.0\n", 1)
+    lineno = 1 + text.splitlines().index(f"coeffs = {coeffs}")
+    bad = tmp_path / "falling.ini"
+    bad.write_text(text)
+    assert main([command, "--spec", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:{lineno}: [W]: potential is not coercive")
+    assert "numerical failure" not in err
+
+
+def test_symmetry_csv_angles_are_the_priced_rays(prototype_ini, tmp_path,
+                                                 capsys):
+    # at 100 rays 2 pi k / n and k (2 pi / n) differ in the last bit for
+    # half the k; the theta column and each per-ray profile must be those
+    # of the ray the check priced
+    from radrelax.radial_solver import RadialGrid, RadialProfile, energy_reduced
+
+    rays = 100
+    prefix = str(tmp_path / "p_")
+    assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
+                 "--rays", str(rays), "--format", "csv",
+                 "--profile-csv", prefix]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    thetas = [float(t) for t, _ in rows]
+    assert thetas == list(np.arange(rays) * (2.0 * np.pi / rays))
+    spec = parse_spec(prototype_ini)
+    for k, (_, energy) in enumerate(rows):
+        lines = open(f"{prefix}ray{k:03d}.csv").read().splitlines()[2:]
+        r, u = np.array([[float(v) for v in line.split(",")[:2]]
+                         for line in lines]).T
+        priced = energy_reduced(RadialProfile(RadialGrid(r), u), spec,
+                                use_envelope=True)
+        assert float(energy) == priced, k
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "envelope" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from radrelax.disc2d import (
     energy_2d,
     ray_profile,
     ray_profiles,
+    _cell_area_weights,
     _cell_gradients,
     _donor_gradients,
 )
@@ -21,6 +22,8 @@ from oracles import (
     loop_angular_average,
     loop_donor_gradients,
     loop_ray_check,
+    meshgrid_cell_area_weights,
+    meshgrid_colinearity_defect,
     single_ray_profile,
 )
 
@@ -78,11 +81,23 @@ def test_offcenter_cone_envelope_gradient_term_is_zero():
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
 def test_donor_gradients_match_cell_walk(n, radius):
     fld = DiscField.random_smooth(n, radius, seed=n)
-    ux, uy, _, _, _ = _cell_gradients(fld)
+    ux, uy, _ = _cell_gradients(fld)
     new = _donor_gradients(fld, ux, uy)
     old = loop_donor_gradients(fld, ux, uy)
     assert np.array_equal(new[0], old[0])
     assert np.array_equal(new[1], old[1])
+
+
+@pytest.mark.parametrize("n", [33, 65, 129, 257])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 1.7, 10.0])
+def test_disc_geometry_matches_meshgrid_forms(n, radius):
+    # the 1-D corner distances and broadcast cell centres must give the
+    # weights and the colinearity defect of the 2-D arrays, bit for bit
+    fld = DiscField.random_smooth(n, radius, seed=n)
+    assert (_cell_area_weights(fld).tobytes()
+            == meshgrid_cell_area_weights(fld).tobytes())
+    assert (colinearity_defect(fld).hex()
+            == meshgrid_colinearity_defect(fld).hex())
 
 
 @pytest.mark.parametrize("n_thetas", [1, 7, 64])
@@ -152,7 +167,7 @@ def test_ray_profiles_respect_grid_symmetry():
 
 def test_ray_slopes_bounded_by_planar_gradient():
     fld = DiscField.random_smooth(N, R, seed=3)
-    ux, uy, _, _, _ = _cell_gradients(fld)
+    ux, uy, _ = _cell_gradients(fld)
     gmax = float(np.hypot(ux, uy).max())
     smax = max(float(np.abs(ray_profile(fld, 2.0 * math.pi * k / 16).slopes).max())
                for k in range(16))

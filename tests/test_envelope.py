@@ -4,10 +4,11 @@ import pytest
 from radrelax import envelope
 from radrelax.envelope import (NumericalFailure, _hull_values, _lower_hull,
                                _refine_tangency, convexify)
-from radrelax.potentials import Potential1D
+from radrelax.potentials import Potential1D, compute_M
 
 from conftest import double_well, make_m0_spec, three_well
 from oracles import (
+    array_only,
     chord_hull_values,
     chord_hull_vertices,
     fixed_step_polish_tangency,
@@ -206,6 +207,23 @@ def test_polish_early_exit_keeps_components(grid_points, monkeypatch):
     for name, make in TANGENCY_POTENTIALS.items():
         old = convexify(make(), grid_points=grid_points).components
         assert [c.to_dict() for c in new[name]] == [c.to_dict() for c in old], name
+
+
+SCALAR_KERNEL_POTENTIALS = {**TANGENCY_POTENTIALS, "double_well": double_well,
+                            "m0": lambda: make_m0_spec().W}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_KERNEL_POTENTIALS))
+def test_scalar_kernels_keep_m_and_components(name):
+    # compute_M and the tangency polish call W one float at a time; with
+    # every such call taken through numpy they must give the same M and
+    # components, bit for bit
+    W = SCALAR_KERNEL_POTENTIALS[name]()
+    assert compute_M(W).hex() == compute_M(array_only(W)).hex()
+    new, old = convexify(W), convexify(array_only(W))
+    assert new.M.hex() == old.M.hex()
+    assert [c.to_dict() for c in new.components] == [c.to_dict() for c in old.components]
+    assert new.values.tobytes() == old.values.tobytes()
 
 
 @pytest.mark.parametrize("offset, steps", [(0.02, 9), (0.1, 10)])

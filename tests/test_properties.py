@@ -1,8 +1,10 @@
 """Property tests on arbitrary inputs: the monotone rearrangement laws,
 the spec emit/parse round trip, the sampled-kind hull against the
-chord-walk oracle, the detachment runs against the scalar walk, and the
-report writer against json.dumps."""
+chord-walk oracle, the detachment runs against the scalar walk, the
+report writer against json.dumps, and the scalar kernels of potentials
+and envelopes against their array paths."""
 
+import functools
 import json
 import math
 
@@ -13,7 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from radrelax.cli import _json_text  # noqa: E402
-from radrelax.envelope import _hull_values, _lower_hull, _runs  # noqa: E402
+from radrelax.envelope import (_hull_values, _lower_hull, _runs,  # noqa: E402
+                               convexify)
 from radrelax.potentials import (  # noqa: E402
     GrowthDeclaration,
     Potential1D,
@@ -28,7 +31,7 @@ from radrelax.radial_solver import (  # noqa: E402
 )
 from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
-from conftest import double_well, three_well  # noqa: E402
+from conftest import double_well, make_m0_spec, three_well  # noqa: E402
 from oracles import chord_hull_values, chord_hull_vertices, runs_walk  # noqa: E402
 
 # G(u) = -u^2 does not increase in |u| (G2), so the energy cannot rise
@@ -184,3 +187,78 @@ def test_report_writer_rejects_non_str_keys(obj):
     # reports only use str keys; json.dumps would have converted these
     with pytest.raises(TypeError):
         _json_text(obj)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+_SMALL_COEFF = st.floats(-10.0, 10.0, allow_nan=False)
+_ARGS = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def polynomial_potentials(draw):
+    # arbitrary coefficients: the kernels do not need W to be even or
+    # coercive
+    coeff_lists = st.lists(_SMALL_COEFF, min_size=1, max_size=5)
+    if draw(st.booleans()):
+        return Potential1D(kind="poly_in_t_squared",
+                           coefficients=draw(coeff_lists))
+    breaks = sorted(draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False),
+                                  max_size=3, unique=True)))
+    pieces = [draw(coeff_lists) for _ in range(len(breaks) + 1)]
+    return Potential1D(kind="piecewise_poly", coefficients=pieces,
+                       breakpoints=breaks)
+
+
+def _at(W, order, t):
+    return W.eval(t) if order == 0 else W.derivative(t, order)
+
+
+@given(W=polynomial_potentials(), order=st.sampled_from([0, 1, 2]),
+       data=st.data())
+@example(W=double_well(), order=1, data=None)
+@example(W=three_well(), order=2, data=None)
+def test_potential_scalar_path_matches_array_path(W, order, data):
+    # signed zeros, an underflowing square, and the exact breakpoints,
+    # where bisect_right must pick the piece searchsorted picks
+    ts = [0.0, -0.0, 1.0, -1.0, 1e-300]
+    ts += [b for bp in W.breakpoints for b in (bp, -bp)]
+    if data is not None:
+        ts += data.draw(st.lists(_ARGS, max_size=8))
+    for t in ts:
+        want = _at(W, order, np.array([t]))[0]
+        for arg in (float(t), np.float64(t)):
+            got = _at(W, order, arg)
+            assert type(got) is float
+            assert _bits(got) == _bits(want), (t, order)
+
+
+_ENVELOPES = {
+    "double_well": double_well(),
+    "three_well_0.02": three_well(0.02),
+    "three_well_0.1": three_well(0.1),
+    "m0": make_m0_spec().W,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope(name):
+    return convexify(_ENVELOPES[name])
+
+
+@given(name=st.sampled_from(sorted(_ENVELOPES)),
+       ts=st.lists(_ARGS, max_size=8))
+def test_envelope_scalar_path_matches_array_path(name, ts):
+    env = _envelope(name)
+    # the component endpoints, where the affine piece hands over to W
+    ts = ts + [0.0, -0.0, env.M, -env.M]
+    ts += [x for c in env.components for x in (c.a, c.b)]
+    for t in ts:
+        for method in (env.eval, env.deriv, env.deriv2):
+            want = method(np.array([t]))[0]
+            for arg in (float(t), np.float64(t)):
+                got = method(arg)
+                assert type(got) is float
+                assert _bits(got) == _bits(want), (name, method.__name__, t)

@@ -18,12 +18,12 @@ from radrelax.radial_solver import (
     solve_pipeline,
     sphere_area,
 )
-from radrelax.radial_solver import _outermost_levels
+from radrelax.radial_solver import _outermost_levels, _slope_bound
 
 from conftest import (double_well, make_m0_spec, make_prototype_spec,
                       make_three_well_spec, three_well)
-from oracles import (allocating_dp_oracle, quadratic_outermost_levels,
-                     random_even_sampled)
+from oracles import (allocating_dp_oracle, array_only_envelope,
+                     quadratic_outermost_levels, random_even_sampled)
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -213,6 +213,17 @@ def test_dp_oracle_equals_the_allocating_sweep(levels):
         assert new.relaxed_energy == old.relaxed_energy, make.__name__
         assert new.original_energy == old.original_energy, make.__name__
         assert new.profile.u.tobytes() == old.profile.u.tobytes(), make.__name__
+
+
+def test_slope_bound_scalar_kernels_match_array_path():
+    # the bisection makes about a hundred scalar envelope calls; taken
+    # through numpy one by one they must give the same bound, bit for bit
+    for make in (make_prototype_spec, make_m0_spec, make_three_well_spec,
+                 _double_well_3d_spec):
+        spec = make()
+        env = ensure_envelope(spec)
+        assert (_slope_bound(spec, env).hex()
+                == _slope_bound(spec, array_only_envelope(env)).hex()), make.__name__
 
 
 def test_dp_oracle_value_grid_refinement_monotone():
