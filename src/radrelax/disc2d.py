@@ -64,8 +64,8 @@ class DiscField:
             raise ValueError(
                 f"values shape {vals.shape} does not match n={self.n}")
         x = self.coords
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        inside = X * X + Y * Y < self.radius ** 2
+        x2 = x * x
+        inside = x2[:, None] + x2[None, :] < self.radius ** 2
         vals = vals.copy()
         vals[~inside] = 0.0
         object.__setattr__(self, "values", vals)
@@ -96,7 +96,6 @@ class DiscField:
         """Seeded sum of Gaussian bumps tapered to zero at the rim."""
         rng = np.random.default_rng(seed)
         x = np.linspace(-radius, radius, n)
-        X, Y = np.meshgrid(x, x, indexing="ij")
         vals = np.zeros((n, n))
         for _ in range(n_bumps):
             rho = 0.6 * radius * math.sqrt(rng.uniform())
@@ -104,9 +103,12 @@ class DiscField:
             cx, cy = rho * math.cos(phi), rho * math.sin(phi)
             sigma = rng.uniform(0.15, 0.35) * radius
             amp = rng.uniform(-1.0, 1.0)
-            vals += amp * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2)
+            dx2, dy2 = (x - cx) ** 2, (x - cy) ** 2
+            vals += amp * np.exp(-(dx2[:, None] + dy2[None, :])
                                  / (2.0 * sigma * sigma))
-        taper = np.clip(1.0 - (X * X + Y * Y) / radius ** 2, 0.0, None)
+        x2 = x * x
+        taper = np.clip(1.0 - (x2[:, None] + x2[None, :]) / radius ** 2,
+                        0.0, None)
         return cls(n, radius, vals * taper)
 
     def to_csv(self, path: str) -> None:

@@ -47,6 +47,61 @@ def _horner(c: tuple, x: float) -> float:
     return y
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate, kept shape-preserving (Moler,
+    # "Numerical Computing with MATLAB", pchiptx); both ends at once
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    d[flip] = 0.0
+    d[~flip & steep] = 3.0 * m0[~flip & steep]
+    return d
+
+
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Per-interval cubic coefficients (c0, c1, c2, c3) of the monotone
+    piecewise cubic interpolant (PCHIP; Fritsch and Carlson, SIAM J. Numer.
+    Anal. 17, 1980), highest power first, in the local variable s = t - x[i].
+
+    Node slopes are the weighted harmonic mean of the neighbouring secants,
+    zero where the secants change sign or one of them vanishes (Fritsch and
+    Butland, SIAM J. Sci. Stat. Comput. 5, 1984). The operations and their
+    order are those of SciPy's PCHIP interpolator, so the cubics are its
+    cubics bit for bit.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[[0, -1]] = _pchip_end_slope(h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]])
+    # the Hermite form of each interval, as CubicHermiteSpline builds it
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+
+def _pchip_eval(x: np.ndarray, coeffs: tuple, t: np.ndarray) -> np.ndarray:
+    """Evaluate the cubics at t as SciPy's PPoly does: the end cubics
+    continue on both sides, and the sum starts from 0.0 so that signed
+    zeros come out as PPoly's. Infinite t gives inf or NaN silently, as
+    PPoly does."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    c0, c1, c2, c3 = (c[i] for c in coeffs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = t - x[i]
+        s2 = s * s
+        out = 0.0 + c3
+        out += c2 * s
+        out += c1 * s2
+        out += c0 * (s2 * s)
+    return out
+
+
 def _trim(coeffs: Sequence[float]) -> tuple:
     c = list(coeffs)
     while len(c) > 1 and c[-1] == 0.0:
@@ -66,8 +121,10 @@ class Potential1D:
             one more piece than there are breakpoints.
         breakpoints: sorted interior breakpoints (piecewise kind only).
         samples: pair (t_grid, values) for the sampled kind; the grid must be
-            strictly increasing and contain t = 0. Evaluation is monotone
-            cubic; outside the grid the end cubic continues.
+            finite, strictly increasing and contain t = 0; the values
+            finite. Evaluation is the Fritsch-Carlson monotone cubic
+            (PCHIP), computed in numpy; outside the grid the end cubic
+            continues.
         domain_halfwidth: T > 0. ``None`` auto-sizes T past the outermost
             critical point so downstream scans see the full shape.
         even: declared evenness for ``piecewise_poly`` (self-checked on a
@@ -80,7 +137,7 @@ class Potential1D:
     samples: Optional[tuple] = None
     domain_halfwidth: Optional[float] = None
     even: bool = False
-    _pchip: object = field(default=None, init=False, repr=False, compare=False)
+    _pchip: tuple = field(default=None, init=False, repr=False, compare=False)
     _dcoeffs: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -112,7 +169,10 @@ class Potential1D:
             tg, vals = _as_tuple(tg), _as_tuple(vals)
             if len(tg) != len(vals) or len(tg) < 4:
                 raise ValueError("samples need matching t/value arrays, >= 4 points")
-            if not np.all(np.diff(tg) > 0):
+            grid = np.array((tg, vals))
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("samples must be finite")
+            if not np.all(np.diff(grid[0]) > 0):
                 raise ValueError("sample grid must be strictly increasing")
             if 0.0 not in tg:
                 raise ValueError("sample grid must contain t = 0")
@@ -159,12 +219,9 @@ class Potential1D:
                     out[m] = npoly.polyval(t[m], np.asarray(piece))
             return out
         if self._pchip is None:
-            from scipy.interpolate import PchipInterpolator
-
-            tg, vals = self.samples
-            self._pchip = PchipInterpolator(np.asarray(tg), np.asarray(vals),
-                                            extrapolate=True)
-        return self._pchip(t)
+            tg, vals = (np.asarray(a, dtype=float) for a in self.samples)
+            self._pchip = (tg, _pchip_coeffs(tg, vals))
+        return _pchip_eval(*self._pchip, t)
 
     def _derivative_coeffs(self, order: int):
         """Coefficients of the order-th derivative, as Python-float tuples:

@@ -268,6 +268,34 @@ def meshgrid_colinearity_defect(fld):
     return float(math.sqrt(tang2 / grad2))
 
 
+def meshgrid_disc_mask(n, radius):
+    """The disc mask of ``DiscField.__post_init__`` from two n x n
+    meshgrids, as it was built before the 1-D broadcast."""
+    x = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return X * X + Y * Y < radius ** 2
+
+
+def meshgrid_random_smooth_values(n, radius, seed, n_bumps=4):
+    """The values ``DiscField.random_smooth`` passes to the constructor,
+    from two n x n meshgrids, as they were built before the 1-D
+    broadcast."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    vals = np.zeros((n, n))
+    for _ in range(n_bumps):
+        rho = 0.6 * radius * math.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        cx, cy = rho * math.cos(phi), rho * math.sin(phi)
+        sigma = rng.uniform(0.15, 0.35) * radius
+        amp = rng.uniform(-1.0, 1.0)
+        vals += amp * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2)
+                             / (2.0 * sigma * sigma))
+    taper = np.clip(1.0 - (X * X + Y * Y) / radius ** 2, 0.0, None)
+    return vals * taper
+
+
 def loop_ray_check(fld, spec, n_thetas):
     """(per_theta, lhs, rhs) of the ray check with one ``energy_reduced``
     call per ray, the loop that preceded the batched ray energies in

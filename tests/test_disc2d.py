@@ -24,6 +24,8 @@ from oracles import (
     loop_ray_check,
     meshgrid_cell_area_weights,
     meshgrid_colinearity_defect,
+    meshgrid_disc_mask,
+    meshgrid_random_smooth_values,
     single_ray_profile,
 )
 
@@ -98,6 +100,21 @@ def test_disc_geometry_matches_meshgrid_forms(n, radius):
             == meshgrid_cell_area_weights(fld).tobytes())
     assert (colinearity_defect(fld).hex()
             == meshgrid_colinearity_defect(fld).hex())
+
+
+@pytest.mark.parametrize("n", [33, 65, 257])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 10.0])
+def test_disc_mask_and_random_field_match_meshgrid_forms(n, radius):
+    # the broadcast 1-D coordinates must give the mask and the random
+    # field of the two n x n meshgrids, bit for bit
+    mask = meshgrid_disc_mask(n, radius)
+    for seed in (0, 1, n):
+        fld = DiscField.random_smooth(n, radius, seed=seed)
+        vals = meshgrid_random_smooth_values(n, radius, seed)
+        vals[~mask] = 0.0
+        assert np.array_equal(fld.mask, mask)
+        assert fld.values.tobytes() == vals.tobytes()
+    assert np.array_equal(DiscField.zeros(n, radius).mask, mask)
 
 
 @pytest.mark.parametrize("n_thetas", [1, 7, 64])

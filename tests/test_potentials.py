@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import radrelax
 from radrelax.potentials import (
     GrowthDeclaration,
     Potential1D,
@@ -92,6 +97,41 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="strictly increasing"):
         Potential1D(kind="sampled",
                     samples=((0.0, 1.0, 1.0, 2.0), (1.0, 0.0, 1.0, 2.0)))
+    # the increasing test alone lets an infinite grid point through, and
+    # nothing else looks at the values
+    with pytest.raises(ValueError, match="finite"):
+        Potential1D(kind="sampled",
+                    samples=((-1.0, 0.0, 1.0, 2.0), (1.0, 0.0, math.nan, 2.0)))
+    with pytest.raises(ValueError, match="finite"):
+        Potential1D(kind="sampled",
+                    samples=((-1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 1.0, 2.0)))
+
+
+def test_sampled_path_loads_no_scipy():
+    # a sampled W, its envelope and the Newton curvature model are numpy
+    # only, beyond the sample range too, so they never pay for scipy
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {tests_dir!r})\n"
+        "import numpy as np\n"
+        "from oracles import random_even_sampled\n"
+        "from radrelax.envelope import convexify\n"
+        "from radrelax.potentials import _second_derivative\n"
+        "W = random_even_sampled(3)\n"
+        "env = convexify(W)\n"
+        "T = W.domain_halfwidth\n"
+        "t = np.linspace(-2.0 * T, 2.0 * T, 101)\n"
+        "W.eval(t), W.derivative(t), _second_derivative(W, t)\n"
+        "env.eval(t), env.deriv(t), env.eval(1.5 * T), env.deriv(-1.5 * T)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_compute_M_double_well_exact():

@@ -1,8 +1,9 @@
 """Property tests on arbitrary inputs: the monotone rearrangement laws,
 the spec emit/parse round trip, the sampled-kind hull against the
 chord-walk oracle, the detachment runs against the scalar walk, the
-report writer against json.dumps, and the scalar kernels of potentials
-and envelopes against their array paths."""
+report writer against json.dumps, the scalar kernels of potentials
+and envelopes against their array paths, and the sampled kind's monotone
+cubic against SciPy's."""
 
 import functools
 import json
@@ -262,3 +263,40 @@ def test_envelope_scalar_path_matches_array_path(name, ts):
                 got = method(arg)
                 assert type(got) is float
                 assert _bits(got) == _bits(want), (name, method.__name__, t)
+
+
+_SAMPLE_VALUES = st.integers(-2, 2).map(float) | st.just(-0.0) | _COEFF
+
+
+@st.composite
+def sampled_potentials(draw):
+    # a non-uniform grid through t = 0; small integer values give
+    # plateaus, zero secants and sign changes, and -0.0 signed zeros
+    n = draw(st.integers(4, 40))
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1,
+                         max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    t = t - t[draw(st.integers(0, n - 1))]
+    w = draw(st.lists(_SAMPLE_VALUES, min_size=n, max_size=n))
+    return Potential1D(kind="sampled", samples=(t, w))
+
+
+@given(W=sampled_potentials(),
+       ts=st.lists(st.floats(-200.0, 200.0, allow_nan=False), max_size=16),
+       beyond=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))
+@example(W=Potential1D(kind="sampled", samples=(
+    np.linspace(-2.0, 2.0, 41), (np.linspace(-2.0, 2.0, 41) ** 2 - 1) ** 2)),
+    ts=[], beyond=[0.0, 12.0])
+def test_sampled_eval_matches_scipy_pchip_bitwise(W, ts, beyond):
+    # the numpy monotone cubic must be SciPy's PCHIP with extrapolation,
+    # signed zeros, infinities and NaN included
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = (np.asarray(a) for a in W.samples)
+    beyond = np.asarray(beyond)
+    t = np.concatenate([ts, x, -x, x[0] - beyond, x[-1] + beyond,
+                        [np.nan, np.inf, -np.inf, -0.0]])
+    want = PchipInterpolator(x, y, extrapolate=True)(t)
+    got = W.eval(t)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+        t[got.view(np.int64) != want.view(np.int64)]
