@@ -76,7 +76,8 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> tuple:
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # tiny secants overflow w / m to inf, and the node slope 1 / inf is 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
     d[[0, -1]] = _pchip_end_slope(h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]])

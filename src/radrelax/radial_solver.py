@@ -13,6 +13,7 @@ with the same W values per cell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -242,17 +243,97 @@ _NEWTON_ITERS = 200
 _GTOL = 1e-8
 _ARMIJO = 1e-4
 _HALVINGS = 40
-_ROUNDOFF = 8.0 * np.finfo(float).eps
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
+# below this many rows a reduction level (about 30 us of numpy calls)
+# costs more than the rows it removes cost as Python floats (about 0.6 us
+# a row)
+_REDUCED_ROWS = 64
+
+
+def _ldlt_solve(d: list, e: list, b: list) -> Optional[list]:
+    """x with A x = b by LDL^T over Python floats, A symmetric tridiagonal
+    with diagonal d and off-diagonal e; None at the first pivot that is not
+    positive."""
+    piv, y = d[0], b[0]
+    if not piv > 0.0:
+        return None
+    pivots, mults, ys = [piv], [], [y]
+    for di, ei, bi in zip(d[1:], e, b[1:]):
+        m = ei / piv
+        piv = di - m * ei
+        if not piv > 0.0:
+            return None
+        y = bi - m * y
+        pivots.append(piv)
+        mults.append(m)
+        ys.append(y)
+    xi = y / piv
+    x = [xi]
+    for y, piv, m in zip(ys[-2::-1], pivots[-2::-1], reversed(mults)):
+        xi = y / piv - m * xi
+        x.append(xi)
+    x.reverse()
+    return x
+
+
+def _spd_tridiagonal_solve(d: np.ndarray, e: np.ndarray,
+                           b: np.ndarray) -> Optional[np.ndarray]:
+    """x with A x = b, A symmetric tridiagonal with diagonal d and
+    off-diagonal e, or None when A is not positive definite.
+
+    Odd-even cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer.
+    Anal. 7, 1970). The odd-numbered rows of a tridiagonal system couple
+    only to even ones, so one level eliminates all of them at once, and
+    the Schur complement on the even rows is tridiagonal again. Level
+    after level this is Gaussian elimination of P A P^T for a permutation
+    P, so every pivot is positive exactly when A is positive definite,
+    and the solve stops at the first level whose pivots are not. The
+    levels run in place on strided views of O(n) buffers; the last
+    _REDUCED_ROWS rows or fewer go to ``_ldlt_solve``.
+    """
+    d, off = d.copy(), e.copy()  # off[i] couples row i to row i + 1
+    x = b.copy()  # the right-hand side, then the solution
+    levels = []
+    step, rows = 1, len(d)
+    while rows > _REDUCED_ROWS:
+        dv, ev, xv = d[::step], off[::step], x[::step]
+        pivots = dv[1::2]
+        if not pivots.min() > 0.0:
+            return None
+        neg_inv = np.divide(-1.0, pivots)
+        odd = len(neg_inv)
+        inner = rows - odd - 1     # couplings left between the even rows
+        left = ev[0::2][:odd]      # odd row k to even row k
+        right = ev[1::2][:inner]   # odd row k to even row k + 1
+        fl = left * neg_inv
+        fr = right * neg_inv[:inner]
+        fb = xv[1::2] * neg_inv
+        even_d, even_x = dv[0::2], xv[0::2]
+        even_d[:odd] += left * fl
+        even_d[1:] += right * fr
+        even_x[:odd] += left * fb
+        even_x[1:] += right * fb[:inner]
+        np.multiply(right, fl[:inner], out=ev[0::2][:inner])
+        levels.append((step, fl, fr, fb, inner))
+        step, rows = 2 * step, rows - odd
+    rest = _ldlt_solve(d[::step].tolist(), off[::step][:rows - 1].tolist(),
+                       x[::step].tolist())
+    if rest is None:
+        return None
+    x[::step] = rest
+    for step, fl, fr, fb, inner in reversed(levels):
+        xv = x[::step]
+        even_x, odd_x = xv[0::2], xv[1::2]
+        np.multiply(fl, even_x[:len(odd_x)], out=odd_x)
+        odd_x -= fb
+        odd_x[:inner] += fr * even_x[1:]
+    return x
 
 
 def _newton_direction(diag, off, mass, g):
     """-(H + lam D)^-1 g, D the node masses, for the first lam in
-    0, lam0, 10 lam0, ... at which the shifted Hessian is positive definite."""
-    from scipy.linalg import LinAlgError, solveh_banded
-
-    ab = np.empty((2, len(diag)))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = off
+    0, lam0, 10 lam0, ... at which the shifted Hessian is positive definite,
+    as ``_spd_tridiagonal_solve`` finds it."""
     lam = 0.0
     # a positive definite matrix needs a positive diagonal; start at twice
     # the shift that gives one. Inside detachment intervals this leaves the
@@ -261,11 +342,10 @@ def _newton_direction(diag, off, mass, g):
     # steps on the 1024-cell prototype and stalled on the three-well spec
     lam0 = max(2.0 * float(np.max(-diag / mass)), 1e-8)
     while True:
-        ab[1] = diag + lam * mass
-        try:
-            return -solveh_banded(ab, g)
-        except LinAlgError:
-            lam = 10.0 * lam if lam > 0.0 else lam0
+        x = _spd_tridiagonal_solve(diag + lam * mass, off, g)
+        if x is not None:
+            return -x
+        lam = 10.0 * lam if lam > 0.0 else lam0
 
 
 def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
@@ -318,18 +398,20 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
     u'(0) = -M): the cone at slope -M, a profile that leaves the origin
     at slope -M and steepens quadratically, and the cone at slope
     -1.25 M. Starts that are identically zero are dropped, so M = 0
-    keeps only the quadratic one. Each descends by damped Newton on the requested grid: the
-    relaxed energy is a sum of per-cell terms, so its Hessian is
-    tridiagonal and one step costs a banded solve, with a Levenberg
-    shift where the Hessian is indefinite (inside detachment intervals,
-    where Wc'' = 0, and wherever G is concave). Each start takes at most
-    min(max_iters, 200) Newton steps. The winner is the lowest energy,
-    with a lexicographic tie-break on the nodal values. A winner that
-    did not converge (Newton cannot settle at kinks of Wc'', such as
-    affine pieces of the envelope outside (-M, M) under a concave G) is
-    finished by L-BFGS-B on the same grid, with up to ``max_iters``
-    iterations, and ``converged`` is that run's success flag. When the
-    result is not converged, ``warnings`` says why.
+    keeps only the quadratic one. Each descends by damped Newton on the
+    requested grid: the relaxed energy is a sum of per-cell terms, so its
+    Hessian is tridiagonal and one step costs one numpy cyclic reduction
+    (O(K) time and memory), with a Levenberg shift where the Hessian is
+    indefinite (inside detachment intervals, where Wc'' = 0, and wherever
+    G is concave). Each start takes at most min(max_iters, 200) Newton
+    steps. The winner is the lowest energy, with a lexicographic
+    tie-break on the nodal values. A winner that did not converge
+    (Newton cannot settle at kinks of Wc'', such as affine pieces of the
+    envelope outside (-M, M) under a concave G) is finished by L-BFGS-B
+    on the same grid, with up to ``max_iters`` iterations, and
+    ``converged`` is that run's success flag; only this finish imports
+    scipy (``scipy.optimize``). When the result is not converged,
+    ``warnings`` says why.
     """
     env = ensure_envelope(spec)
     energy = _RelaxedEnergy(spec, env, grid)

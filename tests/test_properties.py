@@ -26,6 +26,7 @@ from radrelax.potentials import (  # noqa: E402
 from radrelax.radial_solver import (  # noqa: E402
     RadialGrid,
     RadialProfile,
+    _spd_tridiagonal_solve,
     energy_reduced,
     ensure_envelope,
     monotone_rearrange,
@@ -300,3 +301,44 @@ def test_sampled_eval_matches_scipy_pchip_bitwise(W, ts, beyond):
     got = W.eval(t)
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
         t[got.view(np.int64) != want.view(np.int64)]
+
+
+# sizes around powers of two change the parity of the rows left at some
+# level of the reduction, and the Python-float tail takes the last rows
+_TRIDIAGONAL_SIZES = [2 ** k + j for k in range(5, 13) for j in (-1, 0, 1)]
+
+
+@given(n=st.one_of(st.sampled_from(_TRIDIAGONAL_SIZES), st.integers(17, 4097)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       definite=st.booleans(),
+       margin=st.floats(1e-6, 1.0))
+@example(n=17, seed=0, definite=True, margin=1e-6)
+@example(n=4097, seed=0, definite=False, margin=1e-6)
+def test_cyclic_reduction_matches_banded_cholesky(n, seed, definite, margin):
+    # the smallest eigenvalue is set to +margin or -margin, far outside
+    # the rounding of either factorization, so both must give the same
+    # verdict; a solution must have a normwise backward error of at most
+    # 1e-13, as LAPACK's banded Cholesky has
+    from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, solveh_banded
+
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0, n)
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    b = rng.normal(size=n)
+    lowest = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+    d += (margin if definite else -margin) - lowest
+    try:
+        want = solveh_banded(np.vstack([np.append(0.0, e), d]), b)
+    except LinAlgError:
+        want = None
+    got = _spd_tridiagonal_solve(d, e, b)
+    assert (got is None) == (want is None) == (not definite)
+    if definite:
+        residual = d * got - b
+        residual[:-1] += e * got[1:]
+        residual[1:] += e * got[:-1]
+        row_sums = np.abs(d)
+        row_sums[:-1] += np.abs(e)
+        row_sums[1:] += np.abs(e)
+        scale = row_sums.max() * np.abs(got).max() + np.abs(b).max()
+        assert np.abs(residual).max() <= 1e-13 * scale

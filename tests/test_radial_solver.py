@@ -18,12 +18,16 @@ from radrelax.radial_solver import (
     solve_pipeline,
     sphere_area,
 )
-from radrelax.radial_solver import _outermost_levels, _slope_bound
+from radrelax.radial_solver import (_NEWTON_ITERS, _RelaxedEnergy,
+                                    _multistart_profiles, _newton,
+                                    _newton_direction, _outermost_levels,
+                                    _slope_bound, _spd_tridiagonal_solve)
 
 from conftest import (double_well, make_m0_spec, make_prototype_spec,
                       make_three_well_spec, three_well)
 from oracles import (allocating_dp_oracle, array_only_envelope,
-                     quadratic_outermost_levels, random_even_sampled)
+                     banded_newton_direction, quadratic_outermost_levels,
+                     random_even_sampled)
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -156,6 +160,39 @@ def test_minimize_iteration_cap_reports_not_converged(prototype_spec):
     assert "winning start" in report.warnings[0]
     assert "L-BFGS finish" in report.warnings[0]
     assert "of 3 starts converged" in report.warnings[0]
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+def test_newton_converged_is_plain_bool(prototype_spec, cells):
+    # most prototype starts stop by the roundoff rule; a numpy.bool_ flag
+    # from it would make json.dumps reject any record that carries it
+    grid = RadialGrid.uniform(1.0, cells)
+    env = ensure_envelope(prototype_spec)
+    energy = _RelaxedEnergy(prototype_spec, env, grid)
+    for start in _multistart_profiles(prototype_spec, grid, env):
+        *_, converged = _newton(energy, start[:-1], _NEWTON_ITERS)
+        assert type(converged) is bool
+        assert converged
+    assert type(minimize_relaxed(prototype_spec, grid).converged) is bool
+
+
+def test_newton_direction_matches_banded_cholesky(three_well_spec):
+    # the -1.25 M cone of the three-well has an indefinite Hessian, so the
+    # direction needs a Levenberg shift; the shifted matrix has condition
+    # about 2e5, so two backward-stable solves agree to far below 1e-12.
+    # (The steepening start's first shift leaves a condition of about 8e9,
+    # where any two such solves differ by about 3e-8; the property test
+    # gates residuals instead.)
+    grid = RadialGrid.uniform(1.0, 256)
+    env = ensure_envelope(three_well_spec)
+    energy = _RelaxedEnergy(three_well_spec, env, grid)
+    x = _multistart_profiles(three_well_spec, grid, env)[2][:-1]
+    g = energy.gradient(x)
+    diag, off = energy.hessian(x)
+    assert _spd_tridiagonal_solve(diag, off, g) is None
+    want = banded_newton_direction(diag, off, energy.mass, g)
+    got = _newton_direction(diag, off, energy.mass, g)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_minimize_sampled_potentials(prototype_spec):
