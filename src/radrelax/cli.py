@@ -84,7 +84,6 @@ class RunConfig:
     fmt: str = "json"
     field_csv: Optional[str] = None
     random_fields: int = 1
-    field_n: int = 129
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,8 +163,6 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         src = "spec" if name == "spec_path" else name
         if hasattr(ns, src):
             setattr(cfg, name, getattr(ns, src))
-    if cfg.command == "symmetry":
-        cfg.field_n = cfg.grid_points
     if not (0 <= cfg.seed < 2 ** 64):
         raise UsageError("--seed must fit in 64 bits")
     # verify reads --profile-csv; the other commands write it
@@ -337,8 +334,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     spec, report = _solve_common(cfg)
     results = {}
     if cfg.oracle:
-        oracle = dp_oracle(spec, r_levels=100, u_levels=cfg.u_levels,
-                           slope_levels=cfg.u_levels)
+        oracle = dp_oracle(spec, r_levels=100, u_levels=cfg.u_levels)
         report.oracle_gap = ((report.relaxed_energy - oracle.relaxed_energy)
                              / (abs(oracle.relaxed_energy) or 1.0))
         results["oracle"] = {
@@ -390,8 +386,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_oracle(cfg: RunConfig) -> int:
     spec = parse_spec(cfg.spec_path)
-    report = dp_oracle(spec, r_levels=cfg.grid_points, u_levels=cfg.u_levels,
-                       slope_levels=cfg.u_levels)
+    report = dp_oracle(spec, r_levels=cfg.grid_points, u_levels=cfg.u_levels)
     results = report.to_dict()
     results["r_levels"] = cfg.grid_points
     results["u_levels"] = cfg.u_levels
@@ -417,7 +412,7 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         fields = [(None, fld)]
     else:
         fields = [(cfg.seed + k,
-                   DiscField.random_smooth(cfg.field_n, spec.radius,
+                   DiscField.random_smooth(cfg.grid_points, spec.radius,
                                            cfg.seed + k))
                   for k in range(cfg.random_fields)]
     records = []

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import ProblemSpec
-from .radial_solver import RadialGrid, RadialProfile, ensure_envelope, sphere_area
+from .radial_solver import (RadialGrid, RadialProfile, _reduced_energy,
+                           ensure_envelope)
 
 __all__ = [
     "DiscField",
@@ -355,29 +356,16 @@ def ray_profile(fld: DiscField, theta: float) -> RadialProfile:
 
 
 def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
-    """Envelope-priced reduced energy of the ray in each direction.
-
-    The arithmetic of ``energy_reduced(..., use_envelope=True)`` applied
-    to all rows at once, with one envelope and one G evaluation; a
-    separate function so its temporaries are freed before the caller
-    goes on to the planar energy.
+    """Envelope-priced reduced energy of the ray in each direction, by the
+    quadrature of ``energy_reduced`` over all rows at once; a separate
+    function so its temporaries are freed before the caller goes on to
+    the planar energy.
 
     Raises:
         ValueError: if the field radius disagrees with the spec.
     """
     grid, u = _ray_samples(fld, thetas)
-    nodes = grid.nodes
-    if abs(nodes[-1] - spec.radius) > 1e-12 * max(1.0, spec.radius):
-        raise ValueError(
-            f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
-    dr = grid.dr
-    s = np.diff(u, axis=1) / dr
-    ubar = 0.5 * (u[:, 1:] + u[:, :-1])
-    wterm = ensure_envelope(spec).eval(s.ravel()).reshape(s.shape)
-    gterm = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-    area = sphere_area(spec.dimension)
-    return area * np.sum(grid.midpoints ** (spec.dimension - 1)
-                         * (wterm + gterm) * dr, axis=1)
+    return _reduced_energy(grid, u, spec, use_envelope=True)
 
 
 @dataclass

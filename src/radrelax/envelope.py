@@ -62,67 +62,49 @@ class EnvelopeResult:
     components: List[DetachmentComponent]
     M: float
     wcaffine_holds: bool
-    potential: Potential1D = field(repr=False, compare=False, default=None)
+    potential: Potential1D = field(repr=False, compare=False)
 
-    def eval(self, t):
-        """Envelope value: W outside detachment intervals, affine inside.
-
-        A float argument (np.float64 included) skips numpy when W is
-        polynomial; the result equals the array path's bit for bit.
-        """
-        if (isinstance(t, float) and self.potential is not None
-                and self.potential.kind != "sampled"):
-            out = self.potential.eval(t)
+    def _patched(self, t, outside, inside):
+        # outside(t) everywhere, then inside(c, t) on each component c. A
+        # float argument (np.float64 included) of a polynomial W stays a
+        # Python float, with the bits an array argument gives
+        if isinstance(t, float) and self.potential.kind != "sampled":
+            out = outside(t)
             for c in self.components:
                 if c.contains(t):
-                    out = c.alpha * t + c.beta
+                    out = inside(c, t)
             return float(out)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
-        if self.potential is not None and self.potential.kind != "sampled":
-            out = self.potential.eval(ts).copy()
-        else:
-            out = np.interp(ts, self.grid, self.values)
-            beyond = np.abs(ts) > max(abs(self.grid[0]), self.grid[-1])
-            if np.any(beyond) and self.potential is not None:
-                out[beyond] = self.potential.eval(ts[beyond])
+        out = np.array(outside(ts), dtype=float)
         for c in self.components:
             m = c.contains(ts)
             if np.any(m):
-                out[m] = c.alpha * ts[m] + c.beta
+                out[m] = inside(c, ts[m])
         return float(out[0]) if arr.ndim == 0 else out
+
+    def _w_or_hull(self, ts):
+        # a sampled W's envelope is its hull between the samples, W beyond
+        if self.potential.kind != "sampled":
+            return self.potential.eval(ts)
+        out = np.interp(ts, self.grid, self.values)
+        beyond = np.abs(ts) > max(abs(self.grid[0]), self.grid[-1])
+        if np.any(beyond):
+            out[beyond] = self.potential.eval(ts[beyond])
+        return out
+
+    def eval(self, t):
+        """Envelope value: W outside detachment intervals, affine inside."""
+        return self._patched(t, self._w_or_hull, lambda c, s: c.alpha * s + c.beta)
 
     def deriv(self, t):
         """Envelope slope: W' outside detachment intervals, alpha inside."""
-        if isinstance(t, float):
-            out = self.potential.derivative(t)
-            for c in self.components:
-                if c.contains(t):
-                    out = c.alpha
-            return float(out)
-        arr = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(arr)
-        out = np.asarray(self.potential.derivative(ts), dtype=float).copy()
-        for c in self.components:
-            m = c.contains(ts)
-            if np.any(m):
-                out[m] = c.alpha
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._patched(t, self.potential.derivative, lambda c, s: c.alpha)
 
     def deriv2(self, t):
         """Envelope curvature: W'' outside detachment intervals, 0 inside."""
-        if isinstance(t, float):
-            out = _second_derivative(self.potential, t)
-            for c in self.components:
-                if c.contains(t):
-                    out = 0.0
-            return float(out)
-        arr = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(arr)
-        out = np.asarray(_second_derivative(self.potential, ts), dtype=float).copy()
-        for c in self.components:
-            out[c.contains(ts)] = 0.0
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._patched(t, lambda s: _second_derivative(self.potential, s),
+                             lambda c, s: 0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -35,12 +35,12 @@ _EVEN_TOL = 1e-12
 
 
 def _as_tuple(x) -> tuple:
-    return tuple(float(v) for v in x)
+    return tuple(np.asarray(x, dtype=float).tolist())
 
 
-def _horner(c: tuple, x: float) -> float:
-    # numpy.polynomial.polyval's recurrence, on Python floats: the same
-    # IEEE operations in the same order, so the same bits
+def _horner(c: tuple, x):
+    # numpy.polynomial.polyval's recurrence, on a Python float or an
+    # array: the same IEEE operations in the same order, so the same bits
     y = c[-1] + x * 0
     for ck in c[-2::-1]:
         y = ck + y * x
@@ -193,7 +193,7 @@ class Potential1D:
         maxbp = max((abs(b) for b in self.breakpoints), default=0.0)
         probe = max(8.0, 4.0 * maxbp)
         t = np.linspace(1e-9, probe, 4096)
-        d = self._derivative_arr(t, 1)
+        d = self._poly(t, 1)
         sign_change = np.nonzero(d[:-1] * d[1:] <= 0)[0]
         t_crit = float(t[sign_change[-1] + 1]) if sign_change.size else 0.0
         return max(2.0, 1.5 * t_crit + 1.0, 1.25 * maxbp + 1.0)
@@ -205,29 +205,10 @@ class Potential1D:
         if np.max(np.abs(a - b)) > _EVEN_TOL * scale:
             raise ValueError("piecewise_poly declared even but is not")
 
-    def _piece_index(self, t: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.breakpoints), t, side="right")
-
-    def _eval_arr(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "poly_in_t_squared":
-            return npoly.polyval(t * t, np.asarray(self.coefficients))
-        if self.kind == "piecewise_poly":
-            out = np.empty_like(t, dtype=float)
-            idx = self._piece_index(t)
-            for k, piece in enumerate(self.coefficients):
-                m = idx == k
-                if np.any(m):
-                    out[m] = npoly.polyval(t[m], np.asarray(piece))
-            return out
-        if self._pchip is None:
-            tg, vals = (np.asarray(a, dtype=float) for a in self.samples)
-            self._pchip = (tg, _pchip_coeffs(tg, vals))
-        return _pchip_eval(*self._pchip, t)
-
     def _derivative_coeffs(self, order: int):
-        """Coefficients of the order-th derivative, as Python-float tuples:
-        of P for the t^2 kind (W = P(t^2)), per piece for the piecewise
-        kind. Built once per order."""
+        """Coefficients of the order-th derivative (order 0: W itself), as
+        Python-float tuples: of P for the t^2 kind (W = P(t^2)), per piece
+        for the piecewise kind. Built once per order."""
         coeffs = self._dcoeffs.get(order)
         if coeffs is None:
             if self.kind == "poly_in_t_squared":
@@ -239,59 +220,58 @@ class Potential1D:
             self._dcoeffs[order] = coeffs
         return coeffs
 
-    def _derivative_arr(self, t: np.ndarray, order: int) -> np.ndarray:
+    def _poly(self, t, order: int):
+        """W (order 0), W' or W'' of a polynomial kind at a Python float or
+        an array; the same operations in the same order either way."""
         if self.kind == "poly_in_t_squared":
-            dP = npoly.polyval(t * t, self._derivative_coeffs(1))
+            if order == 0:
+                return _horner(self._derivative_coeffs(0), t * t)
+            dP = _horner(self._derivative_coeffs(1), t * t)
             if order == 1:
                 return dP * 2.0 * t
-            ddP = npoly.polyval(t * t, self._derivative_coeffs(2))
+            ddP = _horner(self._derivative_coeffs(2), t * t)
             return ddP * 4.0 * t * t + 2.0 * dP
-        if self.kind == "piecewise_poly":
-            out = np.empty_like(t, dtype=float)
-            idx = self._piece_index(t)
-            for k, dpiece in enumerate(self._derivative_coeffs(order)):
-                m = idx == k
-                if np.any(m):
-                    out[m] = npoly.polyval(t[m], dpiece)
-            return out
-        # sampled: centered difference on the interpolant
+        pieces = self._derivative_coeffs(order)
+        if isinstance(t, float):
+            # bisect_right is searchsorted(side="right")
+            return _horner(pieces[bisect.bisect_right(self.breakpoints, t)], t)
+        out = np.empty_like(t)
+        idx = np.searchsorted(self.breakpoints, t, side="right")
+        for k, piece in enumerate(pieces):
+            m = idx == k
+            if np.any(m):
+                out[m] = _horner(piece, t[m])
+        return out
+
+    def _sampled(self, t: np.ndarray, order: int) -> np.ndarray:
+        """The PCHIP (order 0) or its centered difference (order 1)."""
+        if self._pchip is None:
+            tg, vals = (np.asarray(a, dtype=float) for a in self.samples)
+            self._pchip = (tg, _pchip_coeffs(tg, vals))
+        if order == 0:
+            return _pchip_eval(*self._pchip, t)
         h = 1e-6 * np.maximum(1.0, np.abs(t))
-        return (self._eval_arr(t + h) - self._eval_arr(t - h)) / (2.0 * h)
+        return (_pchip_eval(*self._pchip, t + h)
+                - _pchip_eval(*self._pchip, t - h)) / (2.0 * h)
 
-    def _is_scalar_arg(self, t) -> bool:
-        # a finite float (np.float64 included) of a polynomial kind takes
-        # the Python-float path; NaN, infinities and sampled kinds do not
-        return (isinstance(t, float) and self.kind != "sampled"
-                and math.isfinite(t))
-
-    def _eval_scalar(self, x: float) -> float:
-        if self.kind == "poly_in_t_squared":
-            return _horner(self.coefficients, x * x)
-        # bisect_right is searchsorted(side="right")
-        return _horner(self.coefficients[bisect.bisect_right(self.breakpoints, x)], x)
-
-    def _derivative_scalar(self, x: float, order: int) -> float:
-        # the arithmetic of _derivative_arr, one float at a time
-        if self.kind == "poly_in_t_squared":
-            dP = _horner(self._derivative_coeffs(1), x * x)
-            if order == 1:
-                return dP * 2.0 * x
-            ddP = _horner(self._derivative_coeffs(2), x * x)
-            return ddP * 4.0 * x * x + 2.0 * dP
-        k = bisect.bisect_right(self.breakpoints, x)
-        return _horner(self._derivative_coeffs(order)[k], x)
+    def _at(self, t, order: int):
+        # a finite float (np.float64 included) of a polynomial kind stays
+        # a Python float; anything else goes through a 1-D array
+        if self.kind != "sampled" and isinstance(t, float) and math.isfinite(t):
+            return self._poly(float(t), order)
+        arr = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(arr)
+        kernel = self._sampled if self.kind == "sampled" else self._poly
+        out = kernel(ts, order)
+        return float(out[0]) if arr.ndim == 0 else out
 
     def eval(self, t):
         """Evaluate W(t); scalar in, scalar out; arrays pass through.
 
         A finite float argument of a polynomial kind is evaluated on
-        Python floats, bit for bit as the array path would give it.
+        Python floats, bit for bit as an array argument would give it.
         """
-        if self._is_scalar_arg(t):
-            return self._eval_scalar(float(t))
-        arr = np.asarray(t, dtype=float)
-        out = self._eval_arr(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._at(t, 0)
 
     def derivative(self, t, order: int = 1):
         """Evaluate W', or W'' for polynomial kinds.
@@ -308,11 +288,7 @@ class Potential1D:
             raise ValueError("order must be 1 or 2")
         if order == 2 and self.kind == "sampled":
             raise ValueError("order 2 derivative unavailable for sampled kind")
-        if self._is_scalar_arg(t):
-            return self._derivative_scalar(float(t), order)
-        arr = np.asarray(t, dtype=float)
-        out = self._derivative_arr(np.atleast_1d(arr), order)
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._at(t, order)
 
     def is_even(self, probes: int = 256, tol: float = _EVEN_TOL) -> bool:
         if self.kind == "poly_in_t_squared":

@@ -150,6 +150,25 @@ def ensure_envelope(spec: ProblemSpec, grid_points: int = 4097) -> EnvelopeResul
     return spec.envelope
 
 
+def _reduced_energy(grid: RadialGrid, u: np.ndarray, spec: ProblemSpec,
+                    use_envelope: bool) -> np.ndarray:
+    # the midpoint quadrature of each row of nodal values (a 1-D u is one
+    # row), with one W (or envelope) and one G evaluation for all rows
+    nodes = grid.nodes
+    if abs(nodes[-1] - spec.radius) > 1e-12 * max(1.0, spec.radius):
+        raise ValueError(
+            f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
+    dr = grid.dr
+    s = np.diff(u, axis=-1) / dr
+    ubar = 0.5 * (u[..., 1:] + u[..., :-1])
+    W = ensure_envelope(spec) if use_envelope else spec.W
+    wterm = W.eval(s.ravel()).reshape(s.shape)
+    gterm = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
+    area = sphere_area(spec.dimension)
+    return area * np.sum(grid.midpoints ** (spec.dimension - 1)
+                         * (wterm + gterm) * dr, axis=-1)
+
+
 def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
                    use_envelope: bool = False) -> float:
     """Midpoint-quadrature reduced energy of a profile.
@@ -163,18 +182,7 @@ def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
     Raises:
         ValueError: if the grid radius disagrees with the spec.
     """
-    nodes = profile.grid.nodes
-    if abs(nodes[-1] - spec.radius) > 1e-12 * max(1.0, spec.radius):
-        raise ValueError(
-            f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
-    dr = profile.grid.dr
-    rbar = profile.grid.midpoints
-    s = profile.slopes
-    ubar = profile.midpoint_values
-    wterm = ensure_envelope(spec).eval(s) if use_envelope else spec.W.eval(s)
-    gterm = spec.G.eval(ubar)
-    area = sphere_area(spec.dimension)
-    return area * float(np.sum(rbar ** (spec.dimension - 1) * (wterm + gterm) * dr))
+    return float(_reduced_energy(profile.grid, profile.u, spec, use_envelope))
 
 
 def _multistart_profiles(spec, grid, env):
@@ -672,7 +680,7 @@ def monotone_rearrange(profile: RadialProfile, env: EnvelopeResult,
 
 
 def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
-                   max_iters: int = 20000, corner_window: Optional[float] = None,
+                   corner_window: Optional[float] = None,
                    corner_tol: float = 0.05) -> SolveReport:
     """Convexify, minimize, rearrange (under a monotone G), and verify.
 
@@ -696,7 +704,7 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
     if not env.wcaffine_holds:
         warnings.append("a detachment interval is not contained in (-M, M)")
 
-    report = minimize_relaxed(spec, grid, max_iters=max_iters)
+    report = minimize_relaxed(spec, grid)
     warnings.extend(report.warnings)
 
     if spec.shape_flag in ("G2", "G2_strict"):

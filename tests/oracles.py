@@ -444,23 +444,49 @@ def allocating_dp_oracle(spec, r_levels=100, u_levels=200, slope_levels=None):
 
 
 def array_only(W):
-    """A copy of W whose scalar calls go through numpy, as every call did
-    before the Python-float kernels of ``Potential1D``."""
+    """A copy of W whose every call goes through numpy arrays and
+    ``numpy.polynomial.polyval``, as ``Potential1D`` evaluated before its
+    Python-float kernels. Self-contained, so that it stays a reference
+    for ``_horner``; sampled kinds, which never had a scalar path, keep
+    the package's own."""
+    from numpy.polynomial import polynomial as npoly
+
     from radrelax.potentials import Potential1D
 
     class ArrayOnlyPotential(Potential1D):
+        def _array_path(self, t, order):
+            if self.kind == "poly_in_t_squared":
+                c = np.asarray(self.coefficients)
+                if order == 0:
+                    return npoly.polyval(t * t, c)
+                dP = npoly.polyval(t * t, npoly.polyder(c, 1))
+                if order == 1:
+                    return dP * 2.0 * t
+                ddP = npoly.polyval(t * t, npoly.polyder(c, 2))
+                return ddP * 4.0 * t * t + 2.0 * dP
+            out = np.empty_like(t, dtype=float)
+            idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
+            for k, piece in enumerate(self.coefficients):
+                m = idx == k
+                if np.any(m):
+                    out[m] = npoly.polyval(t[m], npoly.polyder(np.asarray(piece),
+                                                               order))
+            return out
+
         def eval(self, t):
+            if self.kind == "sampled":
+                return super().eval(t)
             arr = np.asarray(t, dtype=float)
-            out = self._eval_arr(np.atleast_1d(arr))
+            out = self._array_path(np.atleast_1d(arr), 0)
             return float(out[0]) if arr.ndim == 0 else out
 
         def derivative(self, t, order=1):
+            if self.kind == "sampled":
+                return super().derivative(t, order)
             if order not in (1, 2):
                 raise ValueError("order must be 1 or 2")
-            if order == 2 and self.kind == "sampled":
-                raise ValueError("order 2 derivative unavailable for sampled kind")
             arr = np.asarray(t, dtype=float)
-            out = self._derivative_arr(np.atleast_1d(arr), order)
+            out = self._array_path(np.atleast_1d(arr), order)
             return float(out[0]) if arr.ndim == 0 else out
 
     return ArrayOnlyPotential(

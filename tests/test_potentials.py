@@ -69,6 +69,15 @@ def test_sampled_kind_interpolates_its_nodes():
     t, v = np.asarray(W.samples[0]), np.asarray(W.samples[1])
     out = np.asarray(W.eval(t))
     assert np.max(np.abs(out - v)) < 1e-12
+    # float32-representable samples given as lists, float64 arrays and
+    # float32 arrays are stored as the same tuples of Python floats
+    t32, v32 = t.astype(np.float32), v.astype(np.float32)
+    want = tuple(tuple(float(x) for x in a) for a in (t32, v32))
+    for samples in ((t32.tolist(), v32.tolist()),
+                    (t32.astype(float), v32.astype(float)), (t32, v32)):
+        got = Potential1D(kind="sampled", samples=samples).samples
+        assert got == want
+        assert all(type(x) is float for a in got for x in a)
 
 
 def test_evenness_declarations():
