@@ -66,9 +66,9 @@ class EnvelopeResult:
 
     def _patched(self, t, outside, inside):
         # outside(t) everywhere, then inside(c, t) on each component c. A
-        # float argument (np.float64 included) of a polynomial W stays a
-        # Python float, with the bits an array argument gives
-        if isinstance(t, float) and self.potential.kind != "sampled":
+        # float argument (np.float64 included) stays a Python float, with
+        # the bits an array argument gives
+        if isinstance(t, float):
             out = outside(t)
             for c in self.components:
                 if c.contains(t):
@@ -83,19 +83,10 @@ class EnvelopeResult:
                 out[m] = inside(c, ts[m])
         return float(out[0]) if arr.ndim == 0 else out
 
-    def _w_or_hull(self, ts):
-        # a sampled W's envelope is its hull between the samples, W beyond
-        if self.potential.kind != "sampled":
-            return self.potential.eval(ts)
-        out = np.interp(ts, self.grid, self.values)
-        beyond = np.abs(ts) > max(abs(self.grid[0]), self.grid[-1])
-        if np.any(beyond):
-            out[beyond] = self.potential.eval(ts[beyond])
-        return out
-
     def eval(self, t):
         """Envelope value: W outside detachment intervals, affine inside."""
-        return self._patched(t, self._w_or_hull, lambda c, s: c.alpha * s + c.beta)
+        return self._patched(t, self.potential.eval,
+                             lambda c, s: c.alpha * s + c.beta)
 
     def deriv(self, t):
         """Envelope slope: W' outside detachment intervals, alpha inside."""
@@ -251,8 +242,9 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
     convex). Each hull chord across a detachment run then seeds Newton's
     method for the common tangent; the envelope is re-evaluated exactly (W
     outside the intervals, the common tangent inside). Sampled kinds keep
-    their own grid as ground truth: the envelope is the lower hull of the
-    samples, with no sub-node refinement, and ``grid_points`` is not used.
+    their own grid as ground truth: the detachment intervals come from the
+    lower hull of the samples, with no sub-node refinement, and
+    ``grid_points`` is not used.
 
     Raises:
         ValueError: on fewer than 64 grid points, odd W, or non-coercive W.

@@ -413,12 +413,12 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
     indefinite (inside detachment intervals, where Wc'' = 0, and wherever
     G is concave). Each start takes at most min(max_iters, 200) Newton
     steps. The winner is the lowest energy, with a lexicographic
-    tie-break on the nodal values. A winner that did not converge
-    (Newton cannot settle at kinks of Wc'', such as affine pieces of the
-    envelope outside (-M, M) under a concave G) is finished by L-BFGS-B
-    on the same grid, with up to ``max_iters`` iterations, and
-    ``converged`` is that run's success flag; only this finish imports
-    scipy (``scipy.optimize``). When the result is not converged,
+    tie-break on the nodal values. A winner that did not converge (slow
+    progress near kinks of Wc'', such as affine pieces of the envelope
+    outside (-M, M) under a G with a well) continues by the same Newton
+    method for up to ``max_iters`` further steps, and ``converged`` is its
+    verdict. ``iterations`` counts every Newton step: those of all starts
+    plus the continuation's. When the result is not converged,
     ``warnings`` says why.
     """
     env = ensure_envelope(spec)
@@ -438,19 +438,13 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
 
     warnings = []
     if not converged:
-        from scipy.optimize import minimize
-
-        res = minimize(lambda y: (energy.value(y), energy.gradient(y)), x,
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iters, "maxcor": 50,
-                                "ftol": 1e-14, "gtol": 1e-10})
-        total_iters += int(res.nit)
-        x, converged = res.x, bool(res.success)
+        x, _, nit, converged = _newton(energy, x, max_iters)
+        total_iters += nit
         if not converged:
             warnings.append(
                 f"descent did not converge: the winning start ({k + 1} of "
-                f"{len(starts)}) and its L-BFGS finish ({res.message}) both "
-                f"stopped short; {settled} of {len(starts)} starts converged")
+                f"{len(starts)}) stopped short after {nit} further Newton "
+                f"steps; {settled} of {len(starts)} starts converged")
 
     profile = RadialProfile(grid, np.append(x, 0.0))
     return SolveReport(

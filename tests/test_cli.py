@@ -491,10 +491,10 @@ def test_tight_corner_window_exits_2(prototype_ini, capsys):
 
 @pytest.mark.parametrize("which", ["prototype", "three_well"])
 def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
-    # the command line, a polynomial envelope and a converged Newton
-    # descent never touch scipy, so start-up must not pay for importing
-    # it; the three-well has affine pieces of nonzero slope, whose tangency
-    # points are found too, and an indefinite Hessian at two of its starts
+    # the command line, a polynomial envelope and Newton descent never
+    # touch scipy, so start-up must not pay for importing it; the
+    # three-well has affine pieces of nonzero slope, whose tangency points
+    # are found too, and an indefinite Hessian at two of its starts
     spec_path = prototype_ini
     if which == "three_well":
         spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
@@ -526,7 +526,45 @@ def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
     after_import, *after = json.loads(out.stdout.splitlines()[-1])
     assert after_import == []
     # the three-well fails its corner check (exit 3) at 256 cells; its
-    # descent converges all the same, so the L-BFGS finish never runs.
-    # Only solve reports the converged flag.
+    # descent converges all the same. Only solve reports the converged
+    # flag.
     verdict = 0 if which == "prototype" else 3
     assert after == [[0, None, []], [verdict, True, []], [verdict, None, []]]
+
+
+def test_runtime_works_without_scipy(prototype_ini, tmp_path):
+    # every import of scipy fails, and each command still runs. Under
+    # -u^2 + 0.5u^4 no structural start of the three-well converges within
+    # the screen, so its solve continues the winning start by Newton; it
+    # fails a qualitative check (exit 3), not an import
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, -1.0, 0.5)),
+                       shape_flag="none")
+    three_well_ini = str(tmp_path / "three_well_quartic.ini")
+    with open(three_well_ini, "w", encoding="utf-8") as fh:
+        fh.write(emit_spec_text(spec))
+    runs = [["solve", "--spec", prototype_ini, "--oracle"],
+            ["verify", "--spec", prototype_ini],
+            ["envelope", "--spec", prototype_ini],
+            ["oracle", "--spec", prototype_ini],
+            ["symmetry", "--spec", prototype_ini],
+            ["solve", "--spec", three_well_ini, "--grid-points", "64"]]
+    code = (
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is unavailable')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from radrelax.cli import main\n"
+        f"runs = {runs!r}\n"
+        f"outs = [{str(tmp_path)!r} + f'/{{k}}.out' for k in range(len(runs))]\n"
+        "print(json.dumps([main(argv + ['--out', out])\n"
+        "                  for argv, out in zip(runs, outs)]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, 0, 0, 0, 3]

@@ -300,6 +300,20 @@ def test_sampled_envelope_matches_chord_oracle_exactly():
         assert float(np.max(np.abs(naive - env.values))) <= 16 * np.finfo(float).eps * scale
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_envelope_eval_and_deriv_agree(seed):
+    # eval and deriv describe one function: W outside the detachment
+    # intervals, the affine piece inside; at each sample midpoint a
+    # centred difference of eval matches deriv
+    W = random_even_sampled(seed)
+    env = convexify(W)
+    t = np.asarray(W.samples[0])
+    mid = 0.5 * (t[1:] + t[:-1])
+    h = 1e-6
+    slope = (env.eval(mid + h) - env.eval(mid - h)) / (2.0 * h)
+    assert float(np.max(np.abs(slope - env.deriv(mid)))) <= 1e-5
+
+
 def test_sampled_envelope_keeps_sample_grid():
     W = random_even_sampled(7)
     env = convexify(W)

@@ -158,8 +158,29 @@ def test_minimize_iteration_cap_reports_not_converged(prototype_spec):
     assert not report.converged
     assert len(report.warnings) == 1
     assert "winning start" in report.warnings[0]
-    assert "L-BFGS finish" in report.warnings[0]
+    assert "further Newton steps" in report.warnings[0]
     assert "of 3 starts converged" in report.warnings[0]
+
+
+@pytest.mark.parametrize("dimension, g, cells, relaxed", [
+    (2, (0.0, -1.0, 0.5), 64, -0.6600870885464344),
+    (3, (0.0, -2.0, 0.1), 256, -2.773951375140368),
+])
+def test_minimize_continues_unconverged_winner(dimension, g, cells, relaxed):
+    # a three-well W under a G with a well: no structural start converges
+    # within the screen, so the winner continues by Newton to a minimizer.
+    # The screen alone takes at most _NEWTON_ITERS steps per start, so a
+    # larger count shows that the continuation ran
+    spec = ProblemSpec(dimension=dimension, radius=1.0, p=4.0, W=three_well(),
+                       G=Potential1D(kind="poly_in_t_squared", coefficients=g),
+                       shape_flag="none")
+    grid = RadialGrid.uniform(1.0, cells)
+    starts = _multistart_profiles(spec, grid, ensure_envelope(spec))
+    report = minimize_relaxed(spec, grid)
+    assert report.iterations > len(starts) * _NEWTON_ITERS
+    assert report.converged
+    assert report.warnings == []
+    assert abs(report.relaxed_energy - relaxed) <= 1e-10
 
 
 @pytest.mark.parametrize("cells", [128, 1024])
@@ -210,7 +231,8 @@ def test_minimize_sampled_potentials(prototype_spec):
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, G=G,
                        W=Potential1D(kind="sampled", samples=(t, (t * t - 1.0) ** 2)))
     report = minimize_relaxed(spec, grid)
-    assert report.converged or report.warnings
+    assert report.converged
+    assert abs(report.relaxed_energy - exact.relaxed_energy) <= 1e-4
 
 
 def test_minimize_deterministic(prototype_spec):
