@@ -184,9 +184,12 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         raise UsageError("--u-levels must lie in [2, 400]")
     if cfg.rays < 1:
         raise UsageError("--rays must be at least 1")
-    if (cfg.command == "symmetry" and cfg.field_csv is None
-            and (cfg.grid_points < 33 or cfg.grid_points % 2 == 0)):
-        raise UsageError("--grid-points must be odd and at least 33 for symmetry")
+    if cfg.command == "symmetry" and cfg.field_csv is None:
+        if cfg.grid_points < 33 or cfg.grid_points % 2 == 0:
+            raise UsageError(
+                "--grid-points must be odd and at least 33 for symmetry")
+        if cfg.fmt == "csv" and cfg.random_fields != 1:
+            raise UsageError("csv format needs a single field")
     for path in (cfg.out, None if reads_profile else cfg.profile_csv):
         if path is not None:
             parent = os.path.dirname(path) or "."
@@ -411,10 +414,11 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
                 f"spec radius {spec.radius}")
         fields = [(None, fld)]
     else:
-        fields = [(cfg.seed + k,
+        # one field at a time, whatever the count
+        fields = ((cfg.seed + k,
                    DiscField.random_smooth(cfg.grid_points, spec.radius,
                                            cfg.seed + k))
-                  for k in range(cfg.random_fields)]
+                  for k in range(cfg.random_fields))
     records = []
     all_pass = True
     for field_seed, fld in fields:
@@ -424,14 +428,13 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
         rec["field_seed"] = field_seed
         records.append(rec)
         all_pass &= rep.passes
-    # every field is priced on the same rays; the CSV outputs use their angles
+    # every field is priced on the same rays; the CSV outputs use their
+    # angles.  parse_args admits csv output for single-field runs only
     thetas = rep.thetas
-    if cfg.profile_csv and len(fields) == 1:
-        for k, prof in enumerate(ray_profiles(fields[0][1], thetas)):
+    if cfg.profile_csv and len(records) == 1:
+        for k, prof in enumerate(ray_profiles(fld, thetas)):
             _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
     if cfg.fmt == "csv":
-        if len(records) != 1:
-            raise UsageError("csv format needs a single field")
         _emit(cfg, _csv_text(["theta", "energy"], zip(thetas, rep.per_theta)))
     else:
         _emit(cfg, _report_text(cfg, spec,

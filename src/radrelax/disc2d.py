@@ -14,6 +14,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +40,10 @@ RAY_CHECK_TOL_COEFF = 8.0
 
 _SUBCELL = 16  # boundary-cell area weights resolve the arc at h/16
 
+# Rows per block of the planar kernels, which hold block-sized
+# temporaries only (BENCH_disc_stream.json)
+_BLOCK_ROWS = 32
+
 
 @dataclass
 class DiscField:
@@ -58,8 +63,8 @@ class DiscField:
     def __post_init__(self):
         if self.n < 33 or self.n % 2 == 0:
             raise ValueError("grid size must be odd and at least 33")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be positive and finite")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n, self.n):
             raise ValueError(
@@ -175,14 +180,42 @@ class DiscField:
         return cls(n, radius, vals)
 
 
-def _cell_gradients(fld: DiscField):
-    """Cell-centered bilinear gradient and cell mean."""
-    v = fld.values
-    h = fld.h
-    ux = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * h)
-    uy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * h)
-    ubar = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
-    return ux, uy, ubar
+def _row_blocks(rows: int):
+    """Bounds (a, b) of consecutive blocks of ``_BLOCK_ROWS`` rows; the
+    last block may be short."""
+    for a in range(0, rows, _BLOCK_ROWS):
+        yield a, min(a + _BLOCK_ROWS, rows)
+
+
+def _row_corners(arr: np.ndarray, a: int, b: int):
+    """Nodal values at the four corners of the cells in rows a..b: the
+    node itself, the next along x, the next along y, the opposite one."""
+    return (arr[a:b, :-1], arr[a + 1:b + 1, :-1],
+            arr[a:b, 1:], arr[a + 1:b + 1, 1:])
+
+
+def _cell_corners(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The corners of ``_row_corners`` for the cells (i[k], j[k])."""
+    return arr[i, j], arr[i + 1, j], arr[i, j + 1], arr[i + 1, j + 1]
+
+
+def _gradient(c00, c10, c01, c11, h: float):
+    """Cell-centred bilinear gradient (ux, uy) from the corner values."""
+    return ((c10 - c00 + c11 - c01) / (2.0 * h),
+            (c01 - c00 + c11 - c10) / (2.0 * h))
+
+
+def _far2(x: np.ndarray) -> np.ndarray:
+    """Per cell along one axis of nodes x, the larger squared coordinate
+    of its two nodes: cell (i, j) is full, all four corners in the mask,
+    exactly when ``far2[i] + far2[j] < radius ** 2``.
+
+    The mask compares x^2 + y^2 at each node, and rounded sums are
+    monotone, so the largest of a cell's four corner sums is the sum of
+    its per-axis maxima, bit for bit.
+    """
+    x2 = x * x
+    return np.maximum(x2[:-1], x2[1:])
 
 
 def _cell_centres(fld: DiscField) -> np.ndarray:
@@ -191,8 +224,10 @@ def _cell_centres(fld: DiscField) -> np.ndarray:
     return 0.5 * (x[:-1] + x[1:])
 
 
-def _cell_area_weights(fld: DiscField) -> np.ndarray:
-    """Fraction of each cell inside the disc.
+def _cell_area_weights(fld: DiscField, a: int = 0,
+                       b: Optional[int] = None) -> np.ndarray:
+    """Fraction of each cell inside the disc, for the cell rows a..b
+    (all rows by default).
 
     Cells with all four corners inside count fully; cells whose nearest
     point to the origin lies outside count zero; the ring in between is
@@ -200,34 +235,36 @@ def _cell_area_weights(fld: DiscField) -> np.ndarray:
 
     The farthest corner of a cell is its farthest node along each axis:
     rounded squares, sums and square roots are monotone, so the corner
-    distance built from the 1-D maxima of |x| is the largest of the four
-    computed corner distances, bit for bit.
+    distance built from ``_far2`` is the largest of the four computed
+    corner distances, bit for bit.
     """
     x = fld.coords
     R = fld.radius
     h = fld.h
-    ax = np.abs(x)
-    far = np.maximum(ax[:-1], ax[1:])
+    b = fld.n - 1 if b is None else b
+    far2 = _far2(x)
     # nearest point of the cell box to the origin, per axis
     near = np.clip(0.0, x[:-1], x[1:])
-    far2, near2 = far * far, near * near
-    corner_max = np.sqrt(far2[:, None] + far2[None, :])
-    nearest = np.sqrt(near2[:, None] + near2[None, :])
+    near2 = near * near
+    corner_max = np.sqrt(far2[a:b, None] + far2[None, :])
+    nearest = np.sqrt(near2[a:b, None] + near2[None, :])
     w = np.zeros_like(corner_max)
     w[corner_max <= R] = 1.0
     straddle = (corner_max > R) & (nearest < R)
     if np.any(straddle):
         ii, jj = np.nonzero(straddle)
         off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
-        sx = x[ii][:, None, None] + off[None, :, None]
+        sx = x[ii + a][:, None, None] + off[None, :, None]
         sy = x[jj][:, None, None] + off[None, None, :]
         frac = np.mean(sx * sx + sy * sy < R * R, axis=(1, 2))
         w[ii, jj] = frac
     return w
 
 
-def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
-    """Replace rim-cell gradients by the nearest fully-interior cell's.
+def _donor_map(fld: DiscField):
+    """Rim cells that borrow the gradient of a fully-interior cell, as
+    index arrays (i0, j0) of the borrowers and (ci, cj) of their donors,
+    row-major in the borrowers.
 
     Cells cut by the circle have corners pinned to zero outside the
     disc, which flattens their bilinear patch and misprices the
@@ -241,12 +278,12 @@ def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
     once it stands on a full cell (its donor).  A step that would leave
     the grid sends the cell back to its origin and stops it, so it keeps
     its own gradient, as does a cell that finds no full cell in six
-    steps.  Donors are full cells and targets never are, so one
-    fancy-indexed copy reads no value it has already written.  Only
-    cells centred within reach of a full cell walk at all.
+    steps; neither is in the map.  Donors are full cells and borrowers
+    never are, so a donor's gradient is its own.  Only cells centred
+    within reach of a full cell walk at all.
     """
-    m = fld.mask
-    full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    far2 = _far2(fld.coords)
+    R2 = fld.radius ** 2
     xc = _cell_centres(fld)
     nc = len(xc)
     # a full cell's centre lies inside the disc and a step moves a centre
@@ -254,12 +291,18 @@ def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
     # land and keeps its own gradient without walking
     reach = fld.radius + 7.0 * fld.h
     xc2 = xc * xc
-    near = xc2[:, None] + xc2[None, :] <= reach * reach
-    i0, j0 = np.nonzero(near & ~full)
+    rows, cols = [], []
+    for a, b in _row_blocks(nc):
+        near = xc2[a:b, None] + xc2[None, :] <= reach * reach
+        full = far2[a:b, None] + far2[None, :] < R2
+        ii, jj = np.nonzero(near & ~full)
+        rows.append(ii + a)
+        cols.append(jj)
+    i0, j0 = np.concatenate(rows), np.concatenate(cols)
     ci, cj = i0.copy(), j0.copy()
     walking = np.ones(len(i0), dtype=bool)
     for _ in range(6):
-        walking &= ~full[ci, cj]
+        walking &= far2[ci] + far2[cj] >= R2
         if not walking.any():
             break
         xi, xj = xc[ci], xc[cj]
@@ -270,12 +313,8 @@ def _donor_gradients(fld: DiscField, ux: np.ndarray, uy: np.ndarray):
         ci[off] = i0[off]
         cj[off] = j0[off]
         walking &= ~off
-    landed = full[ci, cj]
-    ux = ux.copy()
-    uy = uy.copy()
-    ux[i0[landed], j0[landed]] = ux[ci[landed], cj[landed]]
-    uy[i0[landed], j0[landed]] = uy[ci[landed], cj[landed]]
-    return ux, uy
+    landed = far2[ci] + far2[cj] < R2
+    return i0[landed], j0[landed], ci[landed], cj[landed]
 
 
 def energy_2d(fld: DiscField, spec: ProblemSpec,
@@ -287,6 +326,10 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     weights and borrow the gradient of their nearest interior
     neighbor.  Only two-dimensional problem descriptions are accepted.
 
+    The cells are priced in blocks of rows into one term array, which is
+    summed whole; the donors' gradients are taken straight from the
+    nodes, so a donor may lie outside its borrower's block.
+
     Raises:
         ValueError: if spec.dimension is not 2 or the radii disagree.
     """
@@ -295,16 +338,22 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     if abs(fld.radius - spec.radius) > 1e-12 * max(1.0, spec.radius):
         raise ValueError(
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
-    ux, uy, ubar = _cell_gradients(fld)
-    ux, uy = _donor_gradients(fld, ux, uy)
-    weights = _cell_area_weights(fld) * fld.h ** 2
-    gnorm = np.hypot(ux, uy)
-    if use_envelope:
-        wvals = ensure_envelope(spec).eval(gnorm.ravel()).reshape(gnorm.shape)
-    else:
-        wvals = spec.W.eval(gnorm.ravel()).reshape(gnorm.shape)
-    gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-    return float(np.sum(weights * (wvals + gvals)))
+    W = ensure_envelope(spec) if use_envelope else spec.W
+    h = fld.h
+    i0, j0, ci, cj = _donor_map(fld)
+    donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h))
+    nc = fld.n - 1
+    terms = np.empty((nc, nc))
+    for a, b in _row_blocks(nc):
+        c = _row_corners(fld.values, a, b)
+        gnorm = np.hypot(*_gradient(*c, h))
+        lo, hi = np.searchsorted(i0, (a, b))
+        gnorm[i0[lo:hi] - a, j0[lo:hi]] = donor_norm[lo:hi]
+        wvals = W.eval(gnorm.ravel()).reshape(gnorm.shape)
+        ubar = 0.25 * (c[0] + c[1] + c[2] + c[3])
+        gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
+        terms[a:b] = _cell_area_weights(fld, a, b) * h ** 2 * (wvals + gvals)
+    return float(np.sum(terms))
 
 
 def _bilinear(fld: DiscField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -425,20 +474,34 @@ def colinearity_defect(fld: DiscField) -> float:
     disc, so the value ignores the clipped rim and is unchanged by
     adding a constant to the interior nodes.  A gradient-free field has
     defect zero by convention.
+
+    The full cells' terms are gathered in blocks of rows, in row-major
+    order, into two 1-D arrays, each summed whole.
     """
-    ux, uy, _ = _cell_gradients(fld)
-    m = fld.mask
-    full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
     xc = _cell_centres(fld)
-    XC, YC = xc[:, None], xc[None, :]
-    rc = np.sqrt(XC * XC + YC * YC)
-    # cell centers sit at half-node offsets, never at the origin
-    ex, ey = XC / rc, YC / rc
-    radial = ux * ex + uy * ey
-    tx = ux - radial * ex
-    ty = uy - radial * ey
-    tang2 = np.sum((tx * tx + ty * ty)[full])
-    grad2 = np.sum((ux * ux + uy * uy)[full])
+    far2 = _far2(fld.coords)
+    blocks = list(_row_blocks(len(xc)))
+    fulls = [far2[a:b, None] + far2[None, :] < fld.radius ** 2
+             for a, b in blocks]
+    tang = np.empty(sum(np.count_nonzero(full) for full in fulls))
+    grad = np.empty_like(tang)
+    k = 0
+    YC = xc[None, :]
+    for (a, b), full in zip(blocks, fulls):
+        ux, uy = _gradient(*_row_corners(fld.values, a, b), fld.h)
+        XC = xc[a:b, None]
+        rc = np.sqrt(XC * XC + YC * YC)
+        # cell centers sit at half-node offsets, never at the origin
+        ex, ey = XC / rc, YC / rc
+        radial = ux * ex + uy * ey
+        tx = ux - radial * ex
+        ty = uy - radial * ey
+        e = k + np.count_nonzero(full)
+        tang[k:e] = (tx * tx + ty * ty)[full]
+        grad[k:e] = (ux * ux + uy * uy)[full]
+        k = e
+    tang2 = np.sum(tang)
+    grad2 = np.sum(grad)
     if grad2 <= 0.0:
         return 0.0
     return float(math.sqrt(tang2 / grad2))
@@ -450,7 +513,9 @@ def angular_average(fld: DiscField, n_thetas: int = 256) -> DiscField:
         fld, [2.0 * math.pi * k / n_thetas for k in range(n_thetas)])
     acc = np.sum(rows, axis=0) / n_thetas
     x = fld.coords
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    rad = np.sqrt(X * X + Y * Y)
-    vals = np.interp(rad.ravel(), grid.nodes, acc).reshape(rad.shape)
+    x2 = x * x
+    vals = np.empty((fld.n, fld.n))
+    for a, b in _row_blocks(fld.n):
+        vals[a:b] = np.interp(np.sqrt(x2[a:b, None] + x2[None, :]),
+                              grid.nodes, acc)
     return DiscField(fld.n, fld.radius, vals)

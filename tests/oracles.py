@@ -171,11 +171,22 @@ def quadratic_window_density(rbar, inside, radius):
     return (near & inside[None, :]).sum(axis=1) / near.sum(axis=1)
 
 
+def cell_gradients(fld):
+    """Cell-centred bilinear gradient and cell mean as whole (n-1) x (n-1)
+    arrays, as ``disc2d`` built them before it went over blocks of rows."""
+    v = fld.values
+    h = fld.h
+    ux = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * h)
+    uy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * h)
+    ubar = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+    return ux, uy, ubar
+
+
 def loop_donor_gradients(fld, ux, uy):
     """Rim-cell donor gradients by walking one cell at a time.
 
-    The per-cell loop that preceded the array walk in
-    ``disc2d._donor_gradients``.
+    The per-cell loop that preceded the array walk of ``disc2d``'s donor
+    map.
     """
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
@@ -248,9 +259,7 @@ def meshgrid_cell_area_weights(fld):
 def meshgrid_colinearity_defect(fld):
     """``disc2d.colinearity_defect`` with the cell centres as 2-D meshgrid
     arrays, as it ran before they were broadcast from 1-D."""
-    from radrelax.disc2d import _cell_gradients
-
-    ux, uy, _ = _cell_gradients(fld)
+    ux, uy, _ = cell_gradients(fld)
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
     x = fld.coords
@@ -296,27 +305,35 @@ def meshgrid_random_smooth_values(n, radius, seed, n_bumps=4):
     return vals * taper
 
 
+def whole_energy_2d(fld, spec, use_envelope=False):
+    """``disc2d.energy_2d`` on whole cell arrays, as it ran before the
+    blocks of rows: the rim donors walk one cell at a time and the cells
+    are weighed from 2-D corner arrays."""
+    from radrelax.radial_solver import ensure_envelope
+
+    ux, uy, ubar = cell_gradients(fld)
+    ux, uy = loop_donor_gradients(fld, ux, uy)
+    weights = meshgrid_cell_area_weights(fld) * fld.h ** 2
+    gnorm = np.hypot(ux, uy)
+    W = ensure_envelope(spec) if use_envelope else spec.W
+    wvals = W.eval(gnorm.ravel()).reshape(gnorm.shape)
+    gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
+    return float(np.sum(weights * (wvals + gvals)))
+
+
 def loop_ray_check(fld, spec, n_thetas):
     """(per_theta, lhs, rhs) of the ray check with one ``energy_reduced``
     call per ray, the loop that preceded the batched ray energies in
-    ``disc2d.averaged_ray_energy_check``; the planar side walks the rim
-    donors one cell at a time and weighs cells from 2-D corner arrays."""
-    from radrelax.disc2d import _cell_gradients
-    from radrelax.radial_solver import energy_reduced, ensure_envelope
+    ``disc2d.averaged_ray_energy_check``; the planar side is
+    ``whole_energy_2d``."""
+    from radrelax.radial_solver import energy_reduced
 
     thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
     energies = np.array([
         energy_reduced(single_ray_profile(fld, th), spec, use_envelope=True)
         for th in thetas])
     lhs = float(np.mean(energies))
-    ux, uy, ubar = _cell_gradients(fld)
-    ux, uy = loop_donor_gradients(fld, ux, uy)
-    weights = meshgrid_cell_area_weights(fld) * fld.h ** 2
-    gnorm = np.hypot(ux, uy)
-    wvals = ensure_envelope(spec).eval(gnorm.ravel()).reshape(gnorm.shape)
-    gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-    rhs = float(np.sum(weights * (wvals + gvals)))
-    return energies, lhs, rhs
+    return energies, lhs, whole_energy_2d(fld, spec, use_envelope=True)
 
 
 def loop_angular_average(fld, n_thetas):

@@ -328,6 +328,14 @@ def test_symmetry_csv_needs_single_field(prototype_ini, capsys):
     assert "single field" in capsys.readouterr().err
 
 
+def test_symmetry_csv_rejects_many_fields_before_ray_work(prototype_ini,
+                                                         monkeypatch, capsys):
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "65",
+                 "--random-fields", "2", "--format", "csv"]) == 1
+    assert "csv format needs a single field" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert main(["solve", "--spec", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from radrelax.disc2d import (
     energy_2d,
     ray_profile,
     ray_profiles,
+    _BLOCK_ROWS,
     _cell_area_weights,
-    _cell_gradients,
-    _donor_gradients,
+    _donor_map,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
-from conftest import make_prototype_spec
+from conftest import make_prototype_spec, three_well
 from oracles import (
+    cell_gradients,
     loop_angular_average,
     loop_donor_gradients,
     loop_ray_check,
@@ -27,6 +30,7 @@ from oracles import (
     meshgrid_disc_mask,
     meshgrid_random_smooth_values,
     single_ray_profile,
+    whole_energy_2d,
 )
 
 N = 129
@@ -79,12 +83,21 @@ def test_offcenter_cone_envelope_gradient_term_is_zero():
                      use_envelope=True) == 0.0
 
 
+def _mapped_donor_gradients(fld, ux, uy):
+    # the donor map applied to whole cell arrays
+    i0, j0, ci, cj = _donor_map(fld)
+    ux, uy = ux.copy(), uy.copy()
+    ux[i0, j0] = ux[ci, cj]
+    uy[i0, j0] = uy[ci, cj]
+    return ux, uy
+
+
 @pytest.mark.parametrize("n", [33, 35, 65, 129, 257])
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
 def test_donor_gradients_match_cell_walk(n, radius):
     fld = DiscField.random_smooth(n, radius, seed=n)
-    ux, uy, _ = _cell_gradients(fld)
-    new = _donor_gradients(fld, ux, uy)
+    ux, uy, _ = cell_gradients(fld)
+    new = _mapped_donor_gradients(fld, ux, uy)
     old = loop_donor_gradients(fld, ux, uy)
     assert np.array_equal(new[0], old[0])
     assert np.array_equal(new[1], old[1])
@@ -133,6 +146,55 @@ def test_ray_check_matches_per_ray_loop(n_thetas, case):
         assert np.array_equal(rep.per_theta, per_theta)
         assert rep.lhs == lhs
         assert rep.rhs == rhs
+
+
+@pytest.mark.parametrize("n", [33, 35, 65, 257, 259])
+def test_row_blocks_match_whole_array_oracles(n):
+    # 33 nodes fill one block of cell rows exactly; 35 and 259 end on a
+    # short block; at 35, 257 and 259 some rim cells borrow across a
+    # block edge
+    assert _BLOCK_ROWS == 32
+    for radius, W in ((1.0, make_prototype_spec().W), (1.7, three_well())):
+        spec0 = dataclasses.replace(make_prototype_spec(), radius=radius, W=W)
+        fld = DiscField.random_smooth(n, radius, seed=n)
+        i0, _, ci, _ = _donor_map(fld)
+        crosses = np.any(i0 // _BLOCK_ROWS != ci // _BLOCK_ROWS)
+        assert crosses == (n in (35, 257, 259))
+        assert (_cell_area_weights(fld).tobytes()
+                == meshgrid_cell_area_weights(fld).tobytes())
+        assert (colinearity_defect(fld).hex()
+                == meshgrid_colinearity_defect(fld).hex())
+        assert (energy_2d(fld, spec0).hex()
+                == whole_energy_2d(fld, spec0).hex())
+        rep = averaged_ray_energy_check(fld, spec0, n_thetas=8)
+        per_theta, lhs, rhs = loop_ray_check(fld, spec0, 8)
+        assert rep.per_theta.tobytes() == per_theta.tobytes()
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_planar_kernels_hold_few_cell_arrays(n, spec):
+    # the whole-array kernels held about eleven (n-1)^2 float arrays at once
+    fld = DiscField.random_smooth(n, R, seed=n)
+    bound = 5 * 8 * (n - 1) ** 2
+    kernels = {
+        "energy_2d": lambda: energy_2d(fld, spec, use_envelope=True),
+        "ray check": lambda: averaged_ray_energy_check(fld, spec),
+        "colinearity": lambda: colinearity_defect(fld),
+    }
+    for name, kernel in kernels.items():
+        kernel()  # builds and caches the envelope outside the measurement
+        assert _peak_bytes(kernel) <= bound, name
 
 
 def test_ray_check_rejects_radius_mismatch(spec):
@@ -184,7 +246,7 @@ def test_ray_profiles_respect_grid_symmetry():
 
 def test_ray_slopes_bounded_by_planar_gradient():
     fld = DiscField.random_smooth(N, R, seed=3)
-    ux, uy, _ = _cell_gradients(fld)
+    ux, uy, _ = cell_gradients(fld)
     gmax = float(np.hypot(ux, uy).max())
     smax = max(float(np.abs(ray_profile(fld, 2.0 * math.pi * k / 16).slopes).max())
                for k in range(16))
@@ -315,6 +377,12 @@ def test_grid_validation():
         DiscField.zeros(33, 0.0)
     with pytest.raises(ValueError, match="shape"):
         DiscField(33, R, np.zeros((33, 34)))
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        DiscField.zeros(33, radius)
 
 
 def test_nodes_outside_disc_are_zeroed():
