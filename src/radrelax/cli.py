@@ -32,7 +32,10 @@ from .potentials import ProblemSpec
 from .radial_solver import (
     NumericalFailure,
     RadialGrid,
+    RadialProfile,
+    _off_radius,
     dp_oracle,
+    ensure_envelope,
     solve_pipeline,
 )
 from .specfile import SpecFileError, emit_spec_text, parse_spec
@@ -184,6 +187,11 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         raise UsageError("--u-levels must lie in [2, 400]")
     if cfg.rays < 1:
         raise UsageError("--rays must be at least 1")
+    # NaN fails both comparisons; an infinite window fits every cell
+    if cfg.window is not None and not cfg.window > 0.0:
+        raise UsageError("--window must be positive")
+    if not cfg.tol_corner >= 0.0:
+        raise UsageError("--tol-corner must be nonnegative")
     if cfg.command == "symmetry" and cfg.field_csv is None:
         if cfg.grid_points < 33 or cfg.grid_points % 2 == 0:
             raise UsageError(
@@ -283,8 +291,6 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
     """Read an r,u(,du_dr) profile CSV into a RadialProfile."""
     import csv as _csv
 
-    from .radial_solver import RadialProfile
-
     r: List[float] = []
     u: List[float] = []
     with open(path, newline="") as fh:
@@ -300,9 +306,12 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
                 u.append(float(row[1]))
             except ValueError as exc:
                 raise SpecFileError(f"{path}: line {lineno}: {exc}") from None
+            if not (math.isfinite(r[-1]) and math.isfinite(u[-1])):
+                raise SpecFileError(
+                    f"{path}: line {lineno}: r and u must be finite")
     if len(r) < 17:
         raise SpecFileError(f"{path}: profile needs at least 17 nodes")
-    if abs(r[-1] - spec.radius) > 1e-9 * max(1.0, spec.radius):
+    if _off_radius(r[-1], spec.radius):
         raise SpecFileError(
             f"{path}: profile ends at r = {r[-1]}, spec radius is {spec.radius}")
     try:
@@ -335,56 +344,45 @@ def _solve_common(cfg: RunConfig):
 
 def _cmd_solve(cfg: RunConfig) -> int:
     spec, report = _solve_common(cfg)
-    results = {}
+    results = report.to_dict()
     if cfg.oracle:
         oracle = dp_oracle(spec, r_levels=100, u_levels=cfg.u_levels)
-        report.oracle_gap = ((report.relaxed_energy - oracle.relaxed_energy)
-                             / (abs(oracle.relaxed_energy) or 1.0))
+        results["oracle_gap"] = ((report.relaxed_energy - oracle.relaxed_energy)
+                                 / (abs(oracle.relaxed_energy) or 1.0))
         results["oracle"] = {
             "relaxed_energy": oracle.relaxed_energy,
             "original_energy": oracle.original_energy,
             "r_levels": 100,
             "u_levels": cfg.u_levels,
         }
-    results.update(report.to_dict())
     _emit_profile_report(cfg, spec, results, report.profile, cfg.profile_csv)
-    if report.verify is not None and not report.verify.overall:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_OK if report.verify.overall else EXIT_VERIFY
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     # with --profile-csv the checks run on that profile; otherwise the
-    # pipeline supplies one
+    # pipeline supplies one. Either way the energy_consistency record
+    # holds the profile's price
     if cfg.profile_csv:
-        from . import verify as verify_mod
-        from .radial_solver import energy_reduced, ensure_envelope
+        from .verify import full_report
 
         spec = parse_spec(cfg.spec_path)
         profile = _read_profile_csv(cfg.profile_csv, spec)
-        env = ensure_envelope(spec)
-        ver = verify_mod.full_report(profile, spec, env,
-                                     corner_window=cfg.window,
-                                     corner_tol=cfg.tol_corner)
-        results = {
-            "relaxed_energy": energy_reduced(profile, spec, use_envelope=True),
-            "original_energy": energy_reduced(profile, spec),
-            "warnings": [],
-            "verify": ver.to_dict(),
-        }
-        overall = ver.overall
+        ver = full_report(profile, spec, ensure_envelope(spec),
+                          corner_window=cfg.window, corner_tol=cfg.tol_corner)
+        warnings = []
     else:
         spec, report = _solve_common(cfg)
-        results = {
-            "relaxed_energy": report.relaxed_energy,
-            "original_energy": report.original_energy,
-            "warnings": list(report.warnings),
-            "verify": report.verify.to_dict(),
-        }
-        overall = report.verify.overall
-        profile = report.profile
+        profile, ver, warnings = report.profile, report.verify, report.warnings
+    price = ver._record("energy_consistency")["details"]
+    results = {
+        "relaxed_energy": price["relaxed_energy"],
+        "original_energy": price["original_energy"],
+        "warnings": list(warnings),
+        "verify": ver.to_dict(),
+    }
     _emit_profile_report(cfg, spec, results, profile)
-    return EXIT_OK if overall else EXIT_VERIFY
+    return EXIT_OK if ver.overall else EXIT_VERIFY
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
@@ -408,7 +406,7 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
             fld = DiscField.from_csv(cfg.field_csv)
         except ValueError as exc:
             raise SpecFileError(str(exc)) from None
-        if abs(fld.radius - spec.radius) > 1e-12 * max(1.0, spec.radius):
+        if _off_radius(fld.radius, spec.radius):
             raise SpecFileError(
                 f"{cfg.field_csv}: field radius {fld.radius} does not match "
                 f"spec radius {spec.radius}")
@@ -466,19 +464,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return run(cfg)
-    except UsageError as exc:
+    # SpecFileError is a ValueError, so the input errors go first
+    except (UsageError, SpecFileError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except SpecFileError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (NumericalFailure, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

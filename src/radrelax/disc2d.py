@@ -58,7 +58,7 @@ class DiscField:
     n: int
     radius: float
     values: np.ndarray
-    mask: np.ndarray = field(default=None, repr=False, compare=False)
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 33 or self.n % 2 == 0:
@@ -97,13 +97,12 @@ class DiscField:
         return cls(n, radius, np.asarray(fn(X, Y), dtype=float))
 
     @classmethod
-    def random_smooth(cls, n: int, radius: float, seed: int,
-                      n_bumps: int = 4) -> "DiscField":
-        """Seeded sum of Gaussian bumps tapered to zero at the rim."""
+    def random_smooth(cls, n: int, radius: float, seed: int) -> "DiscField":
+        """Seeded sum of four Gaussian bumps tapered to zero at the rim."""
         rng = np.random.default_rng(seed)
         x = np.linspace(-radius, radius, n)
         vals = np.zeros((n, n))
-        for _ in range(n_bumps):
+        for _ in range(4):
             rho = 0.6 * radius * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
             cx, cy = rho * math.cos(phi), rho * math.sin(phi)

@@ -290,16 +290,16 @@ class Potential1D:
             raise ValueError("order 2 derivative unavailable for sampled kind")
         return self._at(t, order)
 
-    def is_even(self, probes: int = 256, tol: float = _EVEN_TOL) -> bool:
+    def is_even(self) -> bool:
         if self.kind == "poly_in_t_squared":
             return True
         if self.kind == "piecewise_poly" and not self.even:
             return False
         rng = np.random.default_rng(0)
-        t = rng.uniform(0.0, self.domain_halfwidth, probes)
+        t = rng.uniform(0.0, self.domain_halfwidth, 256)
         a, b = self.eval(t), self.eval(-t)
         scale = max(1.0, float(np.max(np.abs(a))))
-        return bool(np.max(np.abs(a - b)) <= tol * scale)
+        return bool(np.max(np.abs(a - b)) <= _EVEN_TOL * scale)
 
     def degree(self) -> Optional[int]:
         """Trimmed polynomial degree in t, or None for sampled kind."""
@@ -424,8 +424,7 @@ class ShapeReport:
         }
 
 
-def check_G_shape(G: Potential1D, strict: bool = False,
-                  samples: int = _SCAN_POINTS) -> ShapeReport:
+def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
     """Test that G is (strictly) nonincreasing on [0, T] with G(mu) <= G(-mu).
 
     The first violating consecutive sample pair of each flavor is reported as
@@ -433,7 +432,7 @@ def check_G_shape(G: Potential1D, strict: bool = False,
     of consecutive samples.
     """
     T = G.domain_halfwidth
-    mu = np.linspace(0.0, T, samples)
+    mu = np.linspace(0.0, T, _SCAN_POINTS)
     g = G.eval(mu)
     scale = max(1.0, float(np.max(np.abs(g))))
     tol = 1e-12 * scale
@@ -457,7 +456,7 @@ def check_G_shape(G: Potential1D, strict: bool = False,
             "g_pos": float(g[i + 1]), "g_neg": float(gneg[i]),
         })
     return ShapeReport(passes=not witnesses, strict=strict,
-                       witnesses=witnesses, samples=samples)
+                       witnesses=witnesses, samples=_SCAN_POINTS)
 
 
 @dataclass

@@ -61,8 +61,8 @@ class RadialGrid:
         return cls(np.linspace(0.0, radius, cells + 1))
 
     @classmethod
-    def graded_near_zero(cls, radius: float, cells: int, power: float = 2.0) -> "RadialGrid":
-        nodes = radius * np.linspace(0.0, 1.0, cells + 1) ** power
+    def graded_near_zero(cls, radius: float, cells: int) -> "RadialGrid":
+        nodes = radius * np.linspace(0.0, 1.0, cells + 1) ** 2
         nodes[-1] = radius
         return cls(nodes)
 
@@ -109,7 +109,6 @@ class SolveReport:
     relaxed_energy: float
     original_energy: float
     iterations: int
-    oracle_gap: Optional[float] = None
     converged: bool = True
     warnings: List[str] = field(default_factory=list)
     verify: object = None
@@ -136,18 +135,22 @@ class SolveReport:
                 "du_dr": [float(x) for x in self.profile.slopes],
             },
         }
-        if self.oracle_gap is not None:
-            out["oracle_gap"] = float(self.oracle_gap)
         if self.verify is not None:
             out["verify"] = self.verify.to_dict()
         return out
 
 
-def ensure_envelope(spec: ProblemSpec, grid_points: int = 4097) -> EnvelopeResult:
+def ensure_envelope(spec: ProblemSpec) -> EnvelopeResult:
     """Convexify spec.W once and cache the result on the spec."""
     if spec.envelope is None:
-        spec.envelope = convexify(spec.W, grid_points)
+        spec.envelope = convexify(spec.W)
     return spec.envelope
+
+
+def _off_radius(end: float, radius: float) -> bool:
+    """Whether a grid or field ending at ``end`` misses the spec radius:
+    one bound for every profile or field that is read or priced."""
+    return abs(end - radius) > 1e-12 * max(1.0, radius)
 
 
 def _reduced_energy(grid: RadialGrid, u: np.ndarray, spec: ProblemSpec,
@@ -155,7 +158,7 @@ def _reduced_energy(grid: RadialGrid, u: np.ndarray, spec: ProblemSpec,
     # the midpoint quadrature of each row of nodal values (a 1-D u is one
     # row), with one W (or envelope) and one G evaluation for all rows
     nodes = grid.nodes
-    if abs(nodes[-1] - spec.radius) > 1e-12 * max(1.0, spec.radius):
+    if _off_radius(nodes[-1], spec.radius):
         raise ValueError(
             f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
     dr = grid.dr
@@ -653,8 +656,8 @@ def _outermost_levels(W, env, y: np.ndarray) -> np.ndarray:
     return np.where(snap, y, nu)
 
 
-def monotone_rearrange(profile: RadialProfile, env: EnvelopeResult,
-                       W=None) -> RadialProfile:
+def monotone_rearrange(profile: RadialProfile,
+                       env: EnvelopeResult) -> RadialProfile:
     """Nonincreasing realization with the same per-cell W values.
 
     Each cell slope s is replaced by -max{nu >= 0 : W(nu) = W(|s|)}, the
@@ -665,9 +668,8 @@ def monotone_rearrange(profile: RadialProfile, env: EnvelopeResult,
     refine it, snapping to |s| when |s| is already outermost. Time is
     O(4097 + K log 4097) and memory O(K) for K cells.
     """
-    W = W if W is not None else env.potential
     y = np.abs(profile.slopes)
-    nu = _outermost_levels(W, env, y)
+    nu = _outermost_levels(env.potential, env, y)
     drops = nu * profile.grid.dr
     v = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
     return RadialProfile(profile.grid, v)
@@ -680,8 +682,10 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
 
     Structural hypotheses that fail to hold (M > 0 without a declared
     monotone shape for G, detachment intervals escaping (-M, M)) are
-    recorded as warnings, not errors. After rearrangement the original and
-    relaxed energies must agree within the energy-consistency tolerance.
+    recorded as warnings, not errors. The final profile is priced once, by
+    the ``energy_consistency`` record of its verification, and the report
+    carries that record's energies. After rearrangement the record must
+    pass: the original and relaxed energies agree within its tolerance.
 
     Raises:
         NumericalFailure: if the post-rearrangement energies disagree.
@@ -698,29 +702,24 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
     if not env.wcaffine_holds:
         warnings.append("a detachment interval is not contained in (-M, M)")
 
-    report = minimize_relaxed(spec, grid)
-    warnings.extend(report.warnings)
+    descent = minimize_relaxed(spec, grid)
+    warnings.extend(descent.warnings)
+    profile = descent.profile
+    rearranged = spec.shape_flag in ("G2", "G2_strict")
+    if rearranged:
+        profile = monotone_rearrange(profile, env)
 
-    if spec.shape_flag in ("G2", "G2_strict"):
-        v = monotone_rearrange(report.profile, env)
-        relaxed = energy_reduced(v, spec, use_envelope=True)
-        original = energy_reduced(v, spec, use_envelope=False)
-        report = SolveReport(
-            profile=v, relaxed_energy=relaxed, original_energy=original,
-            iterations=report.iterations, converged=report.converged)
-
-    vrep = verify_mod.full_report(report.profile, spec, env,
+    vrep = verify_mod.full_report(profile, spec, env,
                                   corner_window=corner_window,
                                   corner_tol=corner_tol)
-    report.verify = vrep
-    report.warnings = warnings
-
-    if spec.shape_flag in ("G2", "G2_strict"):
-        consistency = next(r for r in vrep.records
-                           if r["name"] == "energy_consistency")
-        gap = consistency["details"]["gap"]
-        tol = consistency["details"]["tolerance"]
-        if gap > tol:
-            raise NumericalFailure(
-                f"energy gap {gap} after rearrangement exceeds tolerance {tol}")
-    return report
+    consistency = vrep._record("energy_consistency")
+    price = consistency["details"]
+    if rearranged and not consistency["passed"]:
+        raise NumericalFailure(
+            f"energy gap {price['gap']} after rearrangement exceeds "
+            f"tolerance {price['tolerance']}")
+    return SolveReport(
+        profile=profile, relaxed_energy=price["relaxed_energy"],
+        original_energy=price["original_energy"],
+        iterations=descent.iterations, converged=descent.converged,
+        warnings=warnings, verify=vrep)

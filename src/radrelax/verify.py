@@ -31,11 +31,26 @@ __all__ = [
 
 _EPS_SLOPE = 1e-6
 
+# the property each check's record states, by record name
+_PROPERTIES = {
+    "detachment_avoidance":
+        "minimizer slopes avoid the interiors of detachment intervals",
+    "slope_and_sign":
+        "du/dr <= -M on almost every cell and u keeps a single sign",
+    "corner_condition": "the limiting slope at the origin equals -M",
+    "euler_lagrange_affine":
+        "-(N-1) alpha / r + G'(u) = 0 where the slope sits in a "
+        "nonconstant affine interval",
+    "concavity_exclusion":
+        "strict concavity of G excludes density points of affine slope sets",
+    "energy_consistency": "W and its envelope price the minimizer identically",
+}
 
-def _rec(name, prop, passed, margin, details) -> dict:
+
+def _rec(name, passed, margin, details) -> dict:
     return {
         "name": name,
-        "property": prop,
+        "property": _PROPERTIES[name],
         "passed": bool(passed),
         "margin": float(margin),
         "details": details,
@@ -52,28 +67,30 @@ class VerifyReport:
         return {"overall": bool(self.overall), "grid": dict(self.grid),
                 "records": list(self.records)}
 
+    def _record(self, name: str) -> dict:
+        return next(r for r in self.records if r["name"] == name)
 
-def _interior_mask(slopes: np.ndarray, components, eps: float,
+
+def _interior_mask(slopes: np.ndarray, components,
                    nonconstant_only: bool = False) -> np.ndarray:
     mask = np.zeros_like(slopes, dtype=bool)
     for c in components:
         if nonconstant_only and c.is_constant:
             continue
-        mask |= (slopes > c.a + eps) & (slopes < c.b - eps)
+        mask |= (slopes > c.a + _EPS_SLOPE) & (slopes < c.b - _EPS_SLOPE)
     return mask
 
 
-def detachment_avoidance_report(profile: RadialProfile, env: EnvelopeResult,
-                                eps_slope: float = _EPS_SLOPE) -> dict:
+def detachment_avoidance_report(profile: RadialProfile,
+                                env: EnvelopeResult) -> dict:
     """Radial measure of cells whose slope sits strictly inside a detachment
     interval; minimizers concentrate this on at most a grid-resolution set."""
     dr = profile.grid.dr
-    inside = _interior_mask(profile.slopes, env.components, eps_slope)
+    inside = _interior_mask(profile.slopes, env.components)
     measure = float(np.sum(dr[inside]))
     threshold = 2.0 * float(np.max(dr))
     return _rec(
         "detachment_avoidance",
-        "minimizer slopes avoid the interiors of detachment intervals",
         measure <= threshold,
         threshold - measure,
         {"measure": measure, "threshold": threshold,
@@ -93,7 +110,6 @@ def slope_and_sign_check(profile: RadialProfile, M: float) -> dict:
     sign_ok = nonneg or nonpos
     return _rec(
         "slope_and_sign",
-        "du/dr <= -M on almost every cell and u keeps a single sign",
         frac >= 0.99 and sign_ok,
         frac - 0.99 if sign_ok else -1.0,
         {"fraction_steep": frac, "nonnegative": nonneg, "nonpositive": nonpos},
@@ -119,7 +135,6 @@ def corner_condition_check(profile: RadialProfile, M: float,
     err = abs(fit0 + M)
     return _rec(
         "corner_condition",
-        "the limiting slope at the origin equals -M",
         err <= tol,
         tol - err,
         {"fit_at_zero": fit0, "target": -M, "window": float(window),
@@ -133,8 +148,7 @@ def _require_poly_G(spec: ProblemSpec):
 
 
 def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
-                                spec: ProblemSpec,
-                                eps_slope: float = _EPS_SLOPE) -> dict:
+                                spec: ProblemSpec) -> dict:
     """On cells whose slope lies inside a nonconstant affine interval with
     slope alpha, the radial stationarity residual -(N-1) alpha / r + G'(u)
     must vanish; vacuously passes when no such cell exists (the expected
@@ -145,13 +159,10 @@ def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
     """
     _require_poly_G(spec)
     s = profile.slopes
-    inside = _interior_mask(s, env.components, eps_slope, nonconstant_only=True)
+    inside = _interior_mask(s, env.components, nonconstant_only=True)
     if not np.any(inside):
-        return _rec(
-            "euler_lagrange_affine",
-            "-(N-1) alpha / r + G'(u) = 0 where the slope sits in a "
-            "nonconstant affine interval",
-            True, 0.0, {"vacuous": True, "cells": 0})
+        return _rec("euler_lagrange_affine", True, 0.0,
+                    {"vacuous": True, "cells": 0})
     rbar = profile.grid.midpoints[inside]
     ubar = profile.midpoint_values[inside]
     alphas = np.zeros(int(np.count_nonzero(inside)))
@@ -159,15 +170,13 @@ def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
     for c in env.components:
         if c.is_constant:
             continue
-        m = (sl > c.a + eps_slope) & (sl < c.b - eps_slope)
+        m = (sl > c.a + _EPS_SLOPE) & (sl < c.b - _EPS_SLOPE)
         alphas[m] = c.alpha
     res = np.abs(-(spec.dimension - 1) * alphas / rbar + spec.G.derivative(ubar))
     gmax = float(np.max(np.abs(spec.G.derivative(profile.midpoint_values))))
     tol = max(1e-8, 5.0 * float(np.max(profile.grid.dr))) * (1.0 + gmax)
     return _rec(
         "euler_lagrange_affine",
-        "-(N-1) alpha / r + G'(u) = 0 where the slope sits in a "
-        "nonconstant affine interval",
         bool(np.max(res) <= tol),
         tol - float(np.max(res)),
         {"vacuous": False, "cells": int(np.count_nonzero(inside)),
@@ -211,8 +220,7 @@ def _window_density(rbar: np.ndarray, inside: np.ndarray,
 
 
 def concavity_exclusion_check(profile: RadialProfile, env: EnvelopeResult,
-                              spec: ProblemSpec,
-                              eps_slope: float = _EPS_SLOPE) -> dict:
+                              spec: ProblemSpec) -> dict:
     """Cells that are density points (neighborhood fraction > 1/2 within
     radius 5 max(dr)) of an affine slope set must not see strictly concave G.
 
@@ -225,26 +233,21 @@ def concavity_exclusion_check(profile: RadialProfile, env: EnvelopeResult,
     """
     _require_poly_G(spec)
     s = profile.slopes
-    inside = _interior_mask(s, env.components, eps_slope)
+    inside = _interior_mask(s, env.components)
     if not np.any(inside):
-        return _rec(
-            "concavity_exclusion",
-            "strict concavity of G excludes density points of affine slope sets",
-            True, 0.0, {"vacuous": True, "density_cells": 0})
+        return _rec("concavity_exclusion", True, 0.0,
+                    {"vacuous": True, "density_cells": 0})
     rbar = profile.grid.midpoints
     radius = 5.0 * float(np.max(profile.grid.dr))
     density = _window_density(rbar, inside, radius)
     dens_pts = inside & (density > 0.5)
     if not np.any(dens_pts):
-        return _rec(
-            "concavity_exclusion",
-            "strict concavity of G excludes density points of affine slope sets",
-            True, 0.0, {"vacuous": False, "density_cells": 0})
+        return _rec("concavity_exclusion", True, 0.0,
+                    {"vacuous": False, "density_cells": 0})
     g2 = spec.G.derivative(profile.midpoint_values[dens_pts], order=2)
     worst = float(np.min(g2))
     return _rec(
         "concavity_exclusion",
-        "strict concavity of G excludes density points of affine slope sets",
         worst >= -1e-9,
         worst + 1e-9,
         {"vacuous": False, "density_cells": int(np.count_nonzero(dens_pts)),
@@ -263,27 +266,27 @@ def _component_gap_bound(env: EnvelopeResult) -> float:
 
 
 def consistency_tolerance(profile: RadialProfile, spec: ProblemSpec,
-                          env: EnvelopeResult) -> float:
-    """1e-6 relative plus the price of a grid-resolution detachment set."""
-    e_rel = energy_reduced(profile, spec, use_envelope=True)
+                          env: EnvelopeResult, relaxed_energy: float) -> float:
+    """1e-6 relative to the profile's relaxed energy plus the price of a
+    grid-resolution detachment set."""
     maxdr = float(np.max(profile.grid.dr))
     area = sphere_area(spec.dimension)
     allowance = (2.0 * maxdr * area * spec.radius ** (spec.dimension - 1)
                  * _component_gap_bound(env))
-    return 1e-6 * (1.0 + abs(e_rel)) + allowance
+    return 1e-6 * (1.0 + abs(relaxed_energy)) + allowance
 
 
 def energy_consistency(profile: RadialProfile, spec: ProblemSpec,
                        env: EnvelopeResult) -> dict:
     """The potential and its envelope must price the profile identically up
-    to the tolerance for an allowed grid-resolution detachment set."""
+    to the tolerance for an allowed grid-resolution detachment set. The
+    record's energies are the price ``solve`` and ``verify`` report."""
     e_orig = energy_reduced(profile, spec, use_envelope=False)
     e_rel = energy_reduced(profile, spec, use_envelope=True)
     gap = abs(e_orig - e_rel)
-    tol = consistency_tolerance(profile, spec, env)
+    tol = consistency_tolerance(profile, spec, env, e_rel)
     return _rec(
         "energy_consistency",
-        "W and its envelope price the minimizer identically",
         gap <= tol,
         tol - gap,
         {"original_energy": e_orig, "relaxed_energy": e_rel, "gap": gap,
@@ -306,18 +309,11 @@ def full_report(profile: RadialProfile, spec: ProblemSpec,
         slope_and_sign_check(profile, env.M),
         corner_condition_check(profile, env.M, corner_window, corner_tol),
     ]
-    if spec.G.kind == "sampled":
-        records.append(_rec("euler_lagrange_affine",
-                            "-(N-1) alpha / r + G'(u) = 0 where the slope sits "
-                            "in a nonconstant affine interval",
-                            True, 0.0, {"skipped": "sampled G"}))
-        records.append(_rec("concavity_exclusion",
-                            "strict concavity of G excludes density points of "
-                            "affine slope sets",
-                            True, 0.0, {"skipped": "sampled G"}))
-    else:
-        records.append(euler_lagrange_affine_check(profile, env, spec))
-        records.append(concavity_exclusion_check(profile, env, spec))
+    for name, check in (("euler_lagrange_affine", euler_lagrange_affine_check),
+                        ("concavity_exclusion", concavity_exclusion_check)):
+        records.append(_rec(name, True, 0.0, {"skipped": "sampled G"})
+                       if spec.G.kind == "sampled"
+                       else check(profile, env, spec))
     records.append(energy_consistency(profile, spec, env))
 
     mu = profile.midpoint_values

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import radrelax
-from radrelax.cli import main
+from radrelax.cli import main, parse_args
 from radrelax.disc2d import DiscField
 from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
@@ -187,19 +187,23 @@ def test_verify_pipeline_mode(m0_ini, tmp_path):
     assert "detachment_avoidance" in names
 
 
-def test_verify_profile_csv_round_trip(prototype_ini, tmp_path):
-    prof = tmp_path / "prof.csv"
-    solve_out = tmp_path / "solve.json"
-    assert main(["solve", "--spec", prototype_ini, *FAST,
-                 "--out", str(solve_out), "--profile-csv", str(prof)]) == 0
-    verify_out = tmp_path / "verify.json"
-    assert main(["verify", "--spec", prototype_ini, "--profile-csv", str(prof),
-                 "--out", str(verify_out)]) == 0
-    vres = _load(verify_out)["results"]
-    sres = _load(solve_out)["results"]
-    assert vres["verify"]["overall"] is True
-    assert abs(vres["relaxed_energy"] - sres["relaxed_energy"]) <= 1e-12
-    assert abs(vres["original_energy"] - sres["original_energy"]) <= 1e-12
+def test_verify_profile_csv_round_trip(prototype_ini, m0_ini, tmp_path):
+    # one path prices and checks a profile, so the solved profile read
+    # back from its CSV gets the same energies and checks, bit for bit
+    for spec in (prototype_ini, m0_ini):
+        prof = tmp_path / "prof.csv"
+        solve_out = tmp_path / "solve.json"
+        assert main(["solve", "--spec", spec, *FAST,
+                     "--out", str(solve_out), "--profile-csv", str(prof)]) == 0
+        verify_out = tmp_path / "verify.json"
+        assert main(["verify", "--spec", spec, "--profile-csv", str(prof),
+                     "--out", str(verify_out)]) == 0
+        vres = _load(verify_out)["results"]
+        sres = _load(solve_out)["results"]
+        assert vres["verify"]["overall"] is True
+        assert vres["relaxed_energy"] == sres["relaxed_energy"]
+        assert vres["original_energy"] == sres["original_energy"]
+        assert vres["verify"] == sres["verify"]
 
 
 def test_verify_failing_profile_exits_3(prototype_ini, tmp_path):
@@ -236,6 +240,59 @@ def test_verify_rejects_malformed_profile(prototype_ini, tmp_path, capsys):
     assert main(["verify", "--spec", prototype_ini,
                  "--profile-csv", str(wrong_end)]) == 1
     assert "radius" in capsys.readouterr().err
+
+
+def test_verify_rejects_profile_off_the_spec_radius(prototype_ini, tmp_path,
+                                                    capsys):
+    # the reader and the quadrature share one end-radius bound, so a last
+    # node the reader accepts is never refused later as a numerical failure
+    prof = tmp_path / "long.csv"
+    r = np.linspace(0.0, 1.0, 65)
+    r[-1] = 1.0 + 1e-10
+    prof.write_text("r,u\n" + "\n".join(
+        f"{float(ri)!r},{float(1.0 - ri)!r}" for ri in r) + "\n")
+    assert main(["verify", "--spec", prototype_ini,
+                 "--profile-csv", str(prof)]) == 1
+    err = capsys.readouterr().err
+    assert "radius" in err
+    assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_verify_rejects_non_finite_profile(token, prototype_ini, tmp_path,
+                                           capsys):
+    prof = tmp_path / "prof.csv"
+    _half_slope_csv(prof)
+    lines = prof.read_text().splitlines()
+    r, _, du = lines[12].split(",")
+    lines[12] = f"{r},{token},{du}"
+    prof.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--spec", prototype_ini, "--profile-csv", str(prof),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "line 13" in captured.err
+    assert "finite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--window", "nan"), ("--window", "-1"), ("--window", "0"),
+    ("--tol-corner", "nan"), ("--tol-corner", "-1")])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_bad_corner_fit_flags_exit_1(command, flag, value, prototype_ini,
+                                     capsys):
+    assert main([command, "--spec", prototype_ini, *FAST, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "numerical failure" not in err
+
+
+def test_infinite_corner_window_is_legal(prototype_ini):
+    cfg = parse_args(["verify", "--spec", prototype_ini, "--window", "inf",
+                      "--tol-corner", "0"])
+    assert cfg.window == float("inf")
+    assert cfg.tol_corner == 0.0
 
 
 def test_oracle_subcommand(m0_ini, tmp_path):
