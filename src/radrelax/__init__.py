@@ -6,14 +6,7 @@ qualitative properties (detachment avoidance, slope and sign structure,
 limiting inner slope, energy consistency) numerically.
 """
 
-from radrelax.potentials import (
-    GrowthDeclaration,
-    Potential1D,
-    ProblemSpec,
-    check_G_shape,
-    compute_M,
-    validate_spec,
-)
+from radrelax.potentials import Potential1D, ProblemSpec, check_G_shape, compute_M
 from radrelax.envelope import EnvelopeResult, DetachmentComponent, convexify
 from radrelax.radial_solver import (
     RadialGrid,

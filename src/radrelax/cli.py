@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from .disc2d import DiscField, averaged_ray_energy_check, colinearity_defect, ray_profiles
 from .envelope import convexify
 from .potentials import ProblemSpec
@@ -315,12 +317,16 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
         raise SpecFileError(
             f"{path}: profile ends at r = {r[-1]}, spec radius is {spec.radius}")
     try:
-        import numpy as np
-
-        grid = RadialGrid(np.asarray(r))
-        return RadialProfile(grid, np.asarray(u))
+        profile = RadialProfile(RadialGrid(np.asarray(r)), np.asarray(u))
     except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from None
+    # finite values can still price to inf: u = 1e300 overflows W and G
+    with np.errstate(over="ignore", invalid="ignore"):
+        priced = (spec.W.eval(profile.slopes),
+                  spec.G.eval(profile.midpoint_values))
+    if not all(np.all(np.isfinite(v)) for v in priced):
+        raise SpecFileError(f"{path}: W or G is not finite on this profile")
+    return profile
 
 
 def _cmd_envelope(cfg: RunConfig) -> int:

@@ -18,13 +18,10 @@ from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "Potential1D",
-    "GrowthDeclaration",
     "ProblemSpec",
     "ShapeReport",
-    "ValidationReport",
     "compute_M",
     "check_G_shape",
-    "validate_spec",
 ]
 
 KINDS = ("poly_in_t_squared", "piecewise_poly", "sampled")
@@ -301,14 +298,6 @@ class Potential1D:
         scale = max(1.0, float(np.max(np.abs(a))))
         return bool(np.max(np.abs(a - b)) <= _EVEN_TOL * scale)
 
-    def degree(self) -> Optional[int]:
-        """Trimmed polynomial degree in t, or None for sampled kind."""
-        if self.kind == "poly_in_t_squared":
-            return 2 * (len(_trim(self.coefficients)) - 1)
-        if self.kind == "piecewise_poly":
-            return max(len(_trim(p)) - 1 for p in self.coefficients)
-        return None
-
 
 def _second_derivative(pot: Potential1D, t):
     """pot'' for every kind, as a Newton model needs it.
@@ -460,23 +449,6 @@ def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
 
 
 @dataclass
-class GrowthDeclaration:
-    """Optionally declared growth constants for the bound spot-checks."""
-
-    nu1: Optional[float] = None
-    nu2: Optional[float] = None
-    nu3: Optional[float] = None
-    nu4: Optional[float] = None
-    rho: Optional[float] = None
-    C: Optional[float] = None
-    p_tilde: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("nu1", "nu2", "nu3", "nu4", "rho", "C", "p_tilde")}
-
-
-@dataclass
 class ProblemSpec:
     """A radially symmetric problem on the ball of radius R in dimension N."""
 
@@ -485,7 +457,6 @@ class ProblemSpec:
     p: float
     W: Potential1D
     G: Potential1D
-    declared_growth: Optional[GrowthDeclaration] = None
     shape_flag: str = "none"
     envelope: object = field(default=None, compare=False, repr=False)
 
@@ -508,80 +479,3 @@ class ProblemSpec:
             if not rep.passes:
                 raise ValueError(
                     f"G fails the declared {self.shape_flag} shape: {rep.witnesses[0]}")
-
-    @property
-    def p_star(self) -> float:
-        if self.p < self.dimension:
-            return self.p * self.dimension / (self.dimension - self.p)
-        return math.inf
-
-
-@dataclass
-class ValidationReport:
-    records: list
-    passes: bool
-
-    def to_dict(self) -> dict:
-        return {"passes": bool(self.passes), "records": list(self.records)}
-
-
-def _record(records, name, passed, detail):
-    records.append({"name": name, "passed": bool(passed), "detail": detail})
-
-
-def validate_spec(spec: ProblemSpec) -> ValidationReport:
-    """Check declared growth and shape data against the potentials.
-
-    Structural constraints (N, R, p ranges, evenness of W) are re-reported;
-    growth inequalities are spot-checked on 1000-point grids when the
-    corresponding constants were declared, otherwise recorded as skipped.
-    """
-    records = []
-    _record(records, "ranges", True,
-            f"N={spec.dimension}, R={spec.radius}, p={spec.p}")
-    _record(records, "W_even", spec.W.is_even(), "evenness probe, 256 points")
-
-    g = spec.declared_growth
-    rho = g.rho if g else None
-    if rho is not None:
-        _record(records, "rho_range", 0.0 < rho <= spec.p,
-                f"rho={rho}, p={spec.p}")
-
-    degG = spec.G.degree()
-    if spec.p < spec.dimension:
-        if degG is None:
-            _record(records, "G_upper_growth", True, "skipped: sampled G")
-        elif rho is not None:
-            _record(records, "G_upper_growth", degG <= spec.p_star - rho,
-                    f"deg G={degG}, limit p*-rho={spec.p_star - rho}")
-        else:
-            _record(records, "G_upper_growth", degG < spec.p_star,
-                    f"deg G={degG}, undeclared rho, strict limit p*={spec.p_star}")
-    elif spec.p == spec.dimension:
-        ok = g is not None and g.p_tilde is not None and math.isfinite(g.p_tilde)
-        _record(records, "p_tilde_declared", ok, "p = N requires finite p_tilde")
-    else:
-        if g is not None and g.nu3 is not None and g.C is not None and rho is not None:
-            mu = np.linspace(-spec.G.domain_halfwidth, spec.G.domain_halfwidth, 1000)
-            lower = -g.nu3 * np.abs(mu) ** (spec.p - rho) - g.C
-            ok = bool(np.all(spec.G.eval(mu) >= lower - 1e-9))
-            _record(records, "G_lower_growth", ok, "1000-point spot check")
-        else:
-            _record(records, "G_lower_growth", True, "skipped: constants undeclared")
-
-    if g is not None and g.nu1 is not None and g.nu2 is not None and g.C is not None:
-        t = np.linspace(-spec.W.domain_halfwidth, spec.W.domain_halfwidth, 1000)
-        w = spec.W.eval(t)
-        lo_ok = bool(np.all(w >= g.nu1 * np.abs(t) ** spec.p - g.C - 1e-9))
-        hi_ok = bool(np.all(np.abs(w) <= g.nu2 * np.abs(t) ** spec.p + g.C + 1e-9))
-        _record(records, "W_growth_bounds", lo_ok and hi_ok,
-                f"lower={lo_ok}, upper={hi_ok}")
-    else:
-        _record(records, "W_growth_bounds", True, "skipped: constants undeclared")
-
-    if spec.shape_flag != "none":
-        rep = check_G_shape(spec.G, strict=spec.shape_flag == "G2_strict")
-        _record(records, "G_shape", rep.passes, f"flag={spec.shape_flag}")
-
-    return ValidationReport(records=records,
-                            passes=all(r["passed"] for r in records))

@@ -13,33 +13,28 @@ Format::
     p = 4.0
 
     [W]
-    kind = poly_in_t_squared      # or piecewise_poly
-    coeffs = 1.0, -2.0, 1.0       # pieces separated by ";" when piecewise
-    breakpoints = -1.0, 1.0       # piecewise only
+    # kind is poly_in_t_squared or piecewise_poly; a piecewise kind
+    # separates the coeffs of its pieces by ";" and adds breakpoints
+    kind = poly_in_t_squared
+    coeffs = 1.0, -2.0, 1.0
 
     [G]
     kind = piecewise_poly
     coeffs = 0.0, 0.0, -1.0
-    shape = G2                    # none | G2 | G2strict
+    # shape is none, G2 or G2strict
+    shape = G2
 
-    [growth]                      # optional declared constants
-    rho = 2.0
-    nu1 = ...
-
-Full-line comments start with ``#`` or ``;``.  The sampled potential
-kind holds imported data and has no file syntax.
+Comments take a whole line and start with ``#`` or ``;``.  Every number
+must be finite.  The sampled potential kind holds imported data and has
+no file syntax.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
-from .potentials import (
-    GrowthDeclaration,
-    Potential1D,
-    ProblemSpec,
-    _require_coercive,
-)
+from .potentials import Potential1D, ProblemSpec, _require_coercive
 
 __all__ = ["SpecFileError", "parse_spec", "parse_spec_text", "emit_spec_text"]
 
@@ -47,14 +42,12 @@ _SECTION_KEYS = {
     "problem": ("dimension", "radius", "p"),
     "W": ("kind", "coeffs", "breakpoints"),
     "G": ("kind", "coeffs", "breakpoints", "shape"),
-    "growth": ("nu1", "nu2", "nu3", "nu4", "rho", "C", "p_tilde"),
 }
-_REQUIRED_SECTIONS = ("problem", "W", "G")
+# every section is required
 _REQUIRED_KEYS = {
     "problem": ("dimension", "radius", "p"),
     "W": ("kind", "coeffs"),
     "G": ("kind", "coeffs"),
-    "growth": (),
 }
 _SHAPE_TOKENS = {"none": "none", "G2": "G2", "G2strict": "G2_strict"}
 _SHAPE_EMIT = {v: k for k, v in _SHAPE_TOKENS.items()}
@@ -99,12 +92,10 @@ def _scan(text: str, src: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
         if key in sections[section]:
             raise _err(src, lineno, f"duplicate key {key!r} in section [{section}]")
         sections[section][key] = (value, lineno)
-    for name in _REQUIRED_SECTIONS:
+    for name in _REQUIRED_KEYS:
         if name not in sections:
             raise SpecFileError(f"{src}: missing required section [{name}]")
     for name, keys in _REQUIRED_KEYS.items():
-        if name not in sections:
-            continue
         for key in keys:
             if key not in sections[name]:
                 raise SpecFileError(
@@ -115,9 +106,12 @@ def _scan(text: str, src: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
 def _float(src: str, entry: Tuple[str, int], what: str) -> float:
     value, lineno = entry
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise _err(src, lineno, f"{what}: not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise _err(src, lineno, f"{what}: not finite: {value!r}")
+    return out
 
 
 def _int(src: str, entry: Tuple[str, int], what: str) -> int:
@@ -133,13 +127,7 @@ def _float_list(src: str, entry: Tuple[str, int], what: str) -> tuple:
     items = [s.strip() for s in value.split(",") if s.strip()]
     if not items:
         raise _err(src, lineno, f"{what}: empty list")
-    out = []
-    for item in items:
-        try:
-            out.append(float(item))
-        except ValueError:
-            raise _err(src, lineno, f"{what}: not a number: {item!r}") from None
-    return tuple(out)
+    return tuple(_float(src, (item, lineno), what) for item in items)
 
 
 def _potential(src: str, name: str, sec: Dict[str, Tuple[str, int]],
@@ -216,18 +204,8 @@ def parse_spec_text(text: str, src: str = "<string>") -> ProblemSpec:
                        f"shape must be one of none, G2, G2strict; got {token!r}")
         shape = _SHAPE_TOKENS[token]
 
-    growth = None
-    if "growth" in sections:
-        vals = {}
-        for key in _SECTION_KEYS["growth"]:
-            if key in sections["growth"]:
-                vals[key] = _float(src, sections["growth"][key],
-                                   f"[growth] {key}")
-        growth = GrowthDeclaration(**vals)
-
     try:
-        return ProblemSpec(dimension, radius, p, W, G,
-                           declared_growth=growth, shape_flag=shape)
+        return ProblemSpec(dimension, radius, p, W, G, shape_flag=shape)
     except ValueError as exc:
         raise SpecFileError(f"{src}: {exc}") from None
 
@@ -275,11 +253,5 @@ def emit_spec_text(spec: ProblemSpec) -> str:
                 lines.append(f"breakpoints = {_fmt_floats(pot.breakpoints)}")
         if name == "G":
             lines.append(f"shape = {_SHAPE_EMIT[spec.shape_flag]}")
-        lines.append("")
-    if spec.declared_growth is not None:
-        lines.append("[growth]")
-        for key, val in spec.declared_growth.to_dict().items():
-            if val is not None:
-                lines.append(f"{key} = {repr(float(val))}")
         lines.append("")
     return "\n".join(lines)

@@ -258,9 +258,14 @@ def test_verify_rejects_profile_off_the_spec_radius(prototype_ini, tmp_path,
     assert "numerical failure" not in err
 
 
-@pytest.mark.parametrize("token", ["nan", "inf"])
-def test_verify_rejects_non_finite_profile(token, prototype_ini, tmp_path,
-                                           capsys):
+# u = 1e300 is finite, but W and G overflow on it, and a report of its
+# price would carry NaN, which is not JSON
+@pytest.mark.parametrize("token,where", [
+    pytest.param("nan", "line 13", id="nan"),
+    pytest.param("inf", "line 13", id="inf"),
+    pytest.param("1e300", "W or G", id="overflow")])
+def test_verify_rejects_non_finite_profile(token, where, prototype_ini,
+                                           tmp_path, capsys):
     prof = tmp_path / "prof.csv"
     _half_slope_csv(prof)
     lines = prof.read_text().splitlines()
@@ -271,7 +276,7 @@ def test_verify_rejects_non_finite_profile(token, prototype_ini, tmp_path,
     assert main(["verify", "--spec", prototype_ini, "--profile-csv", str(prof),
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "line 13" in captured.err
+    assert where in captured.err
     assert "finite" in captured.err
     assert not out.exists()
 
@@ -440,6 +445,24 @@ def test_bad_ini_exits_1_with_line(prototype_ini, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"bad.ini:{lineno}" in err
     assert "not an integer" in err
+
+
+@pytest.mark.parametrize("old,new,cited,message", [
+    ("shape = G2\n", "shape = G2\n[growth]\nrho = 2.0\n", "[growth]",
+     "unknown section [growth]"),
+    ("p = 4.0", "p = inf", "p = inf", "p: not finite"),
+], ids=["growth", "p_inf"])
+def test_rejected_spec_exits_1_with_line(prototype_ini, tmp_path, capsys,
+                                         old, new, cited, message):
+    # a [growth] section and a non-finite number are parse errors
+    text = open(prototype_ini).read().replace(old, new)
+    lineno = 1 + text.splitlines().index(cited)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    out = tmp_path / "rep.json"
+    assert main(["solve", "--spec", str(bad), *FAST, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"{bad}:{lineno}: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["envelope", "solve", "oracle", "verify",

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,12 +10,10 @@ import pytest
 
 import radrelax
 from radrelax.potentials import (
-    GrowthDeclaration,
     Potential1D,
     ProblemSpec,
     check_G_shape,
     compute_M,
-    validate_spec,
 )
 
 from conftest import double_well, three_well
@@ -284,65 +283,9 @@ def test_problem_spec_validation():
                     G=rising, shape_flag="G2")
 
 
-def test_p_star():
-    spec = ProblemSpec(dimension=3, radius=1.0, p=2.0, W=double_well(),
-                       G=double_well())
-    assert abs(spec.p_star - 6.0) <= 1e-12
-    spec4 = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(),
-                        G=double_well())
-    assert spec4.p_star == math.inf
-
-
-def test_validate_spec_rho_range(prototype_spec):
-    ok = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=prototype_spec.W,
-                     G=prototype_spec.G, shape_flag="G2",
-                     declared_growth=GrowthDeclaration(rho=2.0))
-    rep = validate_spec(ok)
-    assert rep.passes
-    bad = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=prototype_spec.W,
-                      G=prototype_spec.G, shape_flag="G2",
-                      declared_growth=GrowthDeclaration(rho=5.0))
-    rep = validate_spec(bad)
-    assert not rep.passes
-    assert any(r["name"] == "rho_range" and not r["passed"]
-               for r in rep.records)
-
-
-def test_validate_spec_subcritical_G_growth():
-    W = double_well()
-    G4 = Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 0.0, -1.0))
-    ok = ProblemSpec(dimension=3, radius=1.0, p=2.0, W=W, G=G4,
-                     declared_growth=GrowthDeclaration(rho=2.0))
-    assert validate_spec(ok).passes
-    G5 = Potential1D(kind="piecewise_poly",
-                     coefficients=((0.0, 0.0, 0.0, 0.0, 0.0, -1.0),))
-    bad = ProblemSpec(dimension=3, radius=1.0, p=2.0, W=W, G=G5,
-                      declared_growth=GrowthDeclaration(rho=2.0))
-    rep = validate_spec(bad)
-    assert not rep.passes
-    assert any(r["name"] == "G_upper_growth" and not r["passed"]
-               for r in rep.records)
-
-
-def test_validate_spec_W_growth_bounds(prototype_spec):
-    spec = ProblemSpec(
-        dimension=2, radius=1.0, p=4.0, W=prototype_spec.W, G=prototype_spec.G,
-        shape_flag="G2",
-        declared_growth=GrowthDeclaration(nu1=0.5, nu2=2.0, C=2.0, rho=2.0))
-    rep = validate_spec(spec)
-    assert rep.passes
-    assert any(r["name"] == "W_growth_bounds" and r["passed"]
-               for r in rep.records)
-    tight = ProblemSpec(
-        dimension=2, radius=1.0, p=4.0, W=prototype_spec.W, G=prototype_spec.G,
-        shape_flag="G2",
-        declared_growth=GrowthDeclaration(nu1=2.0, nu2=2.0, C=0.0, rho=2.0))
-    rep = validate_spec(tight)
-    assert any(r["name"] == "W_growth_bounds" and not r["passed"]
-               for r in rep.records)
-
-
-def test_degree_report():
-    assert double_well().degree() == 4
-    assert three_well().degree() == 4
-    assert random_even_sampled(0).degree() is None
+@pytest.mark.parametrize("layer", ["specfile", "potentials", "envelope",
+                                   "radial_solver", "verify", "disc2d"])
+def test_every_exported_name_resolves(layer):
+    module = importlib.import_module(f"radrelax.{layer}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

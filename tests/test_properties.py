@@ -18,11 +18,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 from radrelax.cli import _json_text  # noqa: E402
 from radrelax.envelope import (_hull_values, _lower_hull, _runs,  # noqa: E402
                                convexify)
-from radrelax.potentials import (  # noqa: E402
-    GrowthDeclaration,
-    Potential1D,
-    ProblemSpec,
-)
+from radrelax.potentials import Potential1D, ProblemSpec  # noqa: E402
 from radrelax.radial_solver import (  # noqa: E402
     RadialGrid,
     RadialProfile,
@@ -100,17 +96,11 @@ def specs(draw):
                   for _ in range(len(breaks) + 1)]
         G = Potential1D(kind="piecewise_poly", coefficients=pieces,
                         breakpoints=breaks)
-    growth = None
-    if draw(st.booleans()):
-        keys = ("nu1", "nu2", "nu3", "nu4", "rho", "C", "p_tilde")
-        growth = GrowthDeclaration(**{
-            k: draw(st.none() | st.floats(-1e6, 1e6, allow_nan=False))
-            for k in keys})
     return ProblemSpec(
         dimension=draw(st.integers(2, 6)),
         radius=draw(st.floats(1e-3, 1e3)),
         p=draw(st.floats(1.001, 50.0)),
-        W=W, G=G, declared_growth=growth)
+        W=W, G=G)
 
 
 @given(spec=specs())

@@ -1,6 +1,10 @@
+import pathlib
+import textwrap
+
 import numpy as np
 import pytest
 
+from radrelax import specfile
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import (
     SpecFileError,
@@ -26,12 +30,6 @@ breakpoints = {-THREE_WELL_BREAK!r}, {THREE_WELL_BREAK!r}
 kind = poly_in_t_squared
 coeffs = 0.0, -1.0
 shape = none
-
-[growth]
-rho = 2.0
-nu1 = 0.5
-nu2 = 2.0
-C = 2.0
 """
 
 
@@ -56,14 +54,10 @@ def test_parse_prototype_fields():
     assert spec.W.coefficients == (1.0, -2.0, 1.0)
     assert spec.G.kind == "piecewise_poly"
     assert spec.shape_flag == "G2"
-    assert spec.declared_growth is None
 
 
-def test_parse_growth_section():
+def test_parse_piecewise_W_fields():
     spec = parse_spec_text(THREE_WELL_INI)
-    g = spec.declared_growth
-    assert (g.rho, g.nu1, g.nu2, g.C) == (2.0, 0.5, 2.0, 2.0)
-    assert g.nu3 is None
     assert spec.W.breakpoints == (-THREE_WELL_BREAK, THREE_WELL_BREAK)
     assert spec.W.even
 
@@ -96,6 +90,45 @@ def test_unterminated_section_header():
 
 def test_unknown_section():
     _expect(PROTOTYPE_INI + "\n[bogus]\n", r"unknown section \[bogus\]")
+
+
+def test_growth_section_is_unknown():
+    # growth constants are not part of the format: nothing would read them
+    text = PROTOTYPE_INI + "\n[growth]\nrho = 2.0\n"
+    lineno = 1 + text.splitlines().index("[growth]")
+    _expect(text, rf":{lineno}: unknown section \[growth\]")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("p = 4.0", "p = inf"),
+    ("radius = 1.0", "radius = inf"),
+    ("coeffs = 1.0, -2.0, 1.0", "coeffs = 1.0, nan, 1.0"),
+    ("coeffs = 0.0, 0.0, -1.0", "coeffs = 0.0, 0.0, -inf"),
+])
+def test_non_finite_number_cites_its_line(old, new):
+    text = PROTOTYPE_INI.replace(old, new)
+    lineno = 1 + text.splitlines().index(new)
+    _expect(text, f":{lineno}: .*not finite")
+
+
+def _parse_example(text):
+    return parse_spec_text(textwrap.dedent(text).strip() + "\n")
+
+
+def test_readme_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    assert _parse_example(block) == parse_spec_text(PROTOTYPE_INI)
+
+
+def test_module_docstring_example_parses():
+    lines = specfile.__doc__.split("Format::\n", 1)[1].splitlines()
+    block = []
+    for line in lines:
+        if line and not line.startswith("    "):
+            break
+        block.append(line)
+    assert _parse_example("\n".join(block)) == parse_spec_text(PROTOTYPE_INI)
 
 
 def test_duplicate_section():
