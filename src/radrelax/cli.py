@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -69,26 +68,6 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         if action.default is None or "default" in action.help:
             return action.help
         return super()._get_help_string(action)
-
-
-@dataclass
-class RunConfig:
-    """Parsed command line; paths are checked before any compute starts."""
-
-    command: str
-    spec_path: Optional[str] = None
-    grid_points: int = 256
-    seed: int = 0
-    oracle: bool = False
-    u_levels: int = 200
-    rays: int = 64
-    window: Optional[float] = None
-    tol_corner: float = 0.05
-    out: Optional[str] = None
-    profile_csv: Optional[str] = None
-    fmt: str = "json"
-    field_csv: Optional[str] = None
-    random_fields: int = 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,57 +129,59 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
-    """Parse argv into a RunConfig.
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse argv into the subcommand's Namespace, whose defaults are the
+    parser's; paths are checked before any compute starts.
 
     Raises:
         UsageError: on unknown flags, missing files, or out-of-range values.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+    cfg = _build_parser().parse_args(argv)
+    cmd = cfg.command
+    if cmd is None:
         raise UsageError("radrelax: a subcommand is required "
                          "(envelope, solve, oracle, verify, symmetry)")
-    cfg = RunConfig(command=ns.command)
-    for name in ("spec_path", "grid_points", "seed", "oracle", "u_levels",
-                 "rays", "window", "tol_corner", "out", "profile_csv", "fmt",
-                 "field_csv", "random_fields"):
-        src = "spec" if name == "spec_path" else name
-        if hasattr(ns, src):
-            setattr(cfg, name, getattr(ns, src))
     if not (0 <= cfg.seed < 2 ** 64):
         raise UsageError("--seed must fit in 64 bits")
-    # verify reads --profile-csv; the other commands write it
-    reads_profile = cfg.command == "verify"
-    for what, path in (("spec file", cfg.spec_path),
-                       ("field CSV", cfg.field_csv),
-                       ("profile CSV", cfg.profile_csv if reads_profile else None)):
+    # verify reads --profile-csv; solve, oracle and symmetry write it
+    inputs = [("spec file", cfg.spec)]
+    if cmd == "symmetry":
+        inputs.append(("field CSV", cfg.field_csv))
+    if cmd == "verify":
+        inputs.append(("profile CSV", cfg.profile_csv))
+    for what, path in inputs:
         if path is not None and not os.path.isfile(path):
             raise UsageError(f"{what} not found: {path}")
-    if cfg.random_fields < 1:
+    if cmd == "symmetry" and cfg.random_fields < 1:
         raise UsageError("--random-fields must be at least 1")
-    if cfg.command == "envelope" and cfg.grid_points < 64:
+    if cmd == "envelope" and cfg.grid_points < 64:
         raise UsageError("--grid-points must be at least 64 for envelope")
-    if cfg.command in ("solve", "verify") and cfg.grid_points < 16:
+    if cmd in ("solve", "verify") and cfg.grid_points < 16:
         raise UsageError("--grid-points must be at least 16 cells")
-    if cfg.command == "oracle" and not 16 <= cfg.grid_points <= 200:
+    if cmd == "oracle" and not 16 <= cfg.grid_points <= 200:
         raise UsageError("--grid-points must lie in [16, 200] for oracle")
-    if cfg.command in ("solve", "oracle") and not 2 <= cfg.u_levels <= 400:
+    if cmd in ("solve", "oracle") and not 2 <= cfg.u_levels <= 400:
         raise UsageError("--u-levels must lie in [2, 400]")
-    if cfg.rays < 1:
+    if cmd == "symmetry" and cfg.rays < 1:
         raise UsageError("--rays must be at least 1")
-    # NaN fails both comparisons; an infinite window fits every cell
-    if cfg.window is not None and not cfg.window > 0.0:
-        raise UsageError("--window must be positive")
-    if not cfg.tol_corner >= 0.0:
-        raise UsageError("--tol-corner must be nonnegative")
-    if cfg.command == "symmetry" and cfg.field_csv is None:
+    if cmd in ("solve", "verify"):
+        # NaN fails both comparisons; an infinite window fits every cell
+        if cfg.window is not None and not cfg.window > 0.0:
+            raise UsageError("--window must be positive")
+        if not cfg.tol_corner >= 0.0:
+            raise UsageError("--tol-corner must be nonnegative")
+    if cmd == "symmetry" and cfg.field_csv is None:
         if cfg.grid_points < 33 or cfg.grid_points % 2 == 0:
             raise UsageError(
                 "--grid-points must be odd and at least 33 for symmetry")
         if cfg.fmt == "csv" and cfg.random_fields != 1:
             raise UsageError("csv format needs a single field")
-    for path in (cfg.out, None if reads_profile else cfg.profile_csv):
+        if cfg.profile_csv and cfg.random_fields != 1:
+            raise UsageError("--profile-csv needs a single field")
+    outputs = [cfg.out]
+    if cmd in ("solve", "oracle", "symmetry"):
+        outputs.append(cfg.profile_csv)
+    for path in outputs:
         if path is not None:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
@@ -215,7 +196,7 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -229,7 +210,8 @@ def _csv_text(columns: List[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_text(cfg: RunConfig, spec: Optional[ProblemSpec], results: dict) -> str:
+def _report_text(cfg: argparse.Namespace, spec: Optional[ProblemSpec],
+                 results: dict) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
@@ -277,8 +259,9 @@ def _profile_csv(profile) -> str:
     return _csv_text(["r", "u", "du_dr"], zip(profile.grid.nodes, profile.u, du))
 
 
-def _emit_profile_report(cfg: RunConfig, spec: ProblemSpec, results: dict,
-                         profile, csv_path: Optional[str] = None) -> None:
+def _emit_profile_report(cfg: argparse.Namespace, spec: ProblemSpec,
+                         results: dict, profile,
+                         csv_path: Optional[str] = None) -> None:
     """Write the profile CSV to ``csv_path`` if given, then emit the
     profile as CSV (``--format csv``) or the JSON report."""
     if csv_path:
@@ -311,11 +294,17 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
             if not (math.isfinite(r[-1]) and math.isfinite(u[-1])):
                 raise SpecFileError(
                     f"{path}: line {lineno}: r and u must be finite")
+            last = lineno
     if len(r) < 17:
         raise SpecFileError(f"{path}: profile needs at least 17 nodes")
     if _off_radius(r[-1], spec.radius):
         raise SpecFileError(
             f"{path}: profile ends at r = {r[-1]}, spec radius is {spec.radius}")
+    # RadialProfile pins u(R) to 0, so any other end value would be
+    # replaced, and a different profile checked
+    if abs(u[-1]) > 1e-12 * max(1.0, max(map(abs, u))):
+        raise SpecFileError(
+            f"{path}: line {last}: profile must end at u = 0, got {u[-1]}")
     try:
         profile = RadialProfile(RadialGrid(np.asarray(r)), np.asarray(u))
     except ValueError as exc:
@@ -329,8 +318,8 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
     return profile
 
 
-def _cmd_envelope(cfg: RunConfig) -> int:
-    spec = parse_spec(cfg.spec_path)
+def _cmd_envelope(cfg: argparse.Namespace) -> int:
+    spec = parse_spec(cfg.spec)
     env = convexify(spec.W, grid_points=cfg.grid_points)
     if cfg.fmt == "csv":
         rows = zip(env.grid, env.w_values, env.values)
@@ -340,15 +329,15 @@ def _cmd_envelope(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _solve_common(cfg: RunConfig):
-    spec = parse_spec(cfg.spec_path)
+def _solve_common(cfg: argparse.Namespace):
+    spec = parse_spec(cfg.spec)
     grid = RadialGrid.uniform(spec.radius, cfg.grid_points)
     report = solve_pipeline(spec, grid, corner_window=cfg.window,
                             corner_tol=cfg.tol_corner)
     return spec, report
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
+def _cmd_solve(cfg: argparse.Namespace) -> int:
     spec, report = _solve_common(cfg)
     results = report.to_dict()
     if cfg.oracle:
@@ -365,14 +354,14 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK if report.verify.overall else EXIT_VERIFY
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     # with --profile-csv the checks run on that profile; otherwise the
     # pipeline supplies one. Either way the energy_consistency record
     # holds the profile's price
     if cfg.profile_csv:
         from .verify import full_report
 
-        spec = parse_spec(cfg.spec_path)
+        spec = parse_spec(cfg.spec)
         profile = _read_profile_csv(cfg.profile_csv, spec)
         ver = full_report(profile, spec, ensure_envelope(spec),
                           corner_window=cfg.window, corner_tol=cfg.tol_corner)
@@ -391,8 +380,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ver.overall else EXIT_VERIFY
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    spec = parse_spec(cfg.spec_path)
+def _cmd_oracle(cfg: argparse.Namespace) -> int:
+    spec = parse_spec(cfg.spec)
     report = dp_oracle(spec, r_levels=cfg.grid_points, u_levels=cfg.u_levels)
     results = report.to_dict()
     results["r_levels"] = cfg.grid_points
@@ -401,11 +390,11 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_symmetry(cfg: RunConfig) -> int:
-    spec = parse_spec(cfg.spec_path)
+def _cmd_symmetry(cfg: argparse.Namespace) -> int:
+    spec = parse_spec(cfg.spec)
     if spec.dimension != 2:
         raise SpecFileError(
-            f"{cfg.spec_path}: symmetry needs a spec of dimension 2, "
+            f"{cfg.spec}: symmetry needs a spec of dimension 2, "
             f"got {spec.dimension}")
     if cfg.field_csv is not None:
         try:
@@ -435,7 +424,7 @@ def _cmd_symmetry(cfg: RunConfig) -> int:
     # every field is priced on the same rays; the CSV outputs use their
     # angles.  parse_args admits csv output for single-field runs only
     thetas = rep.thetas
-    if cfg.profile_csv and len(records) == 1:
+    if cfg.profile_csv:
         for k, prof in enumerate(ray_profiles(fld, thetas)):
             _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
     if cfg.fmt == "csv":
@@ -455,7 +444,7 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Dispatch a parsed config; returns the process exit code."""
     return _COMMANDS[cfg.command](cfg)
 

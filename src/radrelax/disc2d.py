@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .potentials import ProblemSpec
-from .radial_solver import (RadialGrid, RadialProfile, _reduced_energy,
-                           ensure_envelope)
+from .radial_solver import (RadialGrid, RadialProfile, _off_radius,
+                            _reduced_energy, ensure_envelope)
 
 __all__ = [
     "DiscField",
@@ -334,7 +334,7 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     """
     if spec.dimension != 2:
         raise ValueError("planar energy requires dimension 2")
-    if abs(fld.radius - spec.radius) > 1e-12 * max(1.0, spec.radius):
+    if _off_radius(fld.radius, spec.radius):
         raise ValueError(
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
     W = ensure_envelope(spec) if use_envelope else spec.W

@@ -123,8 +123,6 @@ class Potential1D:
             finite. Evaluation is the Fritsch-Carlson monotone cubic
             (PCHIP), computed in numpy; outside the grid the end cubic
             continues.
-        domain_halfwidth: T > 0. ``None`` auto-sizes T past the outermost
-            critical point so downstream scans see the full shape.
         even: declared evenness for ``piecewise_poly`` (self-checked on a
             1000-point grid). The t^2 kind is even by construction.
     """
@@ -133,8 +131,10 @@ class Potential1D:
     coefficients: tuple = ()
     breakpoints: tuple = ()
     samples: Optional[tuple] = None
-    domain_halfwidth: Optional[float] = None
     even: bool = False
+    # T, sized past the outermost critical point so downstream scans see
+    # the full shape
+    domain_halfwidth: float = field(init=False)
     _pchip: tuple = field(default=None, init=False, repr=False, compare=False)
     _dcoeffs: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -175,11 +175,7 @@ class Potential1D:
             if 0.0 not in tg:
                 raise ValueError("sample grid must contain t = 0")
             self.samples = (tg, vals)
-        if self.domain_halfwidth is None:
-            self.domain_halfwidth = self._auto_halfwidth()
-        self.domain_halfwidth = float(self.domain_halfwidth)
-        if not self.domain_halfwidth > 0:
-            raise ValueError("domain_halfwidth must be positive")
+        self.domain_halfwidth = self._auto_halfwidth()
         if self.kind == "piecewise_poly" and self.even:
             self._check_even_declaration()
 
@@ -357,13 +353,13 @@ def _refine_min_poly(W: Potential1D, lo: float, hi: float) -> float:
     return float(t)
 
 
-def compute_M(W: Potential1D, scan_points: int = _SCAN_POINTS) -> float:
+def compute_M(W: Potential1D) -> float:
     """Largest nonnegative minimizer of W.
 
     Candidates are the discrete local minima (plateau points included, and
     t = 0 when W does not fall from it): of the samples with t >= 0 for
     sampled kinds, whose monotone interpolant has its minima on the
-    samples; of a ``scan_points`` scan of [0, T] for polynomial kinds,
+    samples; of a ``_SCAN_POINTS`` scan of [0, T] for polynomial kinds,
     each refined by bisection on W'. Value ties within 1e-10 resolve
     toward the largest candidate. Returns exactly 0.0 when the global
     minimum is attained only at t = 0.
@@ -377,7 +373,7 @@ def compute_M(W: Potential1D, scan_points: int = _SCAN_POINTS) -> float:
         t, v = (np.asarray(x, dtype=float) for x in W.samples)
         t, v = t[t >= 0.0], v[t >= 0.0]
     else:
-        t = np.linspace(0.0, T, scan_points)
+        t = np.linspace(0.0, T, _SCAN_POINTS)
         v = W.eval(t)
     mins = list(np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1)
     if len(v) > 1 and v[0] <= v[1]:
@@ -400,17 +396,7 @@ class ShapeReport:
     """Outcome of the monotone-shape test for G."""
 
     passes: bool
-    strict: bool
     witnesses: list
-    samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passes": bool(self.passes),
-            "strict": bool(self.strict),
-            "witnesses": list(self.witnesses),
-            "samples": int(self.samples),
-        }
 
 
 def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
@@ -444,8 +430,7 @@ def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
             "mu": float(mu[i + 1]),
             "g_pos": float(g[i + 1]), "g_neg": float(gneg[i]),
         })
-    return ShapeReport(passes=not witnesses, strict=strict,
-                       witnesses=witnesses, samples=_SCAN_POINTS)
+    return ShapeReport(passes=not witnesses, witnesses=witnesses)
 
 
 @dataclass

@@ -251,6 +251,7 @@ class _RelaxedEnergy:
 
 
 _NEWTON_ITERS = 200
+_MAX_ITERS = 20000
 _GTOL = 1e-8
 _ARMIJO = 1e-4
 _HALVINGS = 40
@@ -401,8 +402,7 @@ def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
     return x, e, max_iters, False
 
 
-def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
-                     max_iters: int = 20000) -> SolveReport:
+def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     """Newton minimization of the relaxed reduced energy on ``grid``.
 
     Three starts with the shape of a minimizer (nonincreasing, u' <= -M,
@@ -414,13 +414,13 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
     Hessian is tridiagonal and one step costs one numpy cyclic reduction
     (O(K) time and memory), with a Levenberg shift where the Hessian is
     indefinite (inside detachment intervals, where Wc'' = 0, and wherever
-    G is concave). Each start takes at most min(max_iters, 200) Newton
+    G is concave). Each start takes at most min(_MAX_ITERS, 200) Newton
     steps. The winner is the lowest energy, with a lexicographic
     tie-break on the nodal values. A winner that did not converge (slow
     progress near kinks of Wc'', such as affine pieces of the envelope
     outside (-M, M) under a G with a well) continues by the same Newton
-    method for up to ``max_iters`` further steps, and ``converged`` is its
-    verdict. ``iterations`` counts every Newton step: those of all starts
+    method for up to ``_MAX_ITERS`` further steps, and ``converged`` is
+    its verdict. ``iterations`` counts every Newton step: those of all starts
     plus the continuation's. When the result is not converged,
     ``warnings`` says why.
     """
@@ -431,7 +431,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
     total_iters = 0
     settled = 0
     for k, start in enumerate(starts):
-        x, e, nit, ok = _newton(energy, start[:-1], min(max_iters, _NEWTON_ITERS))
+        x, e, nit, ok = _newton(energy, start[:-1], min(_MAX_ITERS, _NEWTON_ITERS))
         total_iters += nit
         settled += ok
         key = (e, tuple(x))
@@ -441,7 +441,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid,
 
     warnings = []
     if not converged:
-        x, _, nit, converged = _newton(energy, x, max_iters)
+        x, _, nit, converged = _newton(energy, x, _MAX_ITERS)
         total_iters += nit
         if not converged:
             warnings.append(
@@ -675,7 +675,7 @@ def monotone_rearrange(profile: RadialProfile,
     return RadialProfile(profile.grid, v)
 
 
-def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
+def solve_pipeline(spec: ProblemSpec, grid: RadialGrid,
                    corner_window: Optional[float] = None,
                    corner_tol: float = 0.05) -> SolveReport:
     """Convexify, minimize, rearrange (under a monotone G), and verify.
@@ -693,8 +693,6 @@ def solve_pipeline(spec: ProblemSpec, grid: Optional[RadialGrid] = None,
     from radrelax import verify as verify_mod
 
     env = ensure_envelope(spec)
-    if grid is None:
-        grid = RadialGrid.uniform(spec.radius, 256)
     warnings = []
     if env.M > 0 and spec.shape_flag == "none":
         warnings.append("M > 0 but G does not declare the G2 monotone "

@@ -508,7 +508,7 @@ def array_only(W):
 
     return ArrayOnlyPotential(
         kind=W.kind, coefficients=W.coefficients, breakpoints=W.breakpoints,
-        samples=W.samples, domain_halfwidth=W.domain_halfwidth, even=W.even)
+        samples=W.samples, even=W.even)
 
 
 def array_only_envelope(env):

@@ -258,6 +258,22 @@ def test_verify_rejects_profile_off_the_spec_radius(prototype_ini, tmp_path,
     assert "numerical failure" not in err
 
 
+def test_verify_rejects_profile_not_ending_at_zero(prototype_ini, tmp_path,
+                                                  capsys):
+    # a profile is pinned to u(R) = 0, so one that ends elsewhere would be
+    # replaced by a different profile before it is checked
+    prof = tmp_path / "lifted.csv"
+    r = np.linspace(0.0, 1.0, 257)
+    prof.write_text("r,u\n" + "\n".join(
+        f"{float(ri)!r},{float(1.5 - ri)!r}" for ri in r) + "\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--spec", prototype_ini, "--profile-csv", str(prof),
+                 "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"{prof}: line 258: profile must end at u = 0, got 0.5\n")
+    assert not out.exists()
+
+
 # u = 1e300 is finite, but W and G overflow on it, and a report of its
 # price would carry NaN, which is not JSON
 @pytest.mark.parametrize("token,where", [
@@ -398,6 +414,21 @@ def test_symmetry_csv_rejects_many_fields_before_ray_work(prototype_ini,
     assert "csv format needs a single field" in capsys.readouterr().err
 
 
+def test_symmetry_profile_csv_needs_single_field(prototype_ini, tmp_path,
+                                                monkeypatch, capsys):
+    # per-ray CSVs are written for one field only, so asking for them with
+    # several fields is a usage error, not a silent skip
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    prefix = str(tmp_path / "p_")
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
+                 "--random-fields", "2", "--profile-csv", prefix,
+                 "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "--profile-csv needs a single field\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert main(["solve", "--spec", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -515,8 +546,18 @@ def test_help_exits_0(capsys):
     assert "envelope" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+_HELP = {
+    "envelope": (4097, None),
+    "solve": (256, "also write the profile as CSV"),
+    "verify": (256, "check this r,u profile CSV"),
+    "oracle": (100, "also write the oracle profile as CSV"),
+    "symmetry": (129, "prefix for per-ray CSVs"),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
 def test_help_gives_each_default_once(command, capsys):
+    grid, csv_help = _HELP[command]
     assert main([command, "--help"]) == 0
     text = capsys.readouterr().out
     # argparse wraps help lines; judge the text as one line
@@ -524,12 +565,34 @@ def test_help_gives_each_default_once(command, capsys):
     assert "(default: stdout) (default:" not in flat
     assert "(default: 0.2 R) (default:" not in flat
     assert "(default: None)" not in flat
-    assert "(default: 256)" in flat
-    csv_help = flat.split("--profile-csv PROFILE_CSV")[-1]
-    if command == "verify":
-        assert csv_help.startswith(" check this r,u profile CSV")
+    assert f"grid resolution (default: {grid})" in flat
+    assert "--spec SPEC problem spec file (INI)" in flat
+    if csv_help is None:
+        assert "--profile-csv" not in flat
     else:
-        assert csv_help.startswith(" also write the profile as CSV")
+        after = flat.split("--profile-csv PROFILE_CSV")[-1]
+        assert after.startswith(f" {csv_help}")
+
+
+_DEFAULTS = {
+    "envelope": {"grid_points": 4097},
+    "solve": {"grid_points": 256, "window": None, "tol_corner": 0.05,
+              "profile_csv": None, "oracle": False, "u_levels": 200},
+    "verify": {"grid_points": 256, "window": None, "tol_corner": 0.05,
+               "profile_csv": None},
+    "oracle": {"grid_points": 100, "u_levels": 200, "profile_csv": None},
+    "symmetry": {"grid_points": 129, "rays": 64, "field_csv": None,
+                 "random_fields": 1, "profile_csv": None},
+}
+
+
+@pytest.mark.parametrize("command", list(_DEFAULTS))
+def test_parsed_defaults(command, prototype_ini):
+    # the parser holds the only copy of each default, and a subcommand
+    # gets exactly the flags it defines
+    cfg = parse_args([command, "--spec", prototype_ini])
+    assert vars(cfg) == {"command": command, "spec": prototype_ini, "seed": 0,
+                         "out": None, "fmt": "json", **_DEFAULTS[command]}
 
 
 def test_parser_reuse_carries_no_flag_values(prototype_ini, tmp_path,

@@ -40,6 +40,33 @@ def test_double_well_envelope_closed_form():
     assert comp.is_constant
 
 
+def test_touching_components_merge(monkeypatch):
+    # W = t^2 (t^2 - 1)^2 has three global minima, at 0 and +-1, so the
+    # hull runs (-1, 0) and (0, 1) share the node t = 0 and carry the
+    # same (zero) affine data: they must merge into one constant piece
+    W = Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, -2.0, 1.0))
+    seen = []
+    merge = envelope._merge_agreeing
+
+    def spy(comps, t, scale):
+        seen.append([(c.a, c.b) for c in comps])
+        return merge(comps, t, scale)
+
+    monkeypatch.setattr(envelope, "_merge_agreeing", spy)
+    env = convexify(W)
+    assert len(seen) == 1
+    (a0, b0), (a1, b1) = seen[0]
+    assert (a0, b1) == (-1.0, 1.0)
+    assert abs(b0) <= 1e-12 and abs(a1) <= 1e-12
+    assert env.M == 1.0
+    assert env.wcaffine_holds
+    assert len(env.components) == 1
+    comp = env.components[0]
+    assert (comp.a, comp.b) == (-1.0, 1.0)
+    assert comp.is_constant
+    assert abs(comp.alpha) <= 1e-12 and abs(comp.beta) <= 1e-12
+
+
 def test_three_well_tangency_frozen_values():
     env = convexify(three_well())
     assert env.M == 1.0

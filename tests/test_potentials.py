@@ -178,10 +178,11 @@ def test_compute_M_shift_and_scale_invariance():
     assert abs(compute_M(scaled) - M0) <= 1e-12
 
 
-def test_compute_M_scan_density_stable():
+def test_compute_M_scan_density_stable(monkeypatch):
     W = three_well()
     a = compute_M(W)
-    b = compute_M(W, scan_points=16384)
+    monkeypatch.setattr("radrelax.potentials._SCAN_POINTS", 16384)
+    b = compute_M(W)
     assert abs(a - b) <= 1e-8
 
 

@@ -152,9 +152,10 @@ def test_minimize_three_well(three_well_spec):
     assert report.relaxed_energy <= THREE_WELL_RELAXED_K256 + 1e-9
 
 
-def test_minimize_iteration_cap_reports_not_converged(prototype_spec):
-    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128),
-                              max_iters=1)
+def test_minimize_iteration_cap_reports_not_converged(prototype_spec,
+                                                     monkeypatch):
+    monkeypatch.setattr("radrelax.radial_solver._MAX_ITERS", 1)
+    report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128))
     assert not report.converged
     assert len(report.warnings) == 1
     assert "winning start" in report.warnings[0]
