@@ -178,6 +178,9 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
             raise UsageError("csv format needs a single field")
         if cfg.profile_csv and cfg.random_fields != 1:
             raise UsageError("--profile-csv needs a single field")
+    elif cmd == "symmetry" and cfg.random_fields != 1:
+        raise UsageError("--field-csv is a single field; "
+                         "--random-fields must be 1")
     outputs = [cfg.out]
     if cmd in ("solve", "oracle", "symmetry"):
         outputs.append(cfg.profile_csv)

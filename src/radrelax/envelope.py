@@ -19,8 +19,7 @@ from typing import List
 
 import numpy as np
 
-from radrelax.potentials import (Potential1D, _require_coercive,
-                                 _second_derivative, compute_M)
+from radrelax.potentials import Potential1D, _require_coercive, compute_M
 
 __all__ = ["DetachmentComponent", "EnvelopeResult", "NumericalFailure", "convexify"]
 
@@ -94,7 +93,7 @@ class EnvelopeResult:
 
     def deriv2(self, t):
         """Envelope curvature: W'' outside detachment intervals, 0 inside."""
-        return self._patched(t, lambda s: _second_derivative(self.potential, s),
+        return self._patched(t, lambda s: self.potential.derivative(s, 2),
                              lambda c, s: 0.0)
 
     def to_dict(self) -> dict:
@@ -195,8 +194,8 @@ def _extract_components(t, w, env, W, M):
     for i0, i1 in _runs(env < w - tol):
         ia, ib = max(i0 - 1, 0), min(i1 + 1, len(t) - 1)
         slope = (w[ib] - w[ia]) / (t[ib] - t[ia])
-        if refine and t[ia] < 0.0 < t[ib] and W.is_even():
-            # even potential: the straddling component is the constant plateau
+        if refine and t[ia] < 0.0 < t[ib]:
+            # W is even: the straddling component is the constant plateau
             a, b, alpha, beta = -M, M, 0.0, W.eval(M)
         elif refine:
             a, b, alpha, beta = _refine_tangency(W, t, w, ia, ib, tol)
@@ -259,8 +258,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
 
     M = compute_M(W)
     if W.kind == "sampled":
-        t = np.asarray(W.samples[0], dtype=float)
-        w = np.asarray(W.samples[1], dtype=float)
+        t, w = W._sample_array
         env = _hull_values(t, w, _lower_hull(t, w))
         comps = _extract_components(t, w, env, W, M)
     else:

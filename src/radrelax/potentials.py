@@ -31,8 +31,17 @@ _SCAN_POINTS = 10_000
 _EVEN_TOL = 1e-12
 
 
-def _as_tuple(x) -> tuple:
-    return tuple(np.asarray(x, dtype=float).tolist())
+def _finite_tuple(x, what: str) -> tuple:
+    c = tuple(np.asarray(x, dtype=float).tolist())
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"{what} must be finite")
+    return c
+
+
+def _derivative_tables(coeffs: tuple) -> tuple:
+    # ascending coefficients of the 0th, 1st and 2nd derivative, as
+    # Python-float tuples for _horner
+    return tuple(tuple(npoly.polyder(coeffs, k).tolist()) for k in range(3))
 
 
 def _horner(c: tuple, x):
@@ -125,6 +134,9 @@ class Potential1D:
             continues.
         even: declared evenness for ``piecewise_poly`` (self-checked on a
             1000-point grid). The t^2 kind is even by construction.
+
+    Coefficients and breakpoints must be finite. Construction builds all
+    that evaluation needs, and decides the evenness ``is_even`` returns.
     """
 
     kind: str
@@ -135,24 +147,30 @@ class Potential1D:
     # T, sized past the outermost critical point so downstream scans see
     # the full shape
     domain_halfwidth: float = field(init=False)
-    _pchip: tuple = field(default=None, init=False, repr=False, compare=False)
-    _dcoeffs: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # Horner tables of orders 0, 1 and 2 (of P for the t^2 kind, W =
+    # P(t^2); per piece for the piecewise kind), or the PCHIP cubics
+    _tables: tuple = field(default=(), init=False, repr=False, compare=False)
+    # the samples as one read-only (2, n) array
+    _sample_array: np.ndarray = field(default=None, init=False, repr=False,
+                                      compare=False)
+    _even: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "poly_in_t_squared":
-            self.coefficients = _as_tuple(self.coefficients)
+            self.coefficients = _finite_tuple(self.coefficients, "coefficients")
             if not self.coefficients:
                 raise ValueError("poly_in_t_squared needs coefficients")
             self.even = True
+            self._tables = _derivative_tables(self.coefficients)
         elif self.kind == "piecewise_poly":
-            pieces = tuple(_as_tuple(p) for p in self.coefficients)
+            pieces = tuple(_finite_tuple(p, "coefficients")
+                           for p in self.coefficients)
             if not pieces or any(not p for p in pieces):
                 raise ValueError("piecewise_poly needs per-piece coefficients")
             self.coefficients = pieces
-            self.breakpoints = _as_tuple(self.breakpoints)
+            self.breakpoints = _finite_tuple(self.breakpoints, "breakpoints")
             if list(self.breakpoints) != sorted(self.breakpoints):
                 raise ValueError("breakpoints must be sorted")
             if len(pieces) != len(self.breakpoints) + 1:
@@ -160,28 +178,30 @@ class Potential1D:
                     f"{len(self.breakpoints)} breakpoints need "
                     f"{len(self.breakpoints) + 1} pieces, got {len(pieces)}"
                 )
+            self._tables = tuple(zip(*map(_derivative_tables, pieces)))
         else:
             if self.samples is None:
                 raise ValueError("sampled kind needs samples")
-            tg, vals = self.samples
-            tg, vals = _as_tuple(tg), _as_tuple(vals)
-            if len(tg) != len(vals) or len(tg) < 4:
+            tg, vals = (np.asarray(a, dtype=float) for a in self.samples)
+            if tg.ndim != 1 or tg.shape != vals.shape or len(tg) < 4:
                 raise ValueError("samples need matching t/value arrays, >= 4 points")
             grid = np.array((tg, vals))
             if not np.all(np.isfinite(grid)):
                 raise ValueError("samples must be finite")
             if not np.all(np.diff(grid[0]) > 0):
                 raise ValueError("sample grid must be strictly increasing")
-            if 0.0 not in tg:
+            if not np.any(grid[0] == 0.0):
                 raise ValueError("sample grid must contain t = 0")
-            self.samples = (tg, vals)
+            grid.flags.writeable = False
+            self._sample_array = grid
+            self._tables = _pchip_coeffs(grid[0], grid[1])
+            self.samples = tuple(map(tuple, grid.tolist()))
         self.domain_halfwidth = self._auto_halfwidth()
-        if self.kind == "piecewise_poly" and self.even:
-            self._check_even_declaration()
+        self._even = self._decide_evenness()
 
     def _auto_halfwidth(self) -> float:
         if self.kind == "sampled":
-            tg = np.asarray(self.samples[0])
+            tg = self._sample_array[0]
             return float(max(tg[-1], -tg[0]))
         maxbp = max((abs(b) for b in self.breakpoints), default=0.0)
         probe = max(8.0, 4.0 * maxbp)
@@ -191,40 +211,37 @@ class Potential1D:
         t_crit = float(t[sign_change[-1] + 1]) if sign_change.size else 0.0
         return max(2.0, 1.5 * t_crit + 1.0, 1.25 * maxbp + 1.0)
 
-    def _check_even_declaration(self):
-        t = np.linspace(0.0, self.domain_halfwidth, 1000)
+    def _decide_evenness(self) -> bool:
+        # the t^2 kind is even; a piecewise one only as declared, and the
+        # declaration must hold on a 1000-point grid; a sampled one is
+        # probed at 256 seeded random points
+        if self.kind == "poly_in_t_squared":
+            return True
+        if self.kind == "piecewise_poly":
+            if not self.even:
+                return False
+            t = np.linspace(0.0, self.domain_halfwidth, 1000)
+        else:
+            t = np.random.default_rng(0).uniform(0.0, self.domain_halfwidth, 256)
         a, b = self.eval(t), self.eval(-t)
         scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - b)) > _EVEN_TOL * scale:
+        even = bool(np.max(np.abs(a - b)) <= _EVEN_TOL * scale)
+        if self.kind == "piecewise_poly" and not even:
             raise ValueError("piecewise_poly declared even but is not")
-
-    def _derivative_coeffs(self, order: int):
-        """Coefficients of the order-th derivative (order 0: W itself), as
-        Python-float tuples: of P for the t^2 kind (W = P(t^2)), per piece
-        for the piecewise kind. Built once per order."""
-        coeffs = self._dcoeffs.get(order)
-        if coeffs is None:
-            if self.kind == "poly_in_t_squared":
-                coeffs = tuple(npoly.polyder(np.asarray(self.coefficients),
-                                             order).tolist())
-            else:
-                coeffs = tuple(tuple(npoly.polyder(np.asarray(p), order).tolist())
-                               for p in self.coefficients)
-            self._dcoeffs[order] = coeffs
-        return coeffs
+        return even
 
     def _poly(self, t, order: int):
         """W (order 0), W' or W'' of a polynomial kind at a Python float or
         an array; the same operations in the same order either way."""
         if self.kind == "poly_in_t_squared":
             if order == 0:
-                return _horner(self._derivative_coeffs(0), t * t)
-            dP = _horner(self._derivative_coeffs(1), t * t)
+                return _horner(self._tables[0], t * t)
+            dP = _horner(self._tables[1], t * t)
             if order == 1:
                 return dP * 2.0 * t
-            ddP = _horner(self._derivative_coeffs(2), t * t)
+            ddP = _horner(self._tables[2], t * t)
             return ddP * 4.0 * t * t + 2.0 * dP
-        pieces = self._derivative_coeffs(order)
+        pieces = self._tables[order]
         if isinstance(t, float):
             # bisect_right is searchsorted(side="right")
             return _horner(pieces[bisect.bisect_right(self.breakpoints, t)], t)
@@ -237,15 +254,13 @@ class Potential1D:
         return out
 
     def _sampled(self, t: np.ndarray, order: int) -> np.ndarray:
-        """The PCHIP (order 0) or its centered difference (order 1)."""
-        if self._pchip is None:
-            tg, vals = (np.asarray(a, dtype=float) for a in self.samples)
-            self._pchip = (tg, _pchip_coeffs(tg, vals))
+        """The PCHIP (order 0), or the centered difference of the order
+        below: step 1e-6 max(1, |t|) for W', 1e-4 max(1, |t|) for W''."""
         if order == 0:
-            return _pchip_eval(*self._pchip, t)
-        h = 1e-6 * np.maximum(1.0, np.abs(t))
-        return (_pchip_eval(*self._pchip, t + h)
-                - _pchip_eval(*self._pchip, t - h)) / (2.0 * h)
+            return _pchip_eval(self._sample_array[0], self._tables, t)
+        h = (1e-6 if order == 1 else 1e-4) * np.maximum(1.0, np.abs(t))
+        return (self._sampled(t + h, order - 1)
+                - self._sampled(t - h, order - 1)) / (2.0 * h)
 
     def _at(self, t, order: int):
         # a finite float (np.float64 included) of a polynomial kind stays
@@ -267,46 +282,24 @@ class Potential1D:
         return self._at(t, 0)
 
     def derivative(self, t, order: int = 1):
-        """Evaluate W', or W'' for polynomial kinds.
+        """Evaluate W' (order 1) or W'' (order 2).
 
         Args:
             t: scalar or array of slope values.
-            order: 1 or 2. Sampled potentials only support order 1
-                (second differences of an interpolant are not trustworthy).
+            order: 1 or 2. Sampled kinds give centered differences (see
+                ``_sampled``): W'' is a curvature estimate, as a Newton
+                model needs it, not data.
 
         Raises:
             ValueError: on unsupported order.
         """
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        if order == 2 and self.kind == "sampled":
-            raise ValueError("order 2 derivative unavailable for sampled kind")
         return self._at(t, order)
 
     def is_even(self) -> bool:
-        if self.kind == "poly_in_t_squared":
-            return True
-        if self.kind == "piecewise_poly" and not self.even:
-            return False
-        rng = np.random.default_rng(0)
-        t = rng.uniform(0.0, self.domain_halfwidth, 256)
-        a, b = self.eval(t), self.eval(-t)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        return bool(np.max(np.abs(a - b)) <= _EVEN_TOL * scale)
-
-
-def _second_derivative(pot: Potential1D, t):
-    """pot'' for every kind, as a Newton model needs it.
-
-    ``derivative(order=2)`` refuses sampled kinds because the result is not
-    trustworthy as data; a Newton step only needs a curvature estimate, so
-    sampled kinds get a centered difference of the first derivative.
-    """
-    if pot.kind != "sampled":
-        return pot.derivative(t, 2)
-    t = np.asarray(t, dtype=float)
-    h = 1e-4 * np.maximum(1.0, np.abs(t))
-    return (pot.derivative(t + h) - pot.derivative(t - h)) / (2.0 * h)
+        """Whether W is even, as decided at construction."""
+        return self._even
 
 
 def _require_coercive(W: Potential1D):
@@ -319,7 +312,7 @@ def _require_coercive(W: Potential1D):
         if len(outer) < 2 or outer[-1] <= 0:
             raise ValueError("potential is not coercive (outer piece)")
     else:
-        vals = np.asarray(W.samples[1])
+        vals = W._sample_array[1]
         tail = vals[int(0.9 * len(vals)):]
         scale = max(1.0, float(np.max(np.abs(vals))))
         if not (np.all(np.diff(tail) >= -1e-12 * scale) and tail[-1] > vals.min()):
@@ -370,7 +363,7 @@ def compute_M(W: Potential1D) -> float:
     _require_coercive(W)
     T = W.domain_halfwidth
     if W.kind == "sampled":
-        t, v = (np.asarray(x, dtype=float) for x in W.samples)
+        t, v = W._sample_array
         t, v = t[t >= 0.0], v[t >= 0.0]
     else:
         t = np.linspace(0.0, T, _SCAN_POINTS)
@@ -451,10 +444,10 @@ class ProblemSpec:
         self.dimension = int(self.dimension)
         self.radius = float(self.radius)
         self.p = float(self.p)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not 1 < self.p < math.inf:
+            raise ValueError("p must exceed 1 and be finite")
         if self.shape_flag not in SHAPE_FLAGS:
             raise ValueError(f"unknown shape flag {self.shape_flag!r}")
         if not self.W.is_even():

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
-from radrelax.potentials import ProblemSpec, _second_derivative
+from radrelax.potentials import ProblemSpec
 
 __all__ = [
     "NumericalFailure",
@@ -246,7 +246,7 @@ class _RelaxedEnergy:
         """Diagonal and superdiagonal of the Hessian."""
         s, ubar = self._cells(x)
         a = self.weight * self.env.deriv2(s) / self.dr ** 2
-        b = 0.25 * self.weight * _second_derivative(self.spec.G, ubar)
+        b = 0.25 * self.weight * self.spec.G.derivative(ubar, 2)
         return self._to_nodes(a + b, a + b), (b - a)[:-1]
 
 

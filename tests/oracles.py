@@ -518,7 +518,6 @@ def array_only_envelope(env):
     import dataclasses
 
     from radrelax.envelope import EnvelopeResult
-    from radrelax.potentials import _second_derivative
 
     class ArrayOnlyEnvelope(EnvelopeResult):
         def eval(self, t):
@@ -550,7 +549,7 @@ def array_only_envelope(env):
         def deriv2(self, t):
             arr = np.asarray(t, dtype=float)
             ts = np.atleast_1d(arr)
-            out = np.asarray(_second_derivative(self.potential, ts),
+            out = np.asarray(self.potential.derivative(ts, 2),
                              dtype=float).copy()
             for c in self.components:
                 out[c.contains(ts)] = 0.0

@@ -429,6 +429,24 @@ def test_symmetry_profile_csv_needs_single_field(prototype_ini, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("fields", ["0", "2", "3"])
+def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
+                                                  monkeypatch, capsys, fields):
+    # --field-csv prices the one field it reads, so asking for several
+    # random fields with it is a usage error, not a one-field report
+    path = tmp_path / "field.csv"
+    DiscField.random_smooth(33, 1.0, seed=1).to_csv(str(path))
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                 "--field-csv", str(path), "--random-fields", fields,
+                 "--out", str(out)]) == 1
+    want = ("--random-fields must be at least 1\n" if fields == "0" else
+            "--field-csv is a single field; --random-fields must be 1\n")
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert main(["solve", "--spec", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err

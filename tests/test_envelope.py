@@ -346,3 +346,20 @@ def test_sampled_envelope_keeps_sample_grid():
     env = convexify(W)
     assert np.array_equal(env.grid, np.asarray(W.samples[0]))
     assert np.array_equal(env.w_values, np.asarray(W.samples[1]))
+
+
+def test_sampled_convexify_evaluates_no_W():
+    # the samples, their hull and the evenness decided at construction
+    # are all convexify needs of a sampled W
+    W = random_even_sampled(4)
+    calls = []
+    plain = W.eval
+
+    def counted(t):
+        calls.append(t)
+        return plain(t)
+
+    W.eval = counted
+    env = convexify(W)
+    assert calls == []
+    assert np.array_equal(env.grid, np.asarray(W.samples[0]))

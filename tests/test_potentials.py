@@ -115,6 +115,55 @@ def test_construction_errors():
                     samples=((-1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 1.0, 2.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_polynomial_data_rejected(bad):
+    # the spec parser rejects these first; the library must too, or
+    # eval returns nan or inf
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Potential1D(kind="poly_in_t_squared", coefficients=(0.0, bad, 1.0))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Potential1D(kind="piecewise_poly",
+                    coefficients=((1.0, 0.0, 1.0), (1.0, bad)),
+                    breakpoints=(1.0,))
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        Potential1D(kind="piecewise_poly",
+                    coefficients=((1.0,), (1.0,), (1.0, 0.0, 1.0)),
+                    breakpoints=(bad, 1.0))
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        ProblemSpec(dimension=2, radius=bad, p=4.0, W=double_well(),
+                    G=double_well())
+    with pytest.raises(ValueError, match="p must exceed 1 and be finite"):
+        ProblemSpec(dimension=2, radius=1.0, p=bad, W=double_well(),
+                    G=double_well())
+
+
+def test_sample_array_is_read_only():
+    W = random_even_sampled(2)
+    arr = W._sample_array
+    assert arr.shape == (2, len(W.samples[0]))
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[1, 0] = 0.0
+    assert arr.tolist() == [list(a) for a in W.samples]
+
+
+def test_sampled_second_derivative_is_nested_difference():
+    # W'' of a sampled kind is the centered difference of W' with step
+    # 1e-4 max(1, |t|), bit for bit, on floats and on arrays
+    for seed in range(3):
+        W = random_even_sampled(seed)
+        T = W.domain_halfwidth
+        ts = np.linspace(-1.5 * T, 1.5 * T, 97)
+        h = 1e-4 * np.maximum(1.0, np.abs(ts))
+        want = (W.derivative(ts + h) - W.derivative(ts - h)) / (2.0 * h)
+        got = W.derivative(ts, 2)
+        assert np.array_equal(got, want)
+        for t, w in zip(ts.tolist(), want.tolist()):
+            hs = 1e-4 * max(1.0, abs(t))
+            assert W.derivative(t, 2) == w
+            assert (W.derivative(t + hs) - W.derivative(t - hs)) / (2.0 * hs) == w
+
+
 def test_sampled_path_loads_no_scipy():
     # a sampled W, its envelope and the Newton curvature model are numpy
     # only, beyond the sample range too, so they never pay for scipy
@@ -125,12 +174,11 @@ def test_sampled_path_loads_no_scipy():
         "import numpy as np\n"
         "from oracles import random_even_sampled\n"
         "from radrelax.envelope import convexify\n"
-        "from radrelax.potentials import _second_derivative\n"
         "W = random_even_sampled(3)\n"
         "env = convexify(W)\n"
         "T = W.domain_halfwidth\n"
         "t = np.linspace(-2.0 * T, 2.0 * T, 101)\n"
-        "W.eval(t), W.derivative(t), _second_derivative(W, t)\n"
+        "W.eval(t), W.derivative(t), W.derivative(t, 2)\n"
         "env.eval(t), env.deriv(t), env.eval(1.5 * T), env.deriv(-1.5 * T)\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy')))\n")

@@ -218,8 +218,8 @@ def test_newton_direction_matches_banded_cholesky(three_well_spec):
 
 
 def test_minimize_sampled_potentials(prototype_spec):
-    # sampled kinds have no order-2 derivative; the Newton model takes a
-    # centered difference of their first derivative instead
+    # a sampled kind's order-2 derivative, which the Newton model takes,
+    # is a centered difference of its first derivative
     grid = RadialGrid.uniform(1.0, 64)
     mu = np.linspace(-4.0, 4.0, 801)
     G = Potential1D(kind="sampled", samples=(mu, -mu * mu))
