@@ -39,6 +39,7 @@ __all__ = [
 RAY_CHECK_TOL_COEFF = 8.0
 
 _SUBCELL = 16  # boundary-cell area weights resolve the arc at h/16
+_RIM_CHUNK = 128  # rim cells per subsampling lattice
 
 # Rows per block of the planar kernels, which hold block-sized
 # temporaries only (BENCH_disc_stream.json)
@@ -58,7 +59,6 @@ class DiscField:
     n: int
     radius: float
     values: np.ndarray
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 33 or self.n % 2 == 0:
@@ -69,13 +69,16 @@ class DiscField:
         if vals.shape != (self.n, self.n):
             raise ValueError(
                 f"values shape {vals.shape} does not match n={self.n}")
+        vals = vals.copy()
+        vals[~self.mask] = 0.0
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Nodes strictly inside the circle."""
         x = self.coords
         x2 = x * x
-        inside = x2[:, None] + x2[None, :] < self.radius ** 2
-        vals = vals.copy()
-        vals[~inside] = 0.0
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mask", inside)
+        return x2[:, None] + x2[None, :] < self.radius ** 2
 
     @property
     def coords(self) -> np.ndarray:
@@ -250,13 +253,16 @@ def _cell_area_weights(fld: DiscField, a: int = 0,
     w = np.zeros_like(corner_max)
     w[corner_max <= R] = 1.0
     straddle = (corner_max > R) & (nearest < R)
-    if np.any(straddle):
-        ii, jj = np.nonzero(straddle)
-        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
-        sx = x[ii + a][:, None, None] + off[None, :, None]
-        sy = x[jj][:, None, None] + off[None, None, :]
-        frac = np.mean(sx * sx + sy * sy < R * R, axis=(1, 2))
-        w[ii, jj] = frac
+    ii, jj = np.nonzero(straddle)
+    off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
+    # a chunk's lattice is (_RIM_CHUNK, 16, 16); the count of 0/1 values
+    # is exact, so the fraction has the bits of their float mean
+    for s in range(0, len(ii), _RIM_CHUNK):
+        i, j = ii[s:s + _RIM_CHUNK], jj[s:s + _RIM_CHUNK]
+        sx = x[i + a][:, None, None] + off[None, :, None]
+        sy = x[j][:, None, None] + off[None, None, :]
+        w[i, j] = np.count_nonzero(sx * sx + sy * sy < R * R,
+                                   axis=(1, 2)) / _SUBCELL ** 2
     return w
 
 

@@ -14,6 +14,7 @@ of representational scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -75,11 +76,13 @@ class EnvelopeResult:
             return float(out)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
-        out = np.array(outside(ts), dtype=float)
-        for c in self.components:
-            m = c.contains(ts)
-            if np.any(m):
-                out[m] = inside(c, ts[m])
+        out = np.asarray(outside(ts), dtype=float)
+        # inside(c, t) on every point gives the points of c the floats of
+        # inside(c, t[mask]); the others may overflow (t = +-inf) and are
+        # dropped unread
+        with np.errstate(all="ignore"):
+            for c in self.components:
+                out = np.where(c.contains(ts), inside(c, ts), out)
         return float(out[0]) if arr.ndim == 0 else out
 
     def eval(self, t):
@@ -107,18 +110,38 @@ class EnvelopeResult:
 
 def _lower_hull(t: np.ndarray, w: np.ndarray) -> list:
     # monotone chain over x-sorted points; linear time.  Python floats are
-    # IEEE doubles, so the predicate is the one numpy scalars would give
-    ts, ws = t.tolist(), w.tolist()
-    idx: list = []
-    for i, (ti, wi) in enumerate(zip(ts, ws)):
-        while len(idx) >= 2:
-            a, b = idx[-2], idx[-1]
-            if (ws[b] - ws[a]) * (ti - ts[a]) >= (wi - ws[a]) * (ts[b] - ts[a]):
-                idx.pop()
-            else:
+    # IEEE doubles, so the predicate is the one numpy gives.  popping
+    # lists each i whose consecutive triple (i - 2, i - 1, i) passes the
+    # pop test: while the stack ends in i - 2, i - 1, the points up to the
+    # next such i are pushed without a test
+    n = len(t)
+    with np.errstate(all="ignore"):
+        pops = ((w[1:-1] - w[:-2]) * (t[2:] - t[:-2])
+                >= (w[2:] - w[:-2]) * (t[1:-1] - t[:-2]))
+    popping = (np.flatnonzero(pops) + 2).tolist() + [n]
+    # two entries of a NaN point n at the bottom of the stack: every test
+    # against it is false, so it is never popped and the stack always has
+    # two entries to test
+    ts, ws = t.tolist() + [math.nan], w.tolist() + [math.nan]
+    idx: list = [n, n]
+    k = 0
+    i = 0
+    while i < n:
+        if idx[-2] == i - 2 and idx[-1] == i - 1:
+            while popping[k] < i:
+                k += 1
+            idx.extend(range(i, popping[k]))
+            i = popping[k]
+            if i == n:
                 break
+        ti, wi = ts[i], ws[i]
+        a, b = idx[-2], idx[-1]
+        while (ws[b] - ws[a]) * (ti - ts[a]) >= (wi - ws[a]) * (ts[b] - ts[a]):
+            idx.pop()
+            a, b = idx[-2], a
         idx.append(i)
-    return idx
+        i += 1
+    return idx[2:]
 
 
 def _hull_values(t: np.ndarray, w: np.ndarray, hull: list) -> np.ndarray:

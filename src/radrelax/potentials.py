@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "Potential1D",
@@ -40,8 +39,15 @@ def _finite_tuple(x, what: str) -> tuple:
 
 def _derivative_tables(coeffs: tuple) -> tuple:
     # ascending coefficients of the 0th, 1st and 2nd derivative, as
-    # Python-float tuples for _horner
-    return tuple(tuple(npoly.polyder(coeffs, k).tolist()) for k in range(3))
+    # Python-float tuples for _horner, by numpy.polynomial.polyder's
+    # products: j * c[j] per order, and (c[0] * 0,) once the degree is
+    # used up
+    tables = [tuple(coeffs)]
+    for k in (1, 2):
+        d = tables[-1]
+        tables.append(tuple(j * d[j] for j in range(1, len(d)))
+                      if k < len(coeffs) else (coeffs[0] * 0,))
+    return tuple(tables)
 
 
 def _horner(c: tuple, x):
@@ -439,7 +445,10 @@ class ProblemSpec:
     envelope: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
+        # abs(d) < inf is false for nan and +-inf, where int(d) raises,
+        # and exact for an int of any size
+        if not (abs(self.dimension) < math.inf
+                and int(self.dimension) == self.dimension >= 2):
             raise ValueError("dimension must be an integer >= 2")
         self.dimension = int(self.dimension)
         self.radius = float(self.radius)

@@ -90,6 +90,8 @@ class RadialProfile:
         self.u = np.asarray(self.u, dtype=float).copy()
         if len(self.u) != len(self.grid.nodes):
             raise ValueError("profile length must match grid nodes")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError("profile values must be finite")
         self.u[-1] = 0.0
 
     @property
@@ -632,18 +634,39 @@ def _outermost_levels(W, env, y: np.ndarray) -> np.ndarray:
     vals = np.asarray(W.eval(grid), dtype=float)
     targets = np.asarray(W.eval(y), dtype=float)
     last, has = _last_brackets(vals, targets)
+    # Wc is even and convex with minimum set [-M, M], so it increases
+    # strictly on [M, inf). Outside the detachment intervals W(y) = Wc(y),
+    # and every nu > y has W(nu) >= Wc(nu) > W(y): y is its own outermost
+    # point. Margins of the snap's 1e-7 keep rounding near M and the
+    # tangency points out; a bracket past y's own scan interval (a sampled
+    # W whose extension turns down past the samples) goes to the bisection
+    keep = (y >= M * (1.0 + 1e-7)) & (~has | ((grid[last] <= y)
+                                              & (y <= grid[last + 1])))
+    for c in env.components:
+        keep &= (y <= c.a - 1e-7 * abs(c.a)) | (y >= c.b + 1e-7 * abs(c.b))
+    out = y.copy()
+    move = np.flatnonzero(~keep)
+    if move.size:
+        out[move] = _bisect_levels(W, M, grid, y[move], targets[move],
+                                   last[move], has[move])
+    return out
+
+
+def _bisect_levels(W, M, grid, y, targets, last, has):
+    # the last bracket of W - target, bisected to float resolution
     lo = np.where(has, grid[last], np.maximum(y, M))
     hi = np.where(has, grid[last + 1], lo)
-    flo = np.asarray(W.eval(lo), dtype=float) - targets
+    # lo only moves to a midpoint with the residual sign of lo, so that
+    # sign is fixed
+    sign_lo = np.sign(np.asarray(W.eval(lo), dtype=float) - targets)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(W.eval(mid), dtype=float) - targets
-        same = np.sign(fm) == np.sign(flo)
+        same = np.sign(fm) == sign_lo
         # a step that moves no bracket would repeat forever; stop
         if np.array_equal(mid, np.where(same, lo, hi)):
             break
         lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
     nu = 0.5 * (lo + hi)
     nu = np.where(~has, np.maximum(y, M), nu)
@@ -664,9 +687,11 @@ def monotone_rearrange(profile: RadialProfile,
     outermost point of its W level set, and the profile is re-integrated
     inward from u(R) = 0. W is scanned once at 4097 points on [M, T]; the
     last scan interval that brackets W(|s|) comes from a searchsorted into
-    suffix minima (or maxima) of the scan, and up to 60 bisection steps
-    refine it, snapping to |s| when |s| is already outermost. Time is
-    O(4097 + K log 4097) and memory O(K) for K cells.
+    suffix minima (or maxima) of the scan. A slope with |s| >= M outside
+    every detachment interval, whose last bracket holds |s|, is its own
+    outermost point and is kept; up to 60 bisection steps refine the
+    bracket of every other cell, snapping to |s| when |s| is already
+    outermost. Time is O(4097 + K log 4097) and memory O(K) for K cells.
     """
     y = np.abs(profile.slopes)
     nu = _outermost_levels(env.potential, env, y)

@@ -43,6 +43,43 @@ def chord_hull_values(t, w, verts):
     return env
 
 
+def plain_monotone_chain(t, w):
+    """Lower hull vertices by the monotone chain, one point at a time.
+
+    ``envelope._lower_hull`` as it was before it took the runs of
+    consecutive non-popping triples from one numpy pass: the same
+    predicate on Python floats, tested at every point.
+    """
+    ts = np.asarray(t, dtype=float).tolist()
+    ws = np.asarray(w, dtype=float).tolist()
+    idx = []
+    for i, (ti, wi) in enumerate(zip(ts, ws)):
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            if (ws[b] - ws[a]) * (ti - ts[a]) >= (wi - ws[a]) * (ts[b] - ts[a]):
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return idx
+
+
+def masked_envelope_eval(env, t, order):
+    """``env.eval`` (order 0), ``env.deriv`` (1) or ``env.deriv2`` (2) on
+    an array, by the masked assignment ``EnvelopeResult`` used before it
+    patched components with ``np.where``: W (or W', W'') everywhere, then
+    each component's affine piece assigned on its own points."""
+    W = env.potential
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.array(W.eval(ts) if order == 0 else W.derivative(ts, order),
+                   dtype=float)
+    for c in env.components:
+        m = c.contains(ts)
+        if np.any(m):
+            out[m] = (c.alpha * ts[m] + c.beta, c.alpha, 0.0)[order]
+    return out
+
+
 def runs_walk(mask):
     """(first, last) index of each maximal run of True, by a scalar walk.
 
@@ -153,6 +190,41 @@ def quadratic_outermost_levels(W, env, y):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(W.eval(mid), dtype=float) - targets
         same = np.sign(fm) == np.sign(flo)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    nu = 0.5 * (lo + hi)
+    nu = np.where(~has, np.maximum(y, M), nu)
+    nu = np.maximum(nu, y)
+    snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
+    return np.where(snap, y, nu)
+
+
+def bisecting_outermost_levels(W, env, y):
+    """Largest nu >= 0 with W(nu) = W(y), per entry of y.
+
+    ``radial_solver._outermost_levels`` as it was before it kept the
+    slopes that are their own outermost point: every cell bisects its last
+    scan bracket, carrying the residual at lo in an array of its own.
+    """
+    from radrelax.radial_solver import _last_brackets
+
+    M = env.M
+    T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
+            M + 1.0)
+    grid = np.linspace(M, T, 4097)
+    vals = np.asarray(W.eval(grid), dtype=float)
+    targets = np.asarray(W.eval(y), dtype=float)
+    last, has = _last_brackets(vals, targets)
+    lo = np.where(has, grid[last], np.maximum(y, M))
+    hi = np.where(has, grid[last + 1], lo)
+    flo = np.asarray(W.eval(lo), dtype=float) - targets
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(W.eval(mid), dtype=float) - targets
+        same = np.sign(fm) == np.sign(flo)
+        if np.array_equal(mid, np.where(same, lo, hi)):
+            break
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)

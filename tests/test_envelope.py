@@ -13,6 +13,7 @@ from oracles import (
     chord_hull_vertices,
     fixed_step_polish_tangency,
     naive_min_chord,
+    plain_monotone_chain,
     random_even_sampled,
 )
 
@@ -307,6 +308,7 @@ def test_polynomial_grid_hull_matches_chord_oracle_exactly(name, points):
     verts = chord_hull_vertices(t, w)
     hull = _lower_hull(t, w)
     assert hull == verts
+    assert hull == plain_monotone_chain(t, w)
     assert np.array_equal(_hull_values(t, w, hull),
                           chord_hull_values(t, w, verts))
     if name == "m0":

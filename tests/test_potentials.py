@@ -135,6 +135,11 @@ def test_non_finite_polynomial_data_rejected(bad):
     with pytest.raises(ValueError, match="p must exceed 1 and be finite"):
         ProblemSpec(dimension=2, radius=1.0, p=bad, W=double_well(),
                     G=double_well())
+    # int(nan) and int(inf) raise their own errors, so finiteness is
+    # tested first
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        ProblemSpec(dimension=bad, radius=1.0, p=4.0, W=double_well(),
+                    G=double_well())
 
 
 def test_sample_array_is_read_only():

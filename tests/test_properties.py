@@ -1,13 +1,16 @@
-"""Property tests on arbitrary inputs: the monotone rearrangement laws,
-the spec emit/parse round trip, the sampled-kind hull against the
-chord-walk oracle, the detachment runs against the scalar walk, the
-report writer against json.dumps, the scalar kernels of potentials
-and envelopes against their array paths, and the sampled kind's monotone
-cubic against SciPy's."""
+"""Property tests on arbitrary inputs: the monotone rearrangement laws
+and its bits against the all-cell bisection, the spec emit/parse round
+trip, the sampled-kind hull against the chord-walk oracle, the hull
+against the plain monotone chain, the detachment runs against the scalar
+walk, the report writer against json.dumps, the derivative tables
+against numpy's polyder, the scalar kernels of potentials and envelopes
+against their array paths, the envelope array path against masked
+assignment, and the sampled kind's monotone cubic against SciPy's."""
 
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 from radrelax.cli import _json_text  # noqa: E402
 from radrelax.envelope import (_hull_values, _lower_hull, _runs,  # noqa: E402
                                convexify)
-from radrelax.potentials import Potential1D, ProblemSpec  # noqa: E402
+from radrelax.potentials import (Potential1D, ProblemSpec,  # noqa: E402
+                                 _derivative_tables)
 from radrelax.radial_solver import (  # noqa: E402
     RadialGrid,
     RadialProfile,
@@ -30,7 +34,9 @@ from radrelax.radial_solver import (  # noqa: E402
 from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
 from conftest import double_well, make_m0_spec, three_well  # noqa: E402
-from oracles import chord_hull_values, chord_hull_vertices, runs_walk  # noqa: E402
+from oracles import (bisecting_outermost_levels, chord_hull_values,  # noqa: E402
+                     chord_hull_vertices, masked_envelope_eval,
+                     plain_monotone_chain, random_even_sampled, runs_walk)
 
 # G(u) = -u^2 does not increase in |u| (G2), so the energy cannot rise
 _SPECS = {
@@ -70,6 +76,58 @@ def test_rearrangement_laws(prof, name):
     e_before = energy_reduced(prof, spec)
     e_after = energy_reduced(v, spec)
     assert e_after <= e_before + 1e-9 * (1.0 + abs(e_before))
+
+
+# (t^2 - 1)^2 sampled on [-1.5, 1.5]: the PCHIP extension turns down
+# past the samples
+_TURNING_T = np.linspace(-1.5, 1.5, 61)
+_LEVEL_POTENTIALS = {
+    "double_well": double_well(),
+    "three_well": three_well(),
+    "m0": make_m0_spec().W,
+    "random_sampled": random_even_sampled(2),
+    "turning_sampled": Potential1D(kind="sampled", samples=(
+        _TURNING_T, (_TURNING_T ** 2 - 1.0) ** 2)),
+}
+
+
+def _level_slopes(env):
+    # M and the tangency points, on, 1e-9 off and at the 1e-7 relative
+    # margins of each, and the end of the samples and beyond it
+    W = env.potential
+    edges = [env.M] + [abs(x) for c in env.components for x in (c.a, c.b)]
+    out = [0.0]
+    for e in edges:
+        for m in (e, e * (1.0 + 1e-7), e * (1.0 - 1e-7)):
+            out += [m, m + 1e-9, m - 1e-9, np.nextafter(m, np.inf),
+                    np.nextafter(m, -np.inf)]
+    if W.kind == "sampled":
+        end = W.samples[0][-1]
+        out += [end, 1.01 * end, 1.5 * end, 3.0 * end]
+    return sorted({float(x) for x in out if x >= 0.0})
+
+
+@given(name=st.sampled_from(sorted(_LEVEL_POTENTIALS)), data=st.data())
+def test_rearrangement_matches_bisecting_oracle(name, data):
+    # cells of unit width whose nodes alternate between 0 and a drawn
+    # value: every slope is exactly a drawn value or its negative
+    env = _envelope(name)
+    special = _level_slopes(env)
+    top = 2.0 * max(special[-1], env.potential.domain_halfwidth)
+    values = data.draw(st.lists(
+        st.sampled_from(special) | st.floats(0.0, top), min_size=8,
+        max_size=40))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                               min_size=len(values), max_size=len(values)))
+    cells = 2 * len(values)
+    u = np.zeros(cells + 1)
+    u[1::2] = np.multiply(signs, values)
+    prof = RadialProfile(RadialGrid.uniform(float(cells), cells), u)
+    y = np.abs(prof.slopes)
+    assert np.array_equal(y, np.repeat(values, 2))
+    drops = bisecting_outermost_levels(env.potential, env, y) * prof.grid.dr
+    want = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+    assert np.array_equal(monotone_rearrange(prof, env).u, want)
 
 
 _COEFF = st.floats(-10.0, 10.0, allow_nan=False)
@@ -132,6 +190,32 @@ def test_sampled_hull_matches_chord_oracle(samples):
     assert list(hull) == verts
     assert np.array_equal(_hull_values(t, w, hull),
                           chord_hull_values(t, w, verts))
+
+
+@st.composite
+def hull_points(draw):
+    # x-sorted points, n < 3 included: arbitrary values, a double well
+    # (convex runs around a concave middle), or a line on integer nodes
+    # (every triple collinear, exactly); values rounded to one decimal
+    # give ties and repeated chords
+    n = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["random", "well", "line"]))
+    if kind == "line":
+        t = np.arange(n, dtype=float) - n // 2
+        return t, 2.0 * t - 1.0
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    t = np.cumsum(gaps) - 0.5 * sum(gaps)
+    if kind == "well":
+        w = (t * t - draw(st.floats(0.0, 4.0))) ** 2
+    else:
+        w = np.array(draw(st.lists(_COEFF, min_size=n, max_size=n)))
+    return t, np.round(w, 1) if draw(st.booleans()) else w
+
+
+@given(points=hull_points())
+def test_lower_hull_matches_plain_monotone_chain(points):
+    t, w = points
+    assert _lower_hull(t, w) == plain_monotone_chain(t, w)
 
 
 @given(mask=st.lists(st.booleans(), max_size=64))
@@ -204,6 +288,18 @@ def polynomial_potentials(draw):
                        breakpoints=breaks)
 
 
+@given(coeffs=st.lists(_SMALL_COEFF | st.just(-0.0), min_size=1, max_size=6))
+def test_derivative_tables_match_polyder(coeffs):
+    # every table entry with its bits, the signed zero of a constant's
+    # derivative (c[0] * 0) included
+    from numpy.polynomial import polynomial as npoly
+
+    got = _derivative_tables(tuple(coeffs))
+    want = [npoly.polyder(coeffs, k).tolist() for k in range(3)]
+    assert [list(map(_bits, c)) for c in got] == \
+        [list(map(_bits, c)) for c in want]
+
+
 def _at(W, order, t):
     return W.eval(t) if order == 0 else W.derivative(t, order)
 
@@ -235,9 +331,14 @@ _ENVELOPES = {
 }
 
 
+_SAMPLED_ENVELOPES = {f"sampled_{seed}": random_even_sampled(seed)
+                      for seed in range(3)}
+
+
 @functools.lru_cache(maxsize=None)
 def _envelope(name):
-    return convexify(_ENVELOPES[name])
+    return convexify({**_ENVELOPES, **_SAMPLED_ENVELOPES,
+                      **_LEVEL_POTENTIALS}[name])
 
 
 @given(name=st.sampled_from(sorted(_ENVELOPES)),
@@ -254,6 +355,35 @@ def test_envelope_scalar_path_matches_array_path(name, ts):
                 got = method(arg)
                 assert type(got) is float
                 assert _bits(got) == _bits(want), (name, method.__name__, t)
+
+
+def _warned(f, *args):
+    # f(*args) and the messages of the RuntimeWarnings it raised
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = f(*args)
+    return out, [str(w.message) for w in seen]
+
+
+@given(name=st.sampled_from(sorted({**_ENVELOPES, **_SAMPLED_ENVELOPES})),
+       ts=st.lists(_ARGS, max_size=16))
+def test_envelope_array_path_matches_masked_assignment(name, ts):
+    # the endpoints of each component, where the mask flips, NaN, and the
+    # infinities that overflow each affine piece (0 * inf under a constant
+    # one): the array path may raise only the warnings W itself raises,
+    # none for the value of a sampled W
+    env = _envelope(name)
+    ts = ts + [np.nan, np.inf, -np.inf, 0.0, -0.0, env.M, -env.M]
+    ts = np.array(ts + [x for c in env.components
+                        for x in (c.a, c.b, -c.a, -c.b)])
+    for order, method in enumerate((env.eval, env.deriv, env.deriv2)):
+        got, got_warned = _warned(method, ts)
+        want, want_warned = _warned(masked_envelope_eval, env, ts, order)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            (name, order, ts[got.view(np.int64) != want.view(np.int64)])
+        assert got_warned == want_warned, (name, order)
+        if order == 0 and env.potential.kind == "sampled":
+            assert not got_warned
 
 
 _SAMPLE_VALUES = st.integers(-2, 2).map(float) | st.just(-0.0) | _COEFF

@@ -77,6 +77,16 @@ def test_profile_boundary_pinned():
     assert prof.u[-1] == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_values(bad):
+    # a nan slope made monotone_rearrange return an all-nan profile, and
+    # an infinite one overflowed inside its bisection
+    u = np.linspace(1.0, 0.0, 33)
+    u[5] = bad
+    with pytest.raises(ValueError, match="profile values must be finite"):
+        RadialProfile(RadialGrid.uniform(1.0, 32), u)
+
+
 def test_energy_zero_profile_exact(prototype_spec):
     grid = RadialGrid.uniform(1.0, 512)
     prof = RadialProfile(grid, np.zeros(513))
