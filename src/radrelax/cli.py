@@ -332,9 +332,21 @@ def _cmd_envelope(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_corner_cells(cfg: argparse.Namespace, spec: ProblemSpec,
+                          grid: RadialGrid, error: type) -> None:
+    # the corner fit's cell count, before any compute starts
+    from .verify import _corner_cells, _corner_window
+
+    try:
+        _corner_cells(grid.midpoints, _corner_window(cfg.window, spec.radius))
+    except ValueError as exc:
+        raise error(str(exc)) from None
+
+
 def _solve_common(cfg: argparse.Namespace):
     spec = parse_spec(cfg.spec)
     grid = RadialGrid.uniform(spec.radius, cfg.grid_points)
+    _require_corner_cells(cfg, spec, grid, UsageError)
     report = solve_pipeline(spec, grid, corner_window=cfg.window,
                             corner_tol=cfg.tol_corner)
     return spec, report
@@ -366,6 +378,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
         spec = parse_spec(cfg.spec)
         profile = _read_profile_csv(cfg.profile_csv, spec)
+        _require_corner_cells(cfg, spec, profile.grid, SpecFileError)
         ver = full_report(profile, spec, ensure_envelope(spec),
                           corner_window=cfg.window, corner_tol=cfg.tol_corner)
         warnings = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +25,6 @@ __all__ = [
     "DiscField",
     "RayAverageReport",
     "energy_2d",
-    "ray_profile",
     "ray_profiles",
     "averaged_ray_energy_check",
     "colinearity_defect",
@@ -89,17 +87,6 @@ class DiscField:
         return 2.0 * self.radius / (self.n - 1)
 
     @classmethod
-    def zeros(cls, n: int, radius: float) -> "DiscField":
-        return cls(n, radius, np.zeros((n, n)))
-
-    @classmethod
-    def from_function(cls, fn, n: int, radius: float) -> "DiscField":
-        """Sample fn(x, y) at the nodes; fn must accept arrays."""
-        x = np.linspace(-radius, radius, n)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return cls(n, radius, np.asarray(fn(X, Y), dtype=float))
-
-    @classmethod
     def random_smooth(cls, n: int, radius: float, seed: int) -> "DiscField":
         """Seeded sum of four Gaussian bumps tapered to zero at the rim."""
         rng = np.random.default_rng(seed)
@@ -119,22 +106,10 @@ class DiscField:
                         0.0, None)
         return cls(n, radius, vals * taper)
 
-    def to_csv(self, path: str) -> None:
-        """Write nodes as x,y,u rows in x-major order (atomic replace)."""
-        x = self.coords
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "u"])
-            for i in range(self.n):
-                for j in range(self.n):
-                    writer.writerow([repr(float(x[i])), repr(float(x[j])),
-                                     repr(float(self.values[i, j]))])
-        os.replace(tmp, path)
-
     @classmethod
     def from_csv(cls, path: str) -> "DiscField":
-        """Read an x,y,u table written by to_csv (any row order).
+        """Read an x,y,u table: a header row ``x,y,u``, then one row per
+        node of a full square grid over [-R, R]^2, in any order.
 
         Raises:
             ValueError: naming the file, and the line where there is one,
@@ -394,19 +369,14 @@ def _ray_samples(fld: DiscField, thetas):
 
 
 def ray_profiles(fld: DiscField, thetas) -> list:
-    """Restrict the field to the ray in each direction of thetas."""
-    grid, u = _ray_samples(fld, thetas)
-    return [RadialProfile(grid, row) for row in u]
-
-
-def ray_profile(fld: DiscField, theta: float) -> RadialProfile:
-    """Restrict the field to the ray in direction theta.
+    """Restrict the field to the ray in each direction of thetas.
 
     Samples u(r cos theta, r sin theta) by bilinear interpolation on a
     uniform radial grid with as many cells as the field has nodes per
     side; the outer value is pinned to zero.
     """
-    return ray_profiles(fld, [theta])[0]
+    grid, u = _ray_samples(fld, thetas)
+    return [RadialProfile(grid, row) for row in u]
 
 
 def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
@@ -455,7 +425,7 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
 
     The rays are sampled together as one (n_thetas, n + 1) bilinear
     gather and priced with one envelope and one G evaluation; each
-    per-ray energy equals ``energy_reduced`` on ``ray_profile`` of that
+    per-ray energy equals ``energy_reduced`` on ``ray_profiles`` of that
     ray bit for bit.
 
     Raises:

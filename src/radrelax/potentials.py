@@ -21,6 +21,7 @@ __all__ = [
     "ShapeReport",
     "compute_M",
     "check_G_shape",
+    "sphere_area",
 ]
 
 KINDS = ("poly_in_t_squared", "piecewise_poly", "sampled")
@@ -432,6 +433,11 @@ def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
     return ShapeReport(passes=not witnesses, witnesses=witnesses)
 
 
+def sphere_area(dimension: int) -> float:
+    """Surface measure of the unit sphere S^(N-1)."""
+    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+
+
 @dataclass
 class ProblemSpec:
     """A radially symmetric problem on the ball of radius R in dimension N."""
@@ -442,7 +448,9 @@ class ProblemSpec:
     W: Potential1D
     G: Potential1D
     shape_flag: str = "none"
-    envelope: object = field(default=None, compare=False, repr=False)
+    # the convex envelope of W, set by radial_solver.ensure_envelope
+    _envelope: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         # abs(d) < inf is false for nan and +-inf, where int(d) raises,
@@ -451,6 +459,11 @@ class ProblemSpec:
                 and int(self.dimension) == self.dimension >= 2):
             raise ValueError("dimension must be an integer >= 2")
         self.dimension = int(self.dimension)
+        try:  # Gamma(N/2) in the sphere area overflows from N = 344 on
+            sphere_area(self.dimension)
+        except OverflowError:
+            raise ValueError(f"dimension {self.dimension} is too large: the "
+                             "unit sphere's area overflows a float") from None
         self.radius = float(self.radius)
         self.p = float(self.p)
         if not 0 < self.radius < math.inf:

@@ -20,25 +20,19 @@ from typing import List, Optional
 import numpy as np
 
 from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
-from radrelax.potentials import ProblemSpec
+from radrelax.potentials import ProblemSpec, sphere_area
 
 __all__ = [
     "NumericalFailure",
     "RadialGrid",
     "RadialProfile",
     "SolveReport",
-    "sphere_area",
     "energy_reduced",
     "minimize_relaxed",
     "dp_oracle",
     "monotone_rearrange",
     "solve_pipeline",
 ]
-
-
-def sphere_area(dimension: int) -> float:
-    """Surface measure of the unit sphere S^(N-1)."""
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
 
 
 @dataclass
@@ -59,12 +53,6 @@ class RadialGrid:
     @classmethod
     def uniform(cls, radius: float, cells: int) -> "RadialGrid":
         return cls(np.linspace(0.0, radius, cells + 1))
-
-    @classmethod
-    def graded_near_zero(cls, radius: float, cells: int) -> "RadialGrid":
-        nodes = radius * np.linspace(0.0, 1.0, cells + 1) ** 2
-        nodes[-1] = radius
-        return cls(nodes)
 
     @property
     def cells(self) -> int:
@@ -143,10 +131,11 @@ class SolveReport:
 
 
 def ensure_envelope(spec: ProblemSpec) -> EnvelopeResult:
-    """Convexify spec.W once and cache the result on the spec."""
-    if spec.envelope is None:
-        spec.envelope = convexify(spec.W)
-    return spec.envelope
+    """Convexify spec.W once and cache the result on the spec, for that W."""
+    env = spec._envelope
+    if env is None or env.potential is not spec.W:
+        env = spec._envelope = convexify(spec.W)
+    return env
 
 
 def _off_radius(end: float, radius: float) -> bool:

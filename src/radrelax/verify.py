@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from radrelax.envelope import EnvelopeResult
-from radrelax.potentials import ProblemSpec
-from radrelax.radial_solver import RadialProfile, energy_reduced, sphere_area
+from radrelax.potentials import ProblemSpec, sphere_area
+from radrelax.radial_solver import RadialProfile, energy_reduced
 
 __all__ = [
     "VerifyReport",
@@ -116,6 +116,21 @@ def slope_and_sign_check(profile: RadialProfile, M: float) -> dict:
     )
 
 
+def _corner_window(window: Optional[float], radius: float) -> float:
+    # the corner window is 0.2 R unless one is given
+    return 0.2 * radius if window is None else window
+
+
+def _corner_cells(rbar: np.ndarray, window: float) -> np.ndarray:
+    # the cells of the corner fit, which needs 8 (ValueError otherwise)
+    sel = rbar < window
+    if int(np.count_nonzero(sel)) < 8:
+        raise ValueError(
+            f"corner window {window} holds {int(np.count_nonzero(sel))} cells; "
+            "need at least 8")
+    return sel
+
+
 def corner_condition_check(profile: RadialProfile, M: float,
                            window: float, tol: float = 0.05) -> dict:
     """Least-squares linear fit of cell slopes on rbar < window, extrapolated
@@ -125,11 +140,7 @@ def corner_condition_check(profile: RadialProfile, M: float,
         ValueError: when fewer than 8 cells fall inside the window.
     """
     rbar = profile.grid.midpoints
-    sel = rbar < window
-    if int(np.count_nonzero(sel)) < 8:
-        raise ValueError(
-            f"corner window {window} holds {int(np.count_nonzero(sel))} cells; "
-            "need at least 8")
+    sel = _corner_cells(rbar, window)
     coeffs = np.polyfit(rbar[sel], profile.slopes[sel], 1)
     fit0 = float(coeffs[1])
     err = abs(fit0 + M)
@@ -302,8 +313,7 @@ def full_report(profile: RadialProfile, spec: ProblemSpec,
     The derivative-based checks are recorded as skipped (passing) when G is
     sampled; call them directly to get the hard error instead.
     """
-    if corner_window is None:
-        corner_window = 0.2 * spec.radius
+    corner_window = _corner_window(corner_window, spec.radius)
     records = [
         detachment_avoidance_report(profile, env),
         slope_and_sign_check(profile, env.M),

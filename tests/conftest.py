@@ -1,8 +1,12 @@
+import csv
 import math
 
+import numpy as np
 import pytest
 
+from radrelax.disc2d import DiscField
 from radrelax.potentials import Potential1D, ProblemSpec
+from radrelax.radial_solver import RadialGrid
 
 try:
     from hypothesis import settings
@@ -16,6 +20,34 @@ else:
     settings.load_profile("deterministic")
 
 THREE_WELL_BREAK = math.sqrt(151.0 / 60.0)
+
+
+def graded_grid(radius, cells):
+    """Radial nodes r_k = R (k / K)^2, finer near the origin."""
+    nodes = radius * np.linspace(0.0, 1.0, cells + 1) ** 2
+    nodes[-1] = radius
+    return RadialGrid(nodes)
+
+
+def field_from_function(fn, n, radius):
+    """Sample fn(x, y) at the nodes of an n x n disc field; fn must accept
+    arrays."""
+    x = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return DiscField(n, radius, np.asarray(fn(X, Y), dtype=float))
+
+
+def write_field_csv(fld, path):
+    """Write the field's nodes as x,y,u rows in x-major order, the
+    ``--field-csv`` format."""
+    x = fld.coords
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "u"])
+        for i in range(fld.n):
+            for j in range(fld.n):
+                writer.writerow([repr(float(x[i])), repr(float(x[j])),
+                                 repr(float(fld.values[i, j]))])
 
 
 def double_well():

@@ -29,7 +29,8 @@ from radrelax.radial_solver import (
     solve_pipeline,
 )
 
-from conftest import double_well, make_m0_spec, make_prototype_spec
+from conftest import (double_well, field_from_function, make_m0_spec,
+                      make_prototype_spec)
 from oracles import chord_hull_values, chord_hull_vertices, random_even_sampled
 
 
@@ -176,9 +177,9 @@ def test_ray_average_inequality(capsys):
                             f"+ {rep.tol}")
     worst = 0.0
     for radial in (
-            DiscField.from_function(
+            field_from_function(
                 lambda X, Y: 1.0 - np.sqrt(X * X + Y * Y), 129, 1.0),
-            DiscField.from_function(
+            field_from_function(
                 lambda X, Y: np.exp(-3.0 * (X * X + Y * Y))
                 * (1.0 - (X * X + Y * Y)), 129, 1.0)):
         rep = averaged_ray_energy_check(radial, spec, n_thetas=64)
@@ -193,9 +194,9 @@ def test_ray_average_inequality(capsys):
 
 def test_colinearity_diagnostic(capsys):
     t0 = time.perf_counter()
-    cone = DiscField.from_function(
+    cone = field_from_function(
         lambda X, Y: 1.0 - np.sqrt(X * X + Y * Y), 129, 1.0)
-    planar = DiscField.from_function(lambda X, Y: X + 0.0 * Y, 129, 1.0)
+    planar = field_from_function(lambda X, Y: X + 0.0 * Y, 129, 1.0)
     radial_defect = colinearity_defect(cone)
     planar_defect = colinearity_defect(planar)
     elapsed = time.perf_counter() - t0

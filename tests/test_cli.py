@@ -13,7 +13,7 @@ from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
-from conftest import three_well
+from conftest import field_from_function, three_well, write_field_csv
 
 FAST = ["--grid-points", "128"]
 
@@ -341,10 +341,10 @@ def test_symmetry_random_fields(prototype_ini, tmp_path):
 
 
 def test_symmetry_field_csv(prototype_ini, tmp_path):
-    fld = DiscField.from_function(
+    fld = field_from_function(
         lambda X, Y: 1.0 - np.sqrt(X * X + Y * Y), 65, 1.0)
     path = tmp_path / "cone.csv"
-    fld.to_csv(str(path))
+    write_field_csv(fld, str(path))
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "8",
                  "--field-csv", str(path), "--out", str(out)]) == 0
@@ -374,7 +374,7 @@ def test_symmetry_rejects_3d_spec_before_ray_work(prototype_ini, tmp_path,
 def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     path = tmp_path / "r2.csv"
-    DiscField.random_smooth(33, 2.0, seed=1).to_csv(str(path))
+    write_field_csv(DiscField.random_smooth(33, 2.0, seed=1), str(path))
     monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path)]) == 1
@@ -387,7 +387,7 @@ def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
 def test_symmetry_rejects_non_finite_field_csv(prototype_ini, tmp_path,
                                                token, capsys):
     path = tmp_path / "field.csv"
-    DiscField.random_smooth(33, 1.0, seed=1).to_csv(str(path))
+    write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
     lines = path.read_text().splitlines()
     x, y, _ = lines[300].split(",")
     lines[300] = f"{x},{y},{token}"
@@ -435,7 +435,7 @@ def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
     # --field-csv prices the one field it reads, so asking for several
     # random fields with it is a usage error, not a one-field report
     path = tmp_path / "field.csv"
-    DiscField.random_smooth(33, 1.0, seed=1).to_csv(str(path))
+    write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
     monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
@@ -652,10 +652,61 @@ def test_numerical_failure_exits_2(prototype_ini, monkeypatch, capsys):
             == "numerical failure: tangency near [-1, 1]: slope residual 1\n")
 
 
-def test_tight_corner_window_exits_2(prototype_ini, capsys):
+def _no_descent(*args, **kwargs):
+    raise AssertionError("descent ran before the corner window was checked")
+
+
+def test_tight_corner_window_exits_1(prototype_ini, monkeypatch, capsys):
+    monkeypatch.setattr("radrelax.cli.solve_pipeline", _no_descent)
     assert main(["verify", "--spec", prototype_ini, *FAST,
-                 "--window", "0.02"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+                 "--window", "0.02"]) == 1
+    assert (capsys.readouterr().err
+            == "corner window 0.02 holds 3 cells; need at least 8\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("cells,held", [("16", 3), ("32", 6), ("37", 7)])
+def test_coarse_grid_default_window_exits_1_before_descent(
+        command, cells, held, prototype_ini, monkeypatch, capsys):
+    # the default window 0.2 R holds 8 cells from 38 cells on
+    monkeypatch.setattr("radrelax.cli.solve_pipeline", _no_descent)
+    assert main([command, "--spec", prototype_ini,
+                 "--grid-points", cells]) == 1
+    assert (capsys.readouterr().err
+            == f"corner window 0.2 holds {held} cells; need at least 8\n")
+
+
+def test_coarse_grid_with_wide_window_exits_0(prototype_ini, capsys):
+    assert main(["solve", "--spec", prototype_ini, "--grid-points", "16",
+                 "--window", "0.6"]) == 0
+
+
+def test_coarse_profile_csv_exits_1_before_checks(prototype_ini, tmp_path,
+                                                   monkeypatch, capsys):
+    def _no_checks(*args, **kwargs):
+        raise AssertionError("checks ran before the corner window was checked")
+
+    path = tmp_path / "prof17.csv"
+    _half_slope_csv(path, nodes=17)
+    monkeypatch.setattr("radrelax.verify.full_report", _no_checks)
+    assert main(["verify", "--spec", prototype_ini,
+                 "--profile-csv", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == "corner window 0.2 holds 3 cells; need at least 8\n")
+
+
+@pytest.mark.parametrize("command", ["envelope", "solve", "oracle", "verify",
+                                     "symmetry"])
+def test_dimension_with_overflowing_sphere_area_exits_1(
+        command, prototype_ini, tmp_path, capsys):
+    bad = tmp_path / "d344.ini"
+    bad.write_text(open(prototype_ini).read().replace("dimension = 2",
+                                                      "dimension = 344"))
+    out = tmp_path / "rep.json"
+    assert main([command, "--spec", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{bad}: dimension 344 is too large")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["prototype", "three_well"])

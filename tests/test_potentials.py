@@ -142,6 +142,16 @@ def test_non_finite_polynomial_data_rejected(bad):
                     G=double_well())
 
 
+def test_spec_rejects_dimension_with_overflowing_sphere_area():
+    # Gamma(N/2) in the sphere area overflows a float from N = 344 on
+    ProblemSpec(dimension=343, radius=1.0, p=4.0, W=double_well(),
+                G=double_well())
+    for N in (344, 10 ** 6):
+        with pytest.raises(ValueError, match=f"dimension {N} is too large"):
+            ProblemSpec(dimension=N, radius=1.0, p=4.0, W=double_well(),
+                        G=double_well())
+
+
 def test_sample_array_is_read_only():
     W = random_even_sampled(2)
     arr = W._sample_array

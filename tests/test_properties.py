@@ -33,7 +33,8 @@ from radrelax.radial_solver import (  # noqa: E402
 )
 from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
-from conftest import double_well, make_m0_spec, three_well  # noqa: E402
+from conftest import (double_well, graded_grid, make_m0_spec,  # noqa: E402
+                      three_well)
 from oracles import (bisecting_outermost_levels, chord_hull_values,  # noqa: E402
                      chord_hull_vertices, masked_envelope_eval,
                      plain_monotone_chain, random_even_sampled, runs_walk)
@@ -57,7 +58,7 @@ def profiles(draw):
     if draw(st.booleans()):
         grid = RadialGrid.uniform(1.0, cells)
     else:
-        grid = RadialGrid.graded_near_zero(1.0, cells)
+        grid = graded_grid(1.0, cells)
     u = np.concatenate([[0.0], np.cumsum(slopes * grid.dr)])
     return RadialProfile(grid, u - u[-1])
 

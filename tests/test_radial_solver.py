@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from radrelax.radial_solver import (_NEWTON_ITERS, _RelaxedEnergy,
                                     _newton_direction, _outermost_levels,
                                     _slope_bound, _spd_tridiagonal_solve)
 
-from conftest import (double_well, make_m0_spec, make_prototype_spec,
-                      make_three_well_spec, three_well)
+from conftest import (double_well, graded_grid, make_m0_spec,
+                      make_prototype_spec, make_three_well_spec, three_well)
 from oracles import (allocating_dp_oracle, array_only_envelope,
                      banded_newton_direction, quadratic_outermost_levels,
                      random_even_sampled)
@@ -66,7 +67,7 @@ def test_grid_validation():
     nodes[5] = nodes[4]
     with pytest.raises(ValueError, match="strictly increasing"):
         RadialGrid(nodes)
-    graded = RadialGrid.graded_near_zero(2.0, 64)
+    graded = graded_grid(2.0, 64)
     assert graded.nodes[-1] == 2.0
     assert graded.dr[0] < graded.dr[-1]
 
@@ -448,3 +449,17 @@ def test_ensure_envelope_cached(prototype_spec):
     env1 = ensure_envelope(prototype_spec)
     env2 = ensure_envelope(prototype_spec)
     assert env1 is env2
+
+
+def test_replaced_W_gets_its_own_envelope(prototype_spec):
+    # a spec copied with another W must not carry the old W's envelope
+    ensure_envelope(prototype_spec)
+    spec = dataclasses.replace(prototype_spec, W=three_well())
+    assert ensure_envelope(spec).potential is spec.W
+    grid = RadialGrid.uniform(1.0, 64)
+    fresh = dataclasses.replace(make_prototype_spec(), W=three_well())
+    assert (minimize_relaxed(spec, grid).relaxed_energy
+            == minimize_relaxed(fresh, grid).relaxed_energy)
+    # so must a spec whose W is reassigned after its envelope was cached
+    spec.W = double_well()
+    assert ensure_envelope(spec).potential is spec.W

@@ -25,7 +25,7 @@ from radrelax.verify import (
 )
 from radrelax.verify import _window_density
 
-from conftest import make_prototype_spec, three_well
+from conftest import graded_grid, make_prototype_spec, three_well
 from oracles import quadratic_window_density
 
 K = 128
@@ -194,7 +194,7 @@ def test_window_density_equals_the_neighbour_matrix():
         for _ in range(12 if cells < 4096 else 1):
             R = float(rng.uniform(0.1, 10.0))
             cases += [RadialGrid.uniform(R, cells),
-                      RadialGrid.graded_near_zero(R, cells)]
+                      graded_grid(R, cells)]
     # radii at which searchsorted on rbar +- radius misplaces a window
     # edge against the float predicate |rbar_i - rbar_j| <= radius
     edge_cases = [RadialGrid.uniform(R, 16)
