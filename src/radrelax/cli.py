@@ -178,9 +178,17 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
             raise UsageError("csv format needs a single field")
         if cfg.profile_csv and cfg.random_fields != 1:
             raise UsageError("--profile-csv needs a single field")
-    elif cmd == "symmetry" and cfg.random_fields != 1:
-        raise UsageError("--field-csv is a single field; "
-                         "--random-fields must be 1")
+    elif cmd == "symmetry":
+        # the field read fixes what these flags would choose; a value other
+        # than the parser's default would be silently ignored
+        defaults = _build_parser().parse_args([cmd, "--spec", ""])
+        for dest, why in (("random_fields", "is a single field"),
+                          ("grid_points", "fixes the grid"),
+                          ("seed", "is not seeded")):
+            default = getattr(defaults, dest)
+            if getattr(cfg, dest) != default:
+                raise UsageError(f"--field-csv {why}; "
+                                 f"--{dest.replace('_', '-')} must be {default}")
     outputs = [cfg.out]
     if cmd in ("solve", "oracle", "symmetry"):
         outputs.append(cfg.profile_csv)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
 from radrelax.potentials import ProblemSpec, sphere_area
@@ -414,9 +415,18 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     its verdict. ``iterations`` counts every Newton step: those of all starts
     plus the continuation's. When the result is not converged,
     ``warnings`` says why.
+
+    Raises:
+        NumericalFailure: if a lumped node mass underflows to 0 (the
+            weights scale as r^(N-1)), so the mass-scaled gradient test and
+            the Levenberg shift are undefined.
     """
     env = ensure_envelope(spec)
     energy = _RelaxedEnergy(spec, env, grid)
+    if not energy.mass.min() > 0.0:
+        raise NumericalFailure(
+            f"dimension {spec.dimension} is too large for {grid.cells} cells: "
+            f"the lumped mass of the first node underflows to 0")
     starts = _multistart_profiles(spec, grid, env)
     best = None
     total_iters = 0
@@ -528,17 +538,17 @@ def dp_oracle(spec: ProblemSpec, r_levels: int = 100, u_levels: int = 200,
         du = u_need / (u_levels - 1)
     ugrid = np.arange(u_levels) * du
 
-    D = min(int(slope_levels), u_levels - 1)
-    deltas = np.arange(-D, D + 1)
-    wc_of_delta = env.eval(deltas * du / dr)
-    jj = np.arange(u_levels)
-    delta_mat = jj[None, :] - jj[:, None]
-    base = np.full((u_levels, u_levels), np.inf)
-    ok = np.abs(delta_mat) <= D
-    base[ok] = wc_of_delta[delta_mat[ok] + D]
+    # jumps[U - 1 + j' - j] prices the step from level j to j'; base row j
+    # is the window of it that starts at U - 1 - j
+    U, D = u_levels, min(int(slope_levels), u_levels - 1)
+    jumps = np.full(2 * U - 1, np.inf)
+    jumps[U - 1 - D:U + D] = env.eval(np.arange(-D, D + 1) * du / dr)
     g_u = spec.G.eval(ugrid)
-    base = base + 0.5 * (g_u[:, None] + g_u[None, :])
+    base = np.add.outer(g_u, g_u)
+    base *= 0.5
+    base += sliding_window_view(jumps, U)[::-1]
 
+    jj = np.arange(u_levels)
     value = np.full(u_levels, np.inf)
     value[0] = 0.0
     choice = np.empty((r_levels, u_levels), dtype=np.int32)
@@ -567,20 +577,17 @@ def dp_oracle(spec: ProblemSpec, r_levels: int = 100, u_levels: int = 200,
     full_nodes = np.concatenate([[0.0], nodes])
     profile = RadialProfile(RadialGrid(full_nodes), np.concatenate([[u_path[0]], u_path]))
 
-    def price(pot_eval):
-        s = np.diff(u_path) / np.diff(nodes)
-        rb = 0.5 * (nodes[1:] + nodes[:-1])
-        st = np.diff(nodes)
-        gpart = 0.5 * (g_u[path[:-1]] + g_u[path[1:]])
-        e = float(np.sum(area * rb ** (N - 1) * st * (pot_eval(s) + gpart)))
-        return e + float(area * (0.25 * dr) ** (N - 1)
-                         * (pot_eval(np.zeros(1))[0] + g_u[j0]) * (0.5 * dr))
-
-    relaxed = float(total[j0])
-    original = price(lambda s: np.asarray(spec.W.eval(s), dtype=float))
+    # the original energy re-prices the path with W in place of Wc
+    st = np.diff(nodes)
+    rb = 0.5 * (nodes[1:] + nodes[:-1])
+    gpart = 0.5 * (g_u[path[:-1]] + g_u[path[1:]])
+    original = (float(np.sum(area * rb ** (N - 1) * st
+                             * (spec.W.eval(np.diff(u_path) / st) + gpart)))
+                + float(area * (0.25 * dr) ** (N - 1)
+                        * (spec.W.eval(0.0) + g_u[j0]) * (0.5 * dr)))
     return SolveReport(
         profile=profile,
-        relaxed_energy=relaxed,
+        relaxed_energy=float(total[j0]),
         original_energy=original,
         iterations=int(r_levels),
         converged=True,

@@ -50,6 +50,23 @@ def write_field_csv(fld, path):
                                  repr(float(fld.values[i, j]))])
 
 
+@pytest.fixture
+def capped_solves(monkeypatch):
+    """Descent that spins fails instead of hanging: the 1,001st tridiagonal
+    solve raises."""
+    import radrelax.radial_solver as rs
+
+    solve, calls = rs._spd_tridiagonal_solve, [0]
+
+    def capped(*args):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise RuntimeError("more than 1,000 tridiagonal solves")
+        return solve(*args)
+
+    monkeypatch.setattr(rs, "_spd_tridiagonal_solve", capped)
+
+
 def double_well():
     return Potential1D(kind="poly_in_t_squared", coefficients=(1.0, -2.0, 1.0))
 

@@ -447,6 +447,53 @@ def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, want", [
+    ("--grid-points", "257", "--field-csv fixes the grid; --grid-points must be 129"),
+    ("--seed", "5", "--field-csv is not seeded; --seed must be 0"),
+])
+def test_symmetry_field_csv_rejects_grid_points_and_seed(
+        prototype_ini, tmp_path, monkeypatch, capsys, flag, value, want):
+    # the field read fixes its grid and was made by no seed, so these
+    # flags would be ignored, and --seed echoed for a field it did not make
+    path = tmp_path / "field.csv"
+    write_field_csv(DiscField.random_smooth(65, 1.0, seed=1), str(path))
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                 "--field-csv", str(path), flag, value,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == want + "\n"
+    assert not out.exists()
+
+
+def test_symmetry_field_csv_accepts_default_grid_points_and_seed(
+        prototype_ini, tmp_path):
+    path = tmp_path / "field.csv"
+    write_field_csv(DiscField.random_smooth(65, 1.0, seed=1), str(path))
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                 "--field-csv", str(path), "--grid-points", "129",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert _load(out)["seed"] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_dimension_too_large_for_first_cell_exits_2(
+        command, prototype_ini, tmp_path, capsys, capped_solves):
+    # at 256 cells the first node's lumped mass underflows to 0 from
+    # N = 105 on; descent used to spin on a NaN Levenberg shift
+    bad = tmp_path / "d105.ini"
+    bad.write_text(open(prototype_ini).read().replace("dimension = 2",
+                                                      "dimension = 105"))
+    out = tmp_path / "rep.json"
+    assert main([command, "--spec", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: dimension 105 is too large for 256 cells: "
+        "the lumped mass of the first node underflows to 0\n")
+    assert not out.exists()
+    assert main(["oracle", "--spec", str(bad), "--out", str(out)]) == 0
+
+
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert main(["solve", "--spec", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err

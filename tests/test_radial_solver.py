@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +197,26 @@ def test_minimize_continues_unconverged_winner(dimension, g, cells, relaxed):
     assert abs(report.relaxed_energy - relaxed) <= 1e-10
 
 
+def test_zero_node_mass_raises_before_descent(capped_solves):
+    # the masses scale as r^(N-1); once the first underflows to 0 the
+    # Levenberg shift is NaN and descent would retry it forever
+    spec = dataclasses.replace(make_prototype_spec(), dimension=128)
+    with pytest.raises(NumericalFailure,
+                       match="dimension 128 is too large for 64 cells"):
+        minimize_relaxed(spec, RadialGrid.uniform(1.0, 64))
+
+
+@pytest.mark.parametrize("dimension, cells", [(127, 64), (104, 256)])
+def test_subnormal_node_masses_still_descend(dimension, cells, capped_solves):
+    spec = dataclasses.replace(make_prototype_spec(), dimension=dimension)
+    grid = RadialGrid.uniform(1.0, cells)
+    energy = _RelaxedEnergy(spec, ensure_envelope(spec), grid)
+    assert 0.0 < energy.mass[0] < sys.float_info.min
+    report = minimize_relaxed(spec, grid)
+    assert report.converged
+    assert -math.inf < report.relaxed_energy < 0.0
+
+
 @pytest.mark.parametrize("cells", [128, 1024])
 def test_newton_converged_is_plain_bool(prototype_spec, cells):
     # most prototype starts stop by the roundoff rule; a numpy.bool_ flag
@@ -284,6 +306,21 @@ def test_dp_oracle_equals_the_allocating_sweep(levels):
         assert new.relaxed_energy == old.relaxed_energy, make.__name__
         assert new.original_energy == old.original_energy, make.__name__
         assert new.profile.u.tobytes() == old.profile.u.tobytes(), make.__name__
+
+
+def test_dp_oracle_holds_no_jump_matrix():
+    # base, cost and choice take 2.75 MiB at (200, 400); a U x U jump
+    # matrix, band mask and inf table beside them peaked at 5.06 MiB
+    spec = make_prototype_spec()
+    ensure_envelope(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dp_oracle(spec, 200, 400)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 2 ** 20
 
 
 def test_slope_bound_scalar_kernels_match_array_path():
