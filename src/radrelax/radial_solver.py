@@ -180,20 +180,6 @@ def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
     return float(_reduced_energy(profile.grid, profile.u, spec, use_envelope))
 
 
-def _multistart_profiles(spec, grid, env):
-    nodes = grid.nodes
-    R = spec.radius
-    M = env.M
-    # the quadratic start leaves the origin at slope -M and steepens,
-    # the shape the first integral of the reduced problem dictates; the
-    # zero profile (the cones when M = 0) is never a start, because it is
-    # stationary whenever G'(0) = 0
-    starts = [M * (R - nodes),
-              M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2),
-              1.25 * M * (R - nodes)]
-    return [u for u in starts if np.any(u)]
-
-
 class _RelaxedEnergy:
     """The relaxed energy as a function of the free nodal values x = u[:K]
     (u[K] = 0), with its gradient and its tridiagonal Hessian.
@@ -242,7 +228,6 @@ class _RelaxedEnergy:
         return self._to_nodes(a + b, a + b), (b - a)[:-1]
 
 
-_NEWTON_ITERS = 200
 _MAX_ITERS = 20000
 _GTOL = 1e-8
 _ARMIJO = 1e-4
@@ -391,35 +376,29 @@ def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
         else:
             return x, e, it, negligible
         x, e = trial, e_trial
-    return x, e, max_iters, False
+    return x, e, it, False
 
 
 def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     """Newton minimization of the relaxed reduced energy on ``grid``.
 
-    Three starts with the shape of a minimizer (nonincreasing, u' <= -M,
-    u'(0) = -M): the cone at slope -M, a profile that leaves the origin
-    at slope -M and steepens quadratically, and the cone at slope
-    -1.25 M. Starts that are identically zero are dropped, so M = 0
-    keeps only the quadratic one. Each descends by damped Newton on the
-    requested grid: the relaxed energy is a sum of per-cell terms, so its
-    Hessian is tridiagonal and one step costs one numpy cyclic reduction
-    (O(K) time and memory), with a Levenberg shift where the Hessian is
-    indefinite (inside detachment intervals, where Wc'' = 0, and wherever
-    G is concave). Each start takes at most min(_MAX_ITERS, 200) Newton
-    steps. The winner is the lowest energy, with a lexicographic
-    tie-break on the nodal values. A winner that did not converge (slow
-    progress near kinks of Wc'', such as affine pieces of the envelope
-    outside (-M, M) under a G with a well) continues by the same Newton
-    method for up to ``_MAX_ITERS`` further steps, and ``converged`` is
-    its verdict. ``iterations`` counts every Newton step: those of all starts
-    plus the continuation's. When the result is not converged,
-    ``warnings`` says why.
+    One start with the shape of a minimizer (nonincreasing, u' <= -M,
+    u'(0) = -M): the profile M (R - r) + max(M, 0.5) (R^2 - r^2) / (8 R),
+    which leaves the origin at slope -M and steepens quadratically. It
+    descends by damped Newton on the requested grid: the relaxed energy
+    is a sum of per-cell terms, so its Hessian is tridiagonal and one
+    step costs one numpy cyclic reduction (O(K) time and memory), with a
+    Levenberg shift where the Hessian is indefinite (inside detachment
+    intervals, where Wc'' = 0, and wherever G is concave). Descent takes
+    at most ``_MAX_ITERS`` Newton steps; ``iterations`` counts them and
+    ``converged`` is Newton's verdict. When it is false, ``warnings``
+    says so.
 
     Raises:
         NumericalFailure: if a lumped node mass underflows to 0 (the
             weights scale as r^(N-1)), so the mass-scaled gradient test and
-            the Levenberg shift are undefined.
+            the Levenberg shift are undefined; or if the relaxed energy
+            is not finite where descent stops (an energy unbounded below).
     """
     env = ensure_envelope(spec)
     energy = _RelaxedEnergy(spec, env, grid)
@@ -427,35 +406,24 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
         raise NumericalFailure(
             f"dimension {spec.dimension} is too large for {grid.cells} cells: "
             f"the lumped mass of the first node underflows to 0")
-    starts = _multistart_profiles(spec, grid, env)
-    best = None
-    total_iters = 0
-    settled = 0
-    for k, start in enumerate(starts):
-        x, e, nit, ok = _newton(energy, start[:-1], min(_MAX_ITERS, _NEWTON_ITERS))
-        total_iters += nit
-        settled += ok
-        key = (e, tuple(x))
-        if best is None or key < best[0]:
-            best = (key, x, ok, k)
-    _, x, converged, k = best
-
-    warnings = []
-    if not converged:
-        x, _, nit, converged = _newton(energy, x, _MAX_ITERS)
-        total_iters += nit
-        if not converged:
-            warnings.append(
-                f"descent did not converge: the winning start ({k + 1} of "
-                f"{len(starts)}) stopped short after {nit} further Newton "
-                f"steps; {settled} of {len(starts)} starts converged")
+    nodes, R, M = grid.nodes, spec.radius, env.M
+    # the quadratic term keeps the start off the zero profile when M = 0,
+    # since that profile is stationary whenever G'(0) = 0
+    start = M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2)
+    x, e, iterations, converged = _newton(energy, start[:-1], _MAX_ITERS)
+    if not math.isfinite(e):
+        raise NumericalFailure(
+            f"descent diverged: the relaxed energy is {e} after "
+            f"{iterations} Newton steps")
+    warnings = [] if converged else [
+        f"descent did not converge after {iterations} Newton steps"]
 
     profile = RadialProfile(grid, np.append(x, 0.0))
     return SolveReport(
         profile=profile,
         relaxed_energy=energy_reduced(profile, spec, use_envelope=True),
         original_energy=energy_reduced(profile, spec, use_envelope=False),
-        iterations=total_iters,
+        iterations=iterations,
         converged=converged,
         warnings=warnings,
     )

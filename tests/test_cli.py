@@ -494,6 +494,29 @@ def test_dimension_too_large_for_first_cell_exits_2(
     assert main(["oracle", "--spec", str(bad), "--out", str(out)]) == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_unbounded_energy_exits_2(tmp_path, capsys):
+    # G = -20 u^4 outgrows W = (t^2 - 1)^2: descent reaches an energy of
+    # -inf, which solve reported as converged in a report that was not
+    # JSON (-Infinity)
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0,
+                       W=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(1.0, -2.0, 1.0)),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, 0.0, -20.0)),
+                       shape_flag="none")
+    path = tmp_path / "unbounded.ini"
+    path.write_text(emit_spec_text(spec))
+    out = tmp_path / "rep.json"
+    assert main(["solve", "--spec", str(path), "--grid-points", "64",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: descent diverged: the relaxed "
+                          "energy is -inf after ")
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert main(["solve", "--spec", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -801,9 +824,9 @@ def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
 
 def test_runtime_works_without_scipy(prototype_ini, tmp_path):
     # every import of scipy fails, and each command still runs. Under
-    # -u^2 + 0.5u^4 no structural start of the three-well converges within
-    # the screen, so its solve continues the winning start by Newton; it
-    # fails a qualitative check (exit 3), not an import
+    # -u^2 + 0.5u^4 the three-well's descent takes hundreds of Newton
+    # steps, most of them Levenberg-shifted; its solve fails a qualitative
+    # check (exit 3), not an import
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
                        G=Potential1D(kind="poly_in_t_squared",
                                      coefficients=(0.0, -1.0, 0.5)),

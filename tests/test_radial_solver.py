@@ -21,13 +21,14 @@ from radrelax.radial_solver import (
     solve_pipeline,
     sphere_area,
 )
-from radrelax.radial_solver import (_NEWTON_ITERS, _RelaxedEnergy,
-                                    _multistart_profiles, _newton,
+from radrelax.radial_solver import (_MAX_ITERS, _RelaxedEnergy, _newton,
                                     _newton_direction, _outermost_levels,
                                     _slope_bound, _spd_tridiagonal_solve)
 
 from conftest import (double_well, graded_grid, make_m0_spec,
                       make_prototype_spec, make_three_well_spec, three_well)
+from corpus import (HARD, HARD_CELLS, HARD_REFERENCE, MONOTONE,
+                    MONOTONE_CELLS, MONOTONE_REFERENCE)
 from oracles import (allocating_dp_oracle, array_only_envelope,
                      banded_newton_direction, quadratic_outermost_levels,
                      random_even_sampled)
@@ -156,6 +157,7 @@ def test_minimize_prototype_fine_grid_direct(prototype_spec):
     report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 1024))
     assert report.converged
     assert abs(report.relaxed_energy - PROTOTYPE_RELAXED_K1024) <= 1e-9
+    assert report.iterations <= 5
 
 
 def test_minimize_three_well(three_well_spec):
@@ -170,31 +172,61 @@ def test_minimize_iteration_cap_reports_not_converged(prototype_spec,
     monkeypatch.setattr("radrelax.radial_solver._MAX_ITERS", 1)
     report = minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128))
     assert not report.converged
-    assert len(report.warnings) == 1
-    assert "winning start" in report.warnings[0]
-    assert "further Newton steps" in report.warnings[0]
-    assert "of 3 starts converged" in report.warnings[0]
+    assert report.iterations == 1
+    assert report.warnings == ["descent did not converge after 1 Newton steps"]
 
 
 @pytest.mark.parametrize("dimension, g, cells, relaxed", [
     (2, (0.0, -1.0, 0.5), 64, -0.6600870885464344),
     (3, (0.0, -2.0, 0.1), 256, -2.773951375140368),
 ])
-def test_minimize_continues_unconverged_winner(dimension, g, cells, relaxed):
-    # a three-well W under a G with a well: no structural start converges
-    # within the screen, so the winner continues by Newton to a minimizer.
-    # The screen alone takes at most _NEWTON_ITERS steps per start, so a
-    # larger count shows that the continuation ran
+def test_minimize_three_well_under_G_with_a_well(dimension, g, cells,
+                                                 relaxed):
+    # a three-well W under a G with a well: descent takes hundreds of
+    # Newton steps, most of them Levenberg-shifted, to reach a minimizer
     spec = ProblemSpec(dimension=dimension, radius=1.0, p=4.0, W=three_well(),
                        G=Potential1D(kind="poly_in_t_squared", coefficients=g),
                        shape_flag="none")
-    grid = RadialGrid.uniform(1.0, cells)
-    starts = _multistart_profiles(spec, grid, ensure_envelope(spec))
-    report = minimize_relaxed(spec, grid)
-    assert report.iterations > len(starts) * _NEWTON_ITERS
+    report = minimize_relaxed(spec, RadialGrid.uniform(1.0, cells))
     assert report.converged
     assert report.warnings == []
     assert abs(report.relaxed_energy - relaxed) <= 1e-10
+
+
+@pytest.mark.parametrize("name", list(MONOTONE))
+def test_monotone_corpus_matches_reference(name):
+    spec = MONOTONE[name]()
+    report = minimize_relaxed(spec, RadialGrid.uniform(spec.radius,
+                                                       MONOTONE_CELLS))
+    reference, _ = MONOTONE_REFERENCE[name]
+    assert report.converged
+    assert abs(report.relaxed_energy - reference) <= 1e-15 * abs(reference)
+
+
+@pytest.mark.parametrize("name", list(HARD))
+def test_hard_corpus_matches_reference(name):
+    spec = HARD[name]()
+    report = minimize_relaxed(spec, RadialGrid.uniform(spec.radius,
+                                                       HARD_CELLS))
+    reference, converged = HARD_REFERENCE[name]
+    assert report.converged is converged
+    assert (abs(report.relaxed_energy - reference)
+            <= 1e-12 * (1.0 + abs(reference)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_unbounded_energy_raises():
+    # G = -20 u^4 outgrows W = (t^2 - 1)^2, so the energy is unbounded
+    # below; descent reaches -inf, where every step looks negligible
+    # against the roundoff of E, and must not call that converged
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, 0.0, -20.0)),
+                       shape_flag="none")
+    with pytest.raises(NumericalFailure, match="descent diverged: the relaxed "
+                       r"energy is -inf after \d+ Newton steps"):
+        minimize_relaxed(spec, RadialGrid.uniform(1.0, 16))
 
 
 def test_zero_node_mass_raises_before_descent(capped_solves):
@@ -219,13 +251,15 @@ def test_subnormal_node_masses_still_descend(dimension, cells, capped_solves):
 
 @pytest.mark.parametrize("cells", [128, 1024])
 def test_newton_converged_is_plain_bool(prototype_spec, cells):
-    # most prototype starts stop by the roundoff rule; a numpy.bool_ flag
-    # from it would make json.dumps reject any record that carries it
+    # descent from the cones at slopes -M and -1.25 M mostly stops by the
+    # roundoff rule; a numpy.bool_ flag from it would make json.dumps
+    # reject any record that carries it
     grid = RadialGrid.uniform(1.0, cells)
     env = ensure_envelope(prototype_spec)
     energy = _RelaxedEnergy(prototype_spec, env, grid)
-    for start in _multistart_profiles(prototype_spec, grid, env):
-        *_, converged = _newton(energy, start[:-1], _NEWTON_ITERS)
+    for slope in (env.M, 1.25 * env.M):
+        cone = slope * (1.0 - grid.nodes)
+        *_, converged = _newton(energy, cone[:-1], _MAX_ITERS)
         assert type(converged) is bool
         assert converged
     assert type(minimize_relaxed(prototype_spec, grid).converged) is bool
@@ -235,13 +269,13 @@ def test_newton_direction_matches_banded_cholesky(three_well_spec):
     # the -1.25 M cone of the three-well has an indefinite Hessian, so the
     # direction needs a Levenberg shift; the shifted matrix has condition
     # about 2e5, so two backward-stable solves agree to far below 1e-12.
-    # (The steepening start's first shift leaves a condition of about 8e9,
+    # (The quadratic start's first shift leaves a condition of about 8e9,
     # where any two such solves differ by about 3e-8; the property test
     # gates residuals instead.)
     grid = RadialGrid.uniform(1.0, 256)
     env = ensure_envelope(three_well_spec)
     energy = _RelaxedEnergy(three_well_spec, env, grid)
-    x = _multistart_profiles(three_well_spec, grid, env)[2][:-1]
+    x = 1.25 * env.M * (1.0 - grid.nodes[:-1])
     g = energy.gradient(x)
     diag, off = energy.hessian(x)
     assert _spd_tridiagonal_solve(diag, off, g) is None
