@@ -43,6 +43,10 @@ _RIM_CHUNK = 128  # rim cells per subsampling lattice
 # temporaries only (BENCH_disc_stream.json)
 _BLOCK_ROWS = 32
 
+# Rays per block of the ray kernels, which sample and price a block of
+# rays at a time (BENCH_peak_memory.json)
+_BLOCK_RAYS = 16
+
 
 @dataclass
 class DiscField:
@@ -73,10 +77,14 @@ class DiscField:
 
     @property
     def mask(self) -> np.ndarray:
-        """Nodes strictly inside the circle."""
+        """Nodes strictly inside the circle, tested a block of rows at a
+        time, so no n-by-n float array is built."""
         x = self.coords
         x2 = x * x
-        return x2[:, None] + x2[None, :] < self.radius ** 2
+        inside = np.empty((self.n, self.n), dtype=bool)
+        for a, b in _row_blocks(self.n):
+            inside[a:b] = x2[a:b, None] + x2[None, :] < self.radius ** 2
+        return inside
 
     @property
     def coords(self) -> np.ndarray:
@@ -157,11 +165,11 @@ class DiscField:
         return cls(n, radius, vals)
 
 
-def _row_blocks(rows: int):
-    """Bounds (a, b) of consecutive blocks of ``_BLOCK_ROWS`` rows; the
-    last block may be short."""
-    for a in range(0, rows, _BLOCK_ROWS):
-        yield a, min(a + _BLOCK_ROWS, rows)
+def _row_blocks(rows: int, size: int = _BLOCK_ROWS):
+    """Bounds (a, b) of consecutive blocks of ``size`` rows; the last
+    block may be short."""
+    for a in range(0, rows, size):
+        yield a, min(a + size, rows)
 
 
 def _row_corners(arr: np.ndarray, a: int, b: int):
@@ -350,21 +358,33 @@ def _bilinear(fld: DiscField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
             + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
 
 
-def _ray_samples(fld: DiscField, thetas):
-    """Sample u along every ray at once, one row per theta.
+def _ray_blocks(fld: DiscField, grid: RadialGrid, thetas):
+    """Sample u along the rays in blocks of ``_BLOCK_RAYS``, yielding
+    (a, b, u) with one row of u per theta of thetas[a:b].
 
     Row k holds u(r cos theta_k, r sin theta_k) by bilinear
-    interpolation at the nodes r of a uniform radial grid with as many
-    cells as the field has nodes per side; the outer value is pinned to
-    zero.  cos and sin come from ``math`` one theta at a time, so each
-    row equals the samples of a single ray bit for bit.
+    interpolation at the nodes r of grid; the outer value is pinned to
+    zero.  cos and sin come from ``math`` one theta at a time, and each
+    sample is computed on its own, so each row equals the samples of a
+    single ray bit for bit, whatever the block.
     """
-    grid = RadialGrid.uniform(fld.radius, fld.n)
     r = grid.nodes
     c = np.array([math.cos(th) for th in thetas])
     s = np.array([math.sin(th) for th in thetas])
-    u = _bilinear(fld, c[:, None] * r, s[:, None] * r)
-    u[:, -1] = 0.0
+    for a, b in _row_blocks(len(c), _BLOCK_RAYS):
+        u = _bilinear(fld, c[a:b, None] * r, s[a:b, None] * r)
+        u[:, -1] = 0.0
+        yield a, b, u
+
+
+def _ray_samples(fld: DiscField, thetas):
+    """The radial grid with as many cells as the field has nodes per
+    side, and the samples of ``_ray_blocks`` on it as one (len(thetas),
+    n + 1) array, filled block by block."""
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    u = np.empty((len(thetas), len(grid.nodes)))
+    for a, b, block in _ray_blocks(fld, grid, thetas):
+        u[a:b] = block
     return grid, u
 
 
@@ -381,15 +401,17 @@ def ray_profiles(fld: DiscField, thetas) -> list:
 
 def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
     """Envelope-priced reduced energy of the ray in each direction, by the
-    quadrature of ``energy_reduced`` over all rows at once; a separate
-    function so its temporaries are freed before the caller goes on to
-    the planar energy.
+    quadrature of ``energy_reduced`` on each block of ``_ray_blocks``, so
+    only one block's samples and pricing temporaries are alive at once.
 
     Raises:
         ValueError: if the field radius disagrees with the spec.
     """
-    grid, u = _ray_samples(fld, thetas)
-    return _reduced_energy(grid, u, spec, use_envelope=True)
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    energies = np.empty(len(thetas))
+    for a, b, u in _ray_blocks(fld, grid, thetas):
+        energies[a:b] = _reduced_energy(grid, u, spec, use_envelope=True)
+    return energies
 
 
 @dataclass
@@ -423,10 +445,10 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
     bound can fail, so the envelope is used unconditionally.  Passes
     when lhs <= rhs + tol with tol proportional to the grid spacing.
 
-    The rays are sampled together as one (n_thetas, n + 1) bilinear
-    gather and priced with one envelope and one G evaluation; each
-    per-ray energy equals ``energy_reduced`` on ``ray_profiles`` of that
-    ray bit for bit.
+    The rays are sampled and priced in blocks of ``_BLOCK_RAYS``, with
+    one envelope and one G evaluation per block; each per-ray energy
+    equals ``energy_reduced`` on ``ray_profiles`` of that ray bit for
+    bit.
 
     Raises:
         ValueError: if n_thetas < 1, the radii disagree, or the spec is
@@ -483,10 +505,16 @@ def colinearity_defect(fld: DiscField) -> float:
 
 
 def angular_average(fld: DiscField, n_thetas: int = 256) -> DiscField:
-    """Replace the field by its average over rays (a radial field)."""
+    """Replace the field by its average over rays (a radial field).
+
+    The rays are sampled block by block into one (n_thetas, n + 1)
+    array, whose axis-0 sum is the average; the array is freed before
+    the output field is built.
+    """
     grid, rows = _ray_samples(
         fld, [2.0 * math.pi * k / n_thetas for k in range(n_thetas)])
     acc = np.sum(rows, axis=0) / n_thetas
+    del rows
     x = fld.coords
     x2 = x * x
     vals = np.empty((fld.n, fld.n))

@@ -260,6 +260,32 @@ class Potential1D:
                 out[m] = _horner(piece, t[m])
         return out
 
+    def _poly_limit(self, t: float, order: int) -> float:
+        """The limit of W (order 0), W' or W'' at t = +-inf: the sign of
+        the leading term of the outer polynomial in t, or its constant."""
+        if self.kind == "poly_in_t_squared":
+            c = [0.0] * (2 * len(self.coefficients) - 1)
+            c[::2] = self.coefficients
+        else:
+            c = list(self.coefficients[0 if t < 0 else -1])
+        for _ in range(order):
+            c = [j * c[j] for j in range(1, len(c))] or [0.0]
+        c = _trim(c)
+        if len(c) == 1:
+            return c[0]
+        odd = (len(c) - 1) % 2 == 1
+        return math.copysign(math.inf, c[-1] * (t if odd else 1.0))
+
+    def _poly_array(self, t: np.ndarray, order: int) -> np.ndarray:
+        """``_poly`` on an array, with each +-inf entry set to its limit
+        (``_poly`` there meets inf * 0, which is NaN)."""
+        big = np.isinf(t)
+        if not big.any():
+            return self._poly(t, order)
+        out = self._poly(np.where(big, 0.0, t), order)
+        out[big] = [self._poly_limit(x, order) for x in t[big].tolist()]
+        return out
+
     def _sampled(self, t: np.ndarray, order: int) -> np.ndarray:
         """The PCHIP (order 0), or the centered difference of the order
         below: step 1e-6 max(1, |t|) for W', 1e-4 max(1, |t|) for W''."""
@@ -276,7 +302,7 @@ class Potential1D:
             return self._poly(float(t), order)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
-        kernel = self._sampled if self.kind == "sampled" else self._poly
+        kernel = self._sampled if self.kind == "sampled" else self._poly_array
         out = kernel(ts, order)
         return float(out[0]) if arr.ndim == 0 else out
 

@@ -8,6 +8,7 @@ inputs and rerun identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,13 +137,22 @@ def corner_condition_check(profile: RadialProfile, M: float,
     """Least-squares linear fit of cell slopes on rbar < window, extrapolated
     to r = 0; the intercept must match -M within tol.
 
+    The line is the closed-form centred fit, so the check makes no LAPACK
+    call (whose first use leaves about 1 MB of workspace resident).
+
     Raises:
-        ValueError: when fewer than 8 cells fall inside the window.
+        ValueError: when fewer than 8 cells fall inside the window, or
+            when the slopes are so large that the intercept is not finite.
     """
     rbar = profile.grid.midpoints
     sel = _corner_cells(rbar, window)
-    coeffs = np.polyfit(rbar[sel], profile.slopes[sel], 1)
-    fit0 = float(coeffs[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = rbar[sel], profile.slopes[sel]
+        xm, ym = np.mean(x), np.mean(y)
+        dx = x - xm
+        fit0 = float(ym - xm * np.sum(dx * (y - ym)) / np.sum(dx * dx))
+    if not math.isfinite(fit0):
+        raise ValueError(f"corner fit at r = 0 is not finite ({fit0})")
     err = abs(fit0 + M)
     return _rec(
         "corner_condition",

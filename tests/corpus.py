@@ -16,15 +16,25 @@ relaxed energy and ``converged`` flag from ``minimize_relaxed`` as it was
 before descent went to one start, when it kept the lowest of three
 starts and continued an unconverged winner by Newton: MONOTONE at 1024
 cells, HARD at 64 cells.
+
+``CLI_MATRIX`` names the 128 command lines of the output comparison (16
+spec texts times 8 commands), and ``cli_matrix_digests`` runs them in
+process and returns one SHA-256 per run.
 """
 
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import io
+import json
+import os
 
 from radrelax.potentials import Potential1D, ProblemSpec
+from radrelax.specfile import emit_spec_text
 
-from conftest import (make_m0_spec, make_prototype_spec, make_three_well_spec,
-                      three_well)
+from conftest import (CONVEX_INI, M0_INI, PROTOTYPE_INI, make_m0_spec,
+                      make_prototype_spec, make_three_well_spec, three_well)
 
 MONOTONE_CELLS = 1024
 HARD_CELLS = 64
@@ -238,3 +248,98 @@ HARD_REFERENCE = {
     "convex/-2u^2+0.1u^4/N2": (3.232398729568276e-33, True),
     "convex/-2u^2+0.1u^4/N3": (4.78343434125786e-34, True),
 }
+
+
+def _bench_text(name):
+    return emit_spec_text(_bench_spec(name))
+
+
+# The CLI matrix: the conftest prototype, m0 and convex spec texts, the
+# three-well W under G2, and the ``solve`` workload's inputs of bench
+# seeds 1-3, each run through 8 commands. ``{csv}`` is the profile CSV
+# the first command writes and the fourth checks.
+CLI_SPECS = {"prototype": lambda: PROTOTYPE_INI, "m0": lambda: M0_INI,
+             "convex": lambda: CONVEX_INI,
+             "three_well": lambda: emit_spec_text(_three_well_g2())}
+CLI_SPECS.update({f"bench{s}/{k}": functools.partial(_bench_text,
+                                                    f"bench{s}/{k}")
+                  for s in (1, 2, 3) for k in range(4)})
+
+CLI_COMMANDS = {
+    "solve_csv": ("solve", "--profile-csv", "{csv}"),
+    "solve_oracle": ("solve", "--oracle", "--grid-points", "256"),
+    "verify": ("verify",),
+    "verify_csv": ("verify", "--profile-csv", "{csv}"),
+    "oracle": ("oracle", "--u-levels", "40"),
+    "envelope": ("envelope",),
+    "envelope_csv": ("envelope", "--format", "csv"),
+    "symmetry": ("symmetry", "--random-fields", "2"),
+}
+
+CLI_MATRIX = {f"{spec}:{cmd}": (spec, cmd)
+              for spec in CLI_SPECS for cmd in CLI_COMMANDS}
+
+
+def _blanked(obj, blank):
+    # obj with the value of every key named in blank set to None; a name
+    # "rec.key" blanks key only in a dict whose "name" is rec
+    if isinstance(obj, dict):
+        rec = obj.get("name")
+        return {k: None if k in blank or f"{rec}.{k}" in blank
+                else _blanked(v, blank) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_blanked(v, blank) for v in obj]
+    return obj
+
+
+def cli_matrix_digests(workdir, runs=None, blank=()):
+    """Run ``CLI_MATRIX`` (or the named runs of it, in its order) through
+    ``radrelax.cli.main`` in process, one directory per spec under
+    workdir (which starts empty), and return ``{run: sha256 hex}``.
+
+    A run's digest covers its exit code, stdout, stderr and every file
+    its directory gains, with workdir written as ``<dir>``. In a file or
+    stdout that parses as JSON, the keys named in blank are set to null
+    first (see ``_blanked``), so a comparison can leave out fields it
+    expects to change.
+    """
+    from radrelax.cli import main
+
+    names = [r for r in CLI_MATRIX if runs is None or r in runs]
+    workdir = str(workdir)
+
+    def canonical(text):
+        text = text.replace(workdir, "<dir>")
+        if blank:
+            try:
+                text = json.dumps(_blanked(json.loads(text), blank),
+                                  sort_keys=True, indent=2)
+            except ValueError:
+                pass
+        return text
+
+    digests = {}
+    for run in names:
+        spec, cmd = CLI_MATRIX[run]
+        rundir = os.path.join(workdir, spec)
+        os.makedirs(rundir, exist_ok=True)
+        spec_path = os.path.join(rundir, "spec.ini")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            fh.write(CLI_SPECS[spec]())
+        before = set(os.listdir(rundir))
+        out_path = os.path.join(rundir, f"{cmd}.out")
+        argv = [a.format(csv=os.path.join(rundir, "profile.csv"))
+                for a in CLI_COMMANDS[cmd]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--spec", spec_path, "--out", out_path])
+        h = hashlib.sha256(f"exit {code}\n".encode())
+        for text in (stdout.getvalue(), stderr.getvalue()):
+            h.update(canonical(text).encode() + b"\0")
+        for name in sorted(set(os.listdir(rundir)) - before):
+            with open(os.path.join(rundir, name), encoding="utf-8") as fh:
+                h.update(name.encode() + b"\0"
+                         + canonical(fh.read()).encode() + b"\0")
+        digests[run] = h.hexdigest()
+    return digests

@@ -285,6 +285,48 @@ def loop_donor_gradients(fld, ux, uy):
     return ux, uy
 
 
+def batched_ray_samples(fld, thetas):
+    """(grid, u) with every ray sampled at once as one (len(thetas), n + 1)
+    bilinear gather, as ``disc2d._ray_samples`` did before it filled its
+    output a block of rays at a time."""
+    from radrelax.disc2d import _bilinear
+    from radrelax.radial_solver import RadialGrid
+
+    grid = RadialGrid.uniform(fld.radius, fld.n)
+    r = grid.nodes
+    c = np.array([math.cos(th) for th in thetas])
+    s = np.array([math.sin(th) for th in thetas])
+    u = _bilinear(fld, c[:, None] * r, s[:, None] * r)
+    u[:, -1] = 0.0
+    return grid, u
+
+
+def batched_angular_average(fld, n_thetas):
+    """``disc2d.angular_average`` on ``batched_ray_samples``, with the
+    axis-0 sum over the whole sample array."""
+    from radrelax.disc2d import DiscField
+
+    grid, rows = batched_ray_samples(
+        fld, [2.0 * math.pi * k / n_thetas for k in range(n_thetas)])
+    acc = np.sum(rows, axis=0) / n_thetas
+    x = fld.coords
+    rad = np.sqrt(x[:, None] ** 2 + x[None, :] ** 2)
+    return DiscField(fld.n, fld.radius, np.interp(rad, grid.nodes, acc))
+
+
+def exact_line_intercept(x, y):
+    """Intercept at x = 0 of the least-squares line through (x, y), in
+    exact rational arithmetic on the floats' values."""
+    from fractions import Fraction
+
+    xs = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    ys = [Fraction(v) for v in np.asarray(y, dtype=float).tolist()]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - xm) * (b - ym) for a, b in zip(xs, ys))
+             / sum((a - xm) ** 2 for a in xs))
+    return ym - slope * xm
+
+
 def single_ray_profile(fld, theta):
     """One ray sampled on its own, as ``disc2d.ray_profile`` did before
     the rays were gathered in one batch."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import radrelax
+from radrelax import verify
 from radrelax.cli import main, parse_args
 from radrelax.disc2d import DiscField
 from radrelax.envelope import NumericalFailure
@@ -14,6 +15,7 @@ from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
 from conftest import field_from_function, three_well, write_field_csv
+from corpus import CLI_MATRIX, cli_matrix_digests
 
 FAST = ["--grid-points", "128"]
 
@@ -822,11 +824,12 @@ def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
     assert after == [[0, None, []], [verdict, True, []], [verdict, None, []]]
 
 
-def test_runtime_works_without_scipy(prototype_ini, tmp_path):
-    # every import of scipy fails, and each command still runs. Under
-    # -u^2 + 0.5u^4 the three-well's descent takes hundreds of Newton
-    # steps, most of them Levenberg-shifted; its solve fails a qualitative
-    # check (exit 3), not an import
+def _runtime_exit_codes(prototype_ini, tmp_path, prelude):
+    # the exit codes of six command lines, one per command plus the
+    # three-well, run in process by a child that first executes prelude.
+    # Under -u^2 + 0.5u^4 the three-well's descent takes hundreds of
+    # Newton steps, most of them Levenberg-shifted; its solve fails a
+    # qualitative check (exit 3)
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
                        G=Potential1D(kind="poly_in_t_squared",
                                      coefficients=(0.0, -1.0, 0.5)),
@@ -842,11 +845,7 @@ def test_runtime_works_without_scipy(prototype_ini, tmp_path):
             ["solve", "--spec", three_well_ini, "--grid-points", "64"]]
     code = (
         "import json, sys\n"
-        "class NoScipy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.split('.')[0] == 'scipy':\n"
-        "            raise ImportError('scipy is unavailable')\n"
-        "sys.meta_path.insert(0, NoScipy())\n"
+        + prelude +
         "from radrelax.cli import main\n"
         f"runs = {runs!r}\n"
         f"outs = [{str(tmp_path)!r} + f'/{{k}}.out' for k in range(len(runs))]\n"
@@ -857,4 +856,58 @@ def test_runtime_works_without_scipy(prototype_ini, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, 0, 0, 0, 3]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_runtime_works_without_scipy(prototype_ini, tmp_path):
+    # every import of scipy fails, and each command still runs
+    prelude = (
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is unavailable')\n"
+        "sys.meta_path.insert(0, NoScipy())\n")
+    assert (_runtime_exit_codes(prototype_ini, tmp_path, prelude)
+            == [0, 0, 0, 0, 0, 3])
+
+
+def test_runtime_makes_no_lapack_call(prototype_ini, tmp_path):
+    # numpy's LAPACK-backed solvers, and polyfit (lstsq underneath),
+    # raise; each command still runs to the same exit code. The first
+    # LAPACK call leaves about 1 MB of workspace resident
+    prelude = (
+        "import numpy\n"
+        "def _no_lapack(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(f'LAPACK call: {name}')\n"
+        "    return call\n"
+        "numpy.polyfit = _no_lapack('polyfit')\n"
+        "for name in ('lstsq', 'solve', 'svd', 'inv', 'pinv', 'qr',\n"
+        "             'cholesky', 'eig', 'eigh', 'eigvals', 'eigvalsh'):\n"
+        "    setattr(numpy.linalg, name, _no_lapack(name))\n")
+    assert (_runtime_exit_codes(prototype_ini, tmp_path, prelude)
+            == [0, 0, 0, 0, 0, 3])
+
+
+def test_cli_matrix_digests_blank_named_fields(tmp_path, monkeypatch):
+    # the prototype's row of the CLI matrix with the corner fit nudged:
+    # the four reports that carry it change, and blanking its two fields
+    # hides the change
+    runs = [r for r in CLI_MATRIX if r.startswith("prototype:")]
+    blank = ("fit_at_zero", "corner_condition.margin")
+    plain = cli_matrix_digests(tmp_path / "a", runs)
+    blanked = cli_matrix_digests(tmp_path / "b", runs, blank=blank)
+    assert list(plain) == runs
+    check = verify.corner_condition_check
+
+    def nudged(*args):
+        rec = check(*args)
+        rec["details"]["fit_at_zero"] += 1e-9
+        rec["margin"] -= 1e-9
+        return rec
+
+    monkeypatch.setattr(verify, "corner_condition_check", nudged)
+    assert cli_matrix_digests(tmp_path / "c", runs, blank=blank) == blanked
+    moved = cli_matrix_digests(tmp_path / "d", runs)
+    changed = sorted(r.split(":")[1] for r in runs if moved[r] != plain[r])
+    assert changed == ["solve_csv", "solve_oracle", "verify", "verify_csv"]

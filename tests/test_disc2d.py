@@ -12,15 +12,19 @@ from radrelax.disc2d import (
     colinearity_defect,
     energy_2d,
     ray_profiles,
+    _BLOCK_RAYS,
     _BLOCK_ROWS,
     _cell_area_weights,
     _donor_map,
+    _ray_energies,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
 from conftest import (field_from_function, make_prototype_spec, three_well,
                       write_field_csv)
 from oracles import (
+    batched_angular_average,
+    batched_ray_samples,
     cell_gradients,
     loop_angular_average,
     loop_donor_gradients,
@@ -195,6 +199,40 @@ def test_planar_kernels_hold_few_cell_arrays(n, spec):
     for name, kernel in kernels.items():
         kernel()  # builds and caches the envelope outside the measurement
         assert _peak_bytes(kernel) <= bound, name
+
+
+def test_ray_energies_hold_one_block_of_rays(spec):
+    # all 64 rays priced at once peaked at 1.65 MiB
+    fld = DiscField.random_smooth(257, R, seed=5)
+    thetas = np.arange(64) * (2.0 * math.pi / 64)
+    _ray_energies(fld, spec, thetas)  # caches the envelope
+    peak = _peak_bytes(lambda: _ray_energies(fld, spec, thetas))
+    assert peak <= 0.6 * 2 ** 20
+
+
+def test_angular_average_holds_one_sample_array():
+    # at n = 257 the 256 rays' samples, (256, 258) floats, are 0.53 MB;
+    # the peak is that array plus one block of rays, then the output
+    # field and the copy its constructor makes. The batched gather
+    # peaked at 6.57 MiB
+    fld = DiscField.random_smooth(257, R, seed=6)
+    samples = 256 * 258 * 8
+    assert _peak_bytes(lambda: angular_average(fld)) <= 3 * samples
+
+
+@pytest.mark.parametrize("n_thetas", [1, 7, _BLOCK_RAYS, _BLOCK_RAYS + 1, 64,
+                                      256])
+def test_ray_kernels_match_batched_samples(n_thetas):
+    # the block-by-block samples against the whole-array gather
+    fld = DiscField.random_smooth(65, 1.3, seed=n_thetas)
+    thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
+    _, u = batched_ray_samples(fld, thetas)
+    profiles = ray_profiles(fld, thetas)
+    assert len(profiles) == n_thetas
+    for prof, row in zip(profiles, u):
+        assert prof.u.tobytes() == row.tobytes()
+    assert (angular_average(fld, n_thetas).values.tobytes()
+            == batched_angular_average(fld, n_thetas).values.tobytes())
 
 
 def test_ray_check_rejects_radius_mismatch(spec):

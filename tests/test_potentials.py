@@ -41,6 +41,72 @@ def test_polynomial_derivatives_exact():
     assert G.derivative(0.0) == 0.0
 
 
+_INF = math.inf
+
+# potentials and their limits (at -inf, at +inf) for orders 0, 1 and 2
+_LIMITS = {
+    "double_well": (double_well,
+                    [(_INF, _INF), (-_INF, _INF), (_INF, _INF)]),
+    "trailing_zero": (lambda: Potential1D(kind="poly_in_t_squared",
+                                          coefficients=(1.0, -2.0, 1.0, 0.0)),
+                      [(_INF, _INF), (-_INF, _INF), (_INF, _INF)]),
+    "concave_G": (lambda: Potential1D(kind="poly_in_t_squared",
+                                      coefficients=(0.0, -1.0)),
+                  [(-_INF, -_INF), (_INF, -_INF), (-2.0, -2.0)]),
+    "constant": (lambda: Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(3.0,)),
+                 [(3.0, 3.0), (0.0, 0.0), (0.0, 0.0)]),
+    "linear_G": (lambda: Potential1D(kind="piecewise_poly",
+                                     coefficients=((0.0, -1.0),)),
+                 [(_INF, -_INF), (-1.0, -1.0), (0.0, 0.0)]),
+    "three_well": (three_well,
+                   [(_INF, _INF), (-_INF, _INF), (_INF, _INF)]),
+    "cubic_left": (lambda: Potential1D(kind="piecewise_poly",
+                                       coefficients=((0.0, 0.0, 0.0, 1.0),
+                                                     (0.0, 2.0)),
+                                       breakpoints=(0.0,)),
+                   [(-_INF, _INF), (_INF, 2.0), (-_INF, 0.0)]),
+}
+
+
+def _orders(W):
+    # W.eval for order 0, W.derivative above it
+    def at(t, order):
+        return W.eval(t) if order == 0 else W.derivative(t, order)
+    return at
+
+
+@pytest.mark.parametrize("name", list(_LIMITS))
+def test_polynomial_kinds_take_their_limit_at_infinity(name):
+    # x * 0 and 0 * inf gave NaN with a RuntimeWarning (an error in this
+    # suite) before; the finite entries keep the kernel's bits
+    make, limits = _LIMITS[name]
+    W = make()
+    at = _orders(W)
+    t = np.array([-_INF, -1.5, 0.5, _INF])
+    for order, (lo, hi) in enumerate(limits):
+        out = at(t, order)
+        assert [out[0], out[-1]] == [lo, hi]
+        assert out[1:3].tobytes() == W._poly(t[1:3], order).tobytes()
+        assert [at(-_INF, order), at(_INF, order)] == [lo, hi]
+
+
+@pytest.mark.parametrize("name", list(_LIMITS))
+def test_polynomial_array_path_keeps_finite_bits(name):
+    # the array path on finite input, signed zeros and subnormals
+    # included, is the kernel it called before, bit for bit; a float
+    # argument gives the same bits
+    W = _LIMITS[name][0]()
+    at = _orders(W)
+    t = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.25, -1.0,
+                  1.0, math.sqrt(151.0 / 60.0), -2.5, 3.0, 1e30, -1e30])
+    for order in (0, 1, 2):
+        out = at(t, order)
+        assert out.tobytes() == W._poly(t, order).tobytes()
+        assert (np.array([at(float(x), order) for x in t]).tobytes()
+                == out.tobytes())
+
+
 def test_cached_derivative_orders_stay_apart():
     W = three_well()
     t = np.array([-3.0, -1.2, 0.0, 0.7, 1.5, 2.5])

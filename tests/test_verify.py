@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from radrelax.radial_solver import (
     RadialProfile,
     energy_reduced,
     ensure_envelope,
+    minimize_relaxed,
     monotone_rearrange,
     solve_pipeline,
 )
@@ -26,7 +28,8 @@ from radrelax.verify import (
 from radrelax.verify import _window_density
 
 from conftest import graded_grid, make_prototype_spec, three_well
-from oracles import quadratic_window_density
+from corpus import MONOTONE
+from oracles import exact_line_intercept, quadratic_window_density
 
 K = 128
 
@@ -111,6 +114,32 @@ def test_corner_condition_steep_fails(grid):
     assert not rec["passed"]
     assert abs(rec["details"]["fit_at_zero"] + 1.5) <= 1e-12
     assert abs(rec["margin"] + 0.45) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [64, 256, 1024])
+@pytest.mark.parametrize("name", ["prototype", "m0", "three_well"])
+def test_corner_fit_matches_exact_least_squares(name, cells):
+    # the closed-form centred line against the rational least-squares
+    # fit of the same cells, on descent profiles
+    spec = MONOTONE[name]()
+    grid = RadialGrid.uniform(spec.radius, cells)
+    prof = minimize_relaxed(spec, grid).profile
+    window = 0.2 * spec.radius
+    fit0 = corner_condition_check(prof, 0.0, window)["details"]["fit_at_zero"]
+    sel = grid.midpoints < window
+    exact = exact_line_intercept(grid.midpoints[sel], prof.slopes[sel])
+    assert abs(Fraction(fit0) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+def test_corner_fit_rejects_non_finite_intercept(grid):
+    # finite slopes of 1.5e308 overflow the mean of the fit; nodal values
+    # of +-1e308 overflow the slopes themselves
+    steep = RadialProfile(grid, -1.5e308 * (1.0 - grid.nodes))
+    assert np.all(np.isfinite(steep.slopes))
+    zigzag = RadialProfile(grid, np.where(np.arange(K + 1) % 2, -1e308, 1e308))
+    for prof in (steep, zigzag):
+        with pytest.raises(ValueError, match="not finite"):
+            corner_condition_check(prof, 1.0, window=0.2)
 
 
 def test_corner_condition_window_too_small(cone):
