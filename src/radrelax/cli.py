@@ -283,29 +283,48 @@ def _emit_profile_report(cfg: argparse.Namespace, spec: ProblemSpec,
         _emit(cfg, _report_text(cfg, spec, results))
 
 
-def _read_profile_csv(path: str, spec: ProblemSpec):
-    """Read an r,u(,du_dr) profile CSV into a RadialProfile."""
-    import csv as _csv
+def _read_rows(path: str, names: List[str], header: bool):
+    """The first len(names) cells of each row of a CSV table as a float
+    array, and the line of the last row. Blank rows and rows whose first
+    cell starts with ``#`` are skipped; the first row left is a header when
+    its first cell is names[0], and ``header`` requires one reading names.
+    Raises SpecFileError citing the file, and the line where there is one."""
+    import csv
 
-    r: List[float] = []
-    u: List[float] = []
+    k = len(names)
+    finite = f"{', '.join(names[:-1])} and {names[-1]} must be finite"
+    flat: List[float] = []
+    head = last = None
+    # row by row: holding every row's cells costs more GC time than parsing
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(_csv.reader(fh), start=1):
+        for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if row[0].strip() == "r":
-                continue
-            if len(row) < 2:
-                raise SpecFileError(f"{path}: line {lineno}: need r,u columns")
+            if head is None:
+                head = [c.strip() for c in row[:k]]
+                if header and head != names:
+                    break
+                if head[:1] == names[:1]:
+                    continue
             try:
-                r.append(float(row[0]))
-                u.append(float(row[1]))
+                if len(row) < k:
+                    raise ValueError(f"need {','.join(names)} columns")
+                vals = list(map(float, row[:k]))
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(finite)
             except ValueError as exc:
                 raise SpecFileError(f"{path}: line {lineno}: {exc}") from None
-            if not (math.isfinite(r[-1]) and math.isfinite(u[-1])):
-                raise SpecFileError(
-                    f"{path}: line {lineno}: r and u must be finite")
+            flat += vals
             last = lineno
+    if header and head != names:
+        raise SpecFileError(f"{path}: expected header {','.join(names)}")
+    return np.array(flat).reshape(-1, k), last
+
+
+def _read_profile_csv(path: str, spec: ProblemSpec) -> RadialProfile:
+    """Read an r,u(,du_dr) profile table into a RadialProfile."""
+    ru, last = _read_rows(path, ["r", "u"], header=False)
+    r, u = ru.T.tolist()
     if len(r) < 17:
         raise SpecFileError(f"{path}: profile needs at least 17 nodes")
     if _off_radius(r[-1], spec.radius):
@@ -327,6 +346,42 @@ def _read_profile_csv(path: str, spec: ProblemSpec):
     if not all(np.all(np.isfinite(v)) for v in priced):
         raise SpecFileError(f"{path}: W or G is not finite on this profile")
     return profile
+
+
+def _read_field_csv(path: str, spec_radius: float) -> DiscField:
+    """Read an x,y,u field table: a header row ``x,y,u``, then one row per
+    node of a square grid over [-R, R]^2, R the spec radius, in any order."""
+    xyu, _ = _read_rows(path, ["x", "y", "u"], header=True)
+    m = len(xyu)
+    if not m:
+        raise SpecFileError(f"{path}: no nodes after the header")
+    n = math.isqrt(m)
+    if n * n != m:
+        raise SpecFileError(f"{path}: {m} rows is not a square grid")
+    R = float(np.abs(xyu[:, 0]).max())
+    if R <= 0.0 or n == 1:
+        raise SpecFileError(f"{path}: degenerate grid")
+    # each node's nearest grid index; one past the grid (a far y overflows
+    # to inf) clips to an edge node at least h/2 away, so it is off the grid
+    with np.errstate(over="ignore"):
+        ij = np.rint((xyu[:, :2] + R) / (2.0 * R / (n - 1)))
+    ij = np.clip(ij, 0, n - 1).astype(np.intp)
+    on = (np.abs(np.linspace(-R, R, n)[ij] - xyu[:, :2]) <= 1e-9 * R).all(axis=1)
+    if not on.all():
+        px, py = xyu[np.argmin(on), :2]
+        raise SpecFileError(f"{path}: node ({float(px)}, {float(py)}) off the grid")
+    vals = np.full((n, n), np.nan)
+    vals[ij[:, 0], ij[:, 1]] = xyu[:, 2]
+    if np.isnan(vals).any():
+        raise SpecFileError(f"{path}: grid has missing nodes")
+    try:
+        fld = DiscField(n, R, vals)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
+    if _off_radius(R, spec_radius):
+        raise SpecFileError(f"{path}: field radius {R} does not match "
+                            f"spec radius {spec_radius}")
+    return fld
 
 
 def _cmd_envelope(cfg: argparse.Namespace) -> int:
@@ -421,15 +476,7 @@ def _cmd_symmetry(cfg: argparse.Namespace) -> int:
             f"{cfg.spec}: symmetry needs a spec of dimension 2, "
             f"got {spec.dimension}")
     if cfg.field_csv is not None:
-        try:
-            fld = DiscField.from_csv(cfg.field_csv)
-        except ValueError as exc:
-            raise SpecFileError(str(exc)) from None
-        if _off_radius(fld.radius, spec.radius):
-            raise SpecFileError(
-                f"{cfg.field_csv}: field radius {fld.radius} does not match "
-                f"spec radius {spec.radius}")
-        fields = [(None, fld)]
+        fields = [(None, _read_field_csv(cfg.field_csv, spec.radius))]
     else:
         # one field at a time, whatever the count
         fields = ((cfg.seed + k,

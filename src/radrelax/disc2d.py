@@ -10,7 +10,6 @@ measure how far a gradient field is from pointing radially.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -113,56 +112,6 @@ class DiscField:
         taper = np.clip(1.0 - (x2[:, None] + x2[None, :]) / radius ** 2,
                         0.0, None)
         return cls(n, radius, vals * taper)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "DiscField":
-        """Read an x,y,u table: a header row ``x,y,u``, then one row per
-        node of a full square grid over [-R, R]^2, in any order.
-
-        Raises:
-            ValueError: naming the file, and the line where there is one,
-                on a bad header, a short row, a value that is not a finite
-                number, a node off the grid, or a missing node.
-        """
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:3]] != ["x", "y", "u"]:
-                raise ValueError(f"{path}: expected header x,y,u")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 3:
-                    raise ValueError(f"{path}: line {lineno}: need 3 columns")
-                try:
-                    vals = (float(row[0]), float(row[1]), float(row[2]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(
-                        f"{path}: line {lineno}: x, y and u must be finite")
-                rows.append(vals)
-        m = len(rows)
-        n = int(round(math.sqrt(m)))
-        if n * n != m:
-            raise ValueError(f"{path}: {m} rows is not a square grid")
-        radius = max(abs(r[0]) for r in rows)
-        if radius <= 0.0:
-            raise ValueError(f"{path}: degenerate grid")
-        x = np.linspace(-radius, radius, n)
-        h = 2.0 * radius / (n - 1)
-        vals = np.full((n, n), np.nan)
-        for px, py, u in rows:
-            i = int(round((px + radius) / h))
-            j = int(round((py + radius) / h))
-            if not (0 <= i < n and 0 <= j < n) or \
-                    abs(x[i] - px) > 1e-9 * radius or abs(x[j] - py) > 1e-9 * radius:
-                raise ValueError(f"{path}: node ({px}, {py}) off the grid")
-            vals[i, j] = u
-        if np.isnan(vals).any():
-            raise ValueError(f"{path}: grid has missing nodes")
-        return cls(n, radius, vals)
 
 
 def _row_blocks(rows: int, size: int = _BLOCK_ROWS):

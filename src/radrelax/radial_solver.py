@@ -337,22 +337,22 @@ def _newton_direction(diag, off, mass, g):
         lam = 10.0 * lam if lam > 0.0 else lam0
 
 
-def _newton(energy: _RelaxedEnergy, x: np.ndarray, max_iters: int):
+def _newton(energy: _RelaxedEnergy, x: np.ndarray):
     """Damped Newton descent with Armijo backtracking.
 
     Returns (x, E, iterations, converged). A start converges when its
     mass-scaled gradient falls to _GTOL, or when no step decreases E and
     the Newton decrement |g.d| is below what E resolves in floating point.
-    It stops unconverged at the iteration cap, when a step that is not
+    It stops unconverged after _MAX_ITERS steps, when a step that is not
     negligible fails to decrease E, or when the derivatives stop being
     finite.
     """
     e = energy.value(x)
-    for it in range(max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         g = energy.gradient(x)
         if float(np.max(np.abs(g) / energy.mass)) <= _GTOL:
             return x, e, it, True
-        if it == max_iters:
+        if it == _MAX_ITERS:
             break
         diag, off = energy.hessian(x)
         if not all(np.all(np.isfinite(a)) for a in (g, diag, off)):
@@ -410,7 +410,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     # the quadratic term keeps the start off the zero profile when M = 0,
     # since that profile is stationary whenever G'(0) = 0
     start = M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2)
-    x, e, iterations, converged = _newton(energy, start[:-1], _MAX_ITERS)
+    x, e, iterations, converged = _newton(energy, start[:-1])
     if not math.isfinite(e):
         raise NumericalFailure(
             f"descent diverged: the relaxed energy is {e} after "
@@ -421,7 +421,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     profile = RadialProfile(grid, np.append(x, 0.0))
     return SolveReport(
         profile=profile,
-        relaxed_energy=energy_reduced(profile, spec, use_envelope=True),
+        relaxed_energy=e,
         original_energy=energy_reduced(profile, spec, use_envelope=False),
         iterations=iterations,
         converged=converged,
@@ -586,9 +586,9 @@ def _last_brackets(vals: np.ndarray, targets: np.ndarray):
     return np.where(has, last, n - 2), has
 
 
-def _outermost_levels(W, env, y: np.ndarray) -> np.ndarray:
-    """Largest nu >= 0 with W(nu) = W(y), per entry of y."""
-    M = env.M
+def _outermost_levels(env, y: np.ndarray) -> np.ndarray:
+    """Largest nu >= 0 with W(nu) = W(y) per entry of y, W = env.potential."""
+    W, M = env.potential, env.M
     T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
             M + 1.0)
     # the outermost level point never lies left of M, and anchoring the
@@ -658,7 +658,7 @@ def monotone_rearrange(profile: RadialProfile,
     outermost. Time is O(4097 + K log 4097) and memory O(K) for K cells.
     """
     y = np.abs(profile.slopes)
-    nu = _outermost_levels(env.potential, env, y)
+    nu = _outermost_levels(env, y)
     drops = nu * profile.grid.dr
     v = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
     return RadialProfile(profile.grid, v)

@@ -17,8 +17,8 @@ before descent went to one start, when it kept the lowest of three
 starts and continued an unconverged winner by Newton: MONOTONE at 1024
 cells, HARD at 64 cells.
 
-``CLI_MATRIX`` names the 128 command lines of the output comparison (16
-spec texts times 8 commands), and ``cli_matrix_digests`` runs them in
+``CLI_MATRIX`` names the 192 command lines of the output comparison (16
+spec texts times 12 commands), and ``cli_matrix_digests`` runs them in
 process and returns one SHA-256 per run.
 """
 
@@ -30,11 +30,13 @@ import io
 import json
 import os
 
+from radrelax.disc2d import DiscField
 from radrelax.potentials import Potential1D, ProblemSpec
-from radrelax.specfile import emit_spec_text
+from radrelax.specfile import emit_spec_text, parse_spec_text
 
 from conftest import (CONVEX_INI, M0_INI, PROTOTYPE_INI, make_m0_spec,
-                      make_prototype_spec, make_three_well_spec, three_well)
+                      make_prototype_spec, make_three_well_spec, three_well,
+                      write_field_csv)
 
 MONOTONE_CELLS = 1024
 HARD_CELLS = 64
@@ -256,8 +258,10 @@ def _bench_text(name):
 
 # The CLI matrix: the conftest prototype, m0 and convex spec texts, the
 # three-well W under G2, and the ``solve`` workload's inputs of bench
-# seeds 1-3, each run through 8 commands. ``{csv}`` is the profile CSV
-# the first command writes and the fourth checks.
+# seeds 1-3, each run through 12 commands. ``{csv}`` is the profile CSV
+# the first command writes and the fourth checks; ``{field}`` is a
+# 33-node field CSV at the spec's radius, and ``{marked}`` the same table
+# under a ``# radrelax csv 1`` line.
 CLI_SPECS = {"prototype": lambda: PROTOTYPE_INI, "m0": lambda: M0_INI,
              "convex": lambda: CONVEX_INI,
              "three_well": lambda: emit_spec_text(_three_well_g2())}
@@ -274,6 +278,11 @@ CLI_COMMANDS = {
     "envelope": ("envelope",),
     "envelope_csv": ("envelope", "--format", "csv"),
     "symmetry": ("symmetry", "--random-fields", "2"),
+    "symmetry_field": ("symmetry", "--field-csv", "{field}", "--rays", "8"),
+    "symmetry_marked_field": ("symmetry", "--field-csv", "{marked}",
+                              "--rays", "8"),
+    "symmetry_ray_csv": ("symmetry", "--profile-csv", "{csv}", "--rays", "8"),
+    "symmetry_csv": ("symmetry", "--format", "csv", "--rays", "8"),
 }
 
 CLI_MATRIX = {f"{spec}:{cmd}": (spec, cmd)
@@ -323,12 +332,20 @@ def cli_matrix_digests(workdir, runs=None, blank=()):
         spec, cmd = CLI_MATRIX[run]
         rundir = os.path.join(workdir, spec)
         os.makedirs(rundir, exist_ok=True)
-        spec_path = os.path.join(rundir, "spec.ini")
+        spec_path, field, marked = (os.path.join(rundir, name) for name in
+                                    ("spec.ini", "field.csv", "marked.csv"))
+        text = CLI_SPECS[spec]()
         with open(spec_path, "w", encoding="utf-8") as fh:
-            fh.write(CLI_SPECS[spec]())
+            fh.write(text)
+        radius = parse_spec_text(text).radius
+        write_field_csv(DiscField.random_smooth(33, radius, seed=1), field)
+        with open(field, encoding="utf-8") as src, \
+                open(marked, "w", encoding="utf-8") as fh:
+            fh.write("# radrelax csv 1\n" + src.read())
         before = set(os.listdir(rundir))
         out_path = os.path.join(rundir, f"{cmd}.out")
-        argv = [a.format(csv=os.path.join(rundir, "profile.csv"))
+        argv = [a.format(csv=os.path.join(rundir, "profile.csv"),
+                         field=field, marked=marked)
                 for a in CLI_COMMANDS[cmd]]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \

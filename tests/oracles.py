@@ -327,6 +327,25 @@ def exact_line_intercept(x, y):
     return ym - slope * xm
 
 
+def loop_field_grid(rows):
+    """(n, radius, values) of x,y,u node rows placed one at a time on the
+    square grid, as the field reader did before it placed them with array
+    operations; None when a node is off the grid or missing."""
+    n = int(round(math.sqrt(len(rows))))
+    radius = max(abs(r[0]) for r in rows)
+    x = np.linspace(-radius, radius, n)
+    h = 2.0 * radius / (n - 1)
+    vals = np.full((n, n), np.nan)
+    for px, py, u in rows:
+        i = int(round((px + radius) / h))
+        j = int(round((py + radius) / h))
+        if not (0 <= i < n and 0 <= j < n) or \
+                abs(x[i] - px) > 1e-9 * radius or abs(x[j] - py) > 1e-9 * radius:
+            return None
+        vals[i, j] = u
+    return None if np.isnan(vals).any() else (n, radius, vals)
+
+
 def single_ray_profile(fld, theta):
     """One ray sampled on its own, as ``disc2d.ray_profile`` did before
     the rays were gathered in one batch."""

@@ -8,7 +8,7 @@ import pytest
 
 import radrelax
 from radrelax import verify
-from radrelax.cli import main, parse_args
+from radrelax.cli import _read_field_csv, main, parse_args
 from radrelax.disc2d import DiscField
 from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
@@ -16,6 +16,7 @@ from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
 from conftest import field_from_function, three_well, write_field_csv
 from corpus import CLI_MATRIX, cli_matrix_digests
+from oracles import loop_field_grid
 
 FAST = ["--grid-points", "128"]
 
@@ -400,6 +401,197 @@ def test_symmetry_rejects_non_finite_field_csv(prototype_ini, tmp_path,
     assert "field.csv: line 301: x, y and u must be finite" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_field_csv_round_trip(tmp_path):
+    fld = DiscField.random_smooth(33, 1.5, seed=9)
+    path = str(tmp_path / "field.csv")
+    write_field_csv(fld, path)
+    back = _read_field_csv(path, 1.5)
+    assert back.n == fld.n
+    assert back.radius == fld.radius
+    assert np.array_equal(back.values, fld.values)
+
+
+def test_field_csv_errors(tmp_path):
+    bad_header = tmp_path / "a.csv"
+    bad_header.write_text("r,u,du\n0,0,0\n")
+    with pytest.raises(ValueError, match="header"):
+        _read_field_csv(str(bad_header), 1.0)
+    not_square = tmp_path / "b.csv"
+    not_square.write_text("x,y,u\n0.0,0.0,1.0\n1.0,0.0,1.0\n")
+    with pytest.raises(ValueError, match="square"):
+        _read_field_csv(str(not_square), 1.0)
+    bad_value = tmp_path / "c.csv"
+    bad_value.write_text("x,y,u\n0.0,0.0,oops\n")
+    with pytest.raises(ValueError, match="line 2"):
+        _read_field_csv(str(bad_value), 1.0)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_field_csv_rejects_non_finite_values(tmp_path, token):
+    path = tmp_path / "field.csv"
+    write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
+    lines = path.read_text().splitlines()
+    x, y, _ = lines[500].split(",")
+    lines[500] = f"{x},{y},{token}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 501: .*finite"):
+        _read_field_csv(str(path), 1.0)
+
+
+def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
+    # the array placement reads every node where the row-by-row loop put
+    # it, in any row order and up to the reader's 1e-9 R snap, and rejects
+    # the tables the loop rejects
+    rng = np.random.default_rng(3)
+    path = tmp_path / "field.csv"
+    for n, radius in ((33, 1.0), (65, 1.5), (33, 0.7)):
+        fld = DiscField.random_smooth(n, radius, seed=n)
+        x, vals = fld.coords.tolist(), fld.values.tolist()
+        rows = [[x[i], x[j], vals[i][j]] for i in range(n) for j in range(n)]
+        rng.shuffle(rows)
+        for shift in (0.0, 3e-10, 3e-9):
+            # every row but the extreme x ones (which set R) moves in y
+            moved = [[px, py + shift * radius * float(rng.choice((-1, 1))), u]
+                     if abs(px) < radius else [px, py, u]
+                     for px, py, u in rows]
+            path.write_text("x,y,u\n" + "".join(
+                f"{px!r},{py!r},{u!r}\n" for px, py, u in moved))
+            ref = loop_field_grid(moved)
+            assert (ref is None) == (shift > 1e-9)
+            if ref is None:
+                with pytest.raises(ValueError, match="off the grid"):
+                    _read_field_csv(str(path), radius)
+            else:
+                back = _read_field_csv(str(path), radius)
+                assert (back.n, back.radius) == ref[:2]
+                assert (back.values.tobytes()
+                        == DiscField(*ref).values.tobytes())
+
+
+def _edit_line(lineno, edit):
+    # lines -> lines with line ``lineno`` (1-based) replaced by
+    # edit(its cells)
+    def apply(lines):
+        cells = lines[lineno - 1].split(",")
+        return lines[:lineno - 1] + [edit(cells)] + lines[lineno:]
+    return apply
+
+
+def _text(text):
+    return lambda lines: text.splitlines()
+
+
+# node (16, 16) of a 33-node field, x = y = 0.0, is on line 546
+_CENTRE = 2 + 16 * 33 + 16
+
+# (table edit, message) per reader error: the field edits take the lines
+# of a 33-node field at radius 1.0, the profile edits those of
+# _half_slope_csv, whose node k is on line k + 3
+_FIELD_ERRORS = {
+    "bad_header": (_text("a,b,c\n0,0,0"), "{p}: expected header x,y,u"),
+    "short_row": (_edit_line(40, lambda c: f"{c[0]},{c[1]}"),
+                  "{p}: line 40: need x,y,u columns"),
+    "non_number": (_edit_line(40, lambda c: f"{c[0]},{c[1]},oops"),
+                   "{p}: line 40: could not convert string to float: 'oops'"),
+    "non_finite": (_edit_line(40, lambda c: f"inf,{c[1]},{c[2]}"),
+                   "{p}: line 40: x, y and u must be finite"),
+    "not_square": (lambda lines: lines[:-1], "{p}: 1088 rows is not a square grid"),
+    "degenerate": (_text("x,y,u\n0.0,0.0,1.0"), "{p}: degenerate grid"),
+    "one_node": (_text("x,y,u\n0.5,0.5,1.0"), "{p}: degenerate grid"),
+    "header_only": (_text("x,y,u"), "{p}: no nodes after the header"),
+    "small_grid": (_text("x,y,u\n" + "\n".join(
+        f"{x},{y},0.0" for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0))),
+        "grid size must be odd and at least 33"),
+    "off_grid": (_edit_line(_CENTRE, lambda c: f"0.001,{c[1]},{c[2]}"),
+                 "{p}: node (0.001, 0.0) off the grid"),
+    "far_node": (_edit_line(_CENTRE, lambda c: f"{c[0]},1e308,{c[2]}"),
+                 "{p}: node (0.0, 1e+308) off the grid"),
+    "missing_node": (lambda lines: lines[:-1] + [lines[-2]],
+                     "{p}: grid has missing nodes"),
+    "radius": (lambda lines: [lines[0]] + [
+        f"{2 * float(x)!r},{2 * float(y)!r},{u}"
+        for x, y, u in (line.split(",") for line in lines[1:])],
+        "{p}: field radius 2.0 does not match spec radius 1.0"),
+}
+_PROFILE_ERRORS = {
+    "short_row": (_edit_line(13, lambda c: c[0]), "{p}: line 13: need r,u columns"),
+    "non_number": (_edit_line(13, lambda c: f"{c[0]},oops"),
+                   "{p}: line 13: could not convert string to float: 'oops'"),
+    "non_finite": (_edit_line(13, lambda c: f"{c[0]},nan"),
+                   "{p}: line 13: r and u must be finite"),
+    "later_header": (_edit_line(13, lambda c: "r,u"),
+                     "{p}: line 13: could not convert string to float: 'r'"),
+    "few_nodes": (lambda lines: lines[:18], "{p}: profile needs at least 17 nodes"),
+    "radius": (lambda lines: lines[:-1], "{p}: profile ends at r = 0.984375, "
+               "spec radius is 1.0"),
+    "end_value": (_edit_line(67, lambda c: f"{c[0]},0.5"),
+                  "{p}: line 67: profile must end at u = 0, got 0.5"),
+    "first_node": (_edit_line(3, lambda c: f"0.001,{c[1]}"),
+                   "{p}: first node must be exactly 0"),
+    "not_increasing": (_edit_line(13, lambda c: f"0.5,{c[1]}"),
+                       "{p}: nodes must be strictly increasing"),
+    "overflow": (_edit_line(13, lambda c: f"{c[0]},1e300"),
+                 "{p}: W or G is not finite on this profile"),
+}
+
+
+@pytest.mark.parametrize("table,case", [
+    *(("field", case) for case in _FIELD_ERRORS),
+    *(("profile", case) for case in _PROFILE_ERRORS)])
+def test_csv_reader_messages(table, case, prototype_ini, tmp_path,
+                             monkeypatch, capsys):
+    # every reader error exits 1 with its message alone, before any ray
+    # or check is computed
+    path = tmp_path / "table.csv"
+    if table == "field":
+        write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
+        edit, message = _FIELD_ERRORS[case]
+        argv = ["symmetry", "--rays", "4", "--field-csv", str(path)]
+    else:
+        _half_slope_csv(path)
+        edit, message = _PROFILE_ERRORS[case]
+        argv = ["verify", "--profile-csv", str(path)]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.verify.full_report", _no_ray_work)
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--spec", prototype_ini, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message.format(p=path) + "\n"
+    assert not out.exists()
+
+
+def test_field_csv_skips_comment_and_blank_lines(prototype_ini, tmp_path):
+    # the field table reads the dialect the CLI writes, under a
+    # ``# radrelax csv 1`` line, as the profile table does
+    plain = tmp_path / "plain.csv"
+    write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(plain))
+    marked = tmp_path / "marked.csv"
+    marked.write_text("# radrelax csv 1\n\n" + plain.read_text())
+    reports = []
+    for path in (plain, marked):
+        out = tmp_path / f"{path.stem}.json"
+        code = main(["symmetry", "--spec", prototype_ini, "--rays", "4",
+                     "--field-csv", str(path), "--out", str(out)])
+        reports.append((code, out.read_text()))
+    assert reports[0][0] in (0, 3)
+    assert reports[0] == reports[1]
+
+
+def test_profile_csv_header_is_optional(prototype_ini, tmp_path):
+    headed = tmp_path / "headed.csv"
+    _half_slope_csv(headed)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(headed.read_text().splitlines()[2:]) + "\n")
+    reports = []
+    for path in (headed, bare):
+        out = tmp_path / f"{path.stem}.json"
+        code = main(["verify", "--spec", prototype_ini,
+                     "--profile-csv", str(path), "--out", str(out)])
+        reports.append((code, out.read_text()))
+    assert reports[0][0] == 3
+    assert reports[0] == reports[1]
 
 
 def test_symmetry_csv_needs_single_field(prototype_ini, capsys):

@@ -20,8 +20,7 @@ from radrelax.disc2d import (
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
-from conftest import (field_from_function, make_prototype_spec, three_well,
-                      write_field_csv)
+from conftest import field_from_function, make_prototype_spec, three_well
 from oracles import (
     batched_angular_average,
     batched_ray_samples,
@@ -367,43 +366,6 @@ def test_angular_average_matches_ray_loop():
             new = angular_average(fld, n_thetas).values
             old = loop_angular_average(fld, n_thetas).values
             assert new.tobytes() == old.tobytes()
-
-
-def test_csv_round_trip(tmp_path):
-    fld = DiscField.random_smooth(33, 1.5, seed=9)
-    path = str(tmp_path / "field.csv")
-    write_field_csv(fld, path)
-    back = DiscField.from_csv(path)
-    assert back.n == fld.n
-    assert back.radius == fld.radius
-    assert np.array_equal(back.values, fld.values)
-
-
-def test_from_csv_errors(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("r,u,du\n0,0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        DiscField.from_csv(str(bad_header))
-    not_square = tmp_path / "b.csv"
-    not_square.write_text("x,y,u\n0.0,0.0,1.0\n1.0,0.0,1.0\n")
-    with pytest.raises(ValueError, match="square"):
-        DiscField.from_csv(str(not_square))
-    bad_value = tmp_path / "c.csv"
-    bad_value.write_text("x,y,u\n0.0,0.0,oops\n")
-    with pytest.raises(ValueError, match="line 2"):
-        DiscField.from_csv(str(bad_value))
-
-
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-def test_from_csv_rejects_non_finite_values(tmp_path, token):
-    path = tmp_path / "field.csv"
-    write_field_csv(DiscField.random_smooth(33, R, seed=1), str(path))
-    lines = path.read_text().splitlines()
-    x, y, _ = lines[500].split(",")
-    lines[500] = f"{x},{y},{token}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line 501: .*finite"):
-        DiscField.from_csv(str(path))
 
 
 def test_grid_validation():

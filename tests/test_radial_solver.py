@@ -21,7 +21,7 @@ from radrelax.radial_solver import (
     solve_pipeline,
     sphere_area,
 )
-from radrelax.radial_solver import (_MAX_ITERS, _RelaxedEnergy, _newton,
+from radrelax.radial_solver import (_RelaxedEnergy, _newton,
                                     _newton_direction, _outermost_levels,
                                     _slope_bound, _spd_tridiagonal_solve)
 
@@ -167,6 +167,26 @@ def test_minimize_three_well(three_well_spec):
     assert report.relaxed_energy <= THREE_WELL_RELAXED_K256 + 1e-9
 
 
+@pytest.mark.parametrize("make", [make_three_well_spec, make_prototype_spec])
+def test_solve_prices_its_profiles_three_times(make, monkeypatch):
+    # descent reports Newton's own relaxed energy and prices only the
+    # original one; the energy_consistency record prices the final profile
+    # twice, rearranged (G2) or not (shape none)
+    import radrelax.verify as verify_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return energy_reduced(*args, **kwargs)
+
+    monkeypatch.setattr("radrelax.radial_solver.energy_reduced", counting)
+    monkeypatch.setattr(verify_mod, "energy_reduced", counting)
+    report = solve_pipeline(make(), RadialGrid.uniform(1.0, 128))
+    assert len(calls) == 3
+    assert calls[1] is calls[2] is report.profile
+
+
 def test_minimize_iteration_cap_reports_not_converged(prototype_spec,
                                                      monkeypatch):
     monkeypatch.setattr("radrelax.radial_solver._MAX_ITERS", 1)
@@ -259,7 +279,7 @@ def test_newton_converged_is_plain_bool(prototype_spec, cells):
     energy = _RelaxedEnergy(prototype_spec, env, grid)
     for slope in (env.M, 1.25 * env.M):
         cone = slope * (1.0 - grid.nodes)
-        *_, converged = _newton(energy, cone[:-1], _MAX_ITERS)
+        *_, converged = _newton(energy, cone[:-1])
         assert type(converged) is bool
         assert converged
     assert type(minimize_relaxed(prototype_spec, grid).converged) is bool
@@ -474,7 +494,7 @@ def test_outermost_levels_equal_the_quadratic_scan():
         for cells in (16, 33, 257, 4096):
             y = np.abs(rng.uniform(-3.0, 3.0, cells))
             y[:4] = (M + 1e-9, max(M - 1e-9, 0.0), 0.0, M)
-            new = _outermost_levels(W, env, y)
+            new = _outermost_levels(env, y)
             old = quadratic_outermost_levels(W, env, y)
             assert np.array_equal(new, old), (k, cells)
             T = max(W.domain_halfwidth, 1.5 * float(np.max(y)) + 1.0, M + 1.0)
