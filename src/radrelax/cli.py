@@ -23,23 +23,18 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .disc2d import DiscField, averaged_ray_energy_check, colinearity_defect, ray_profiles
-from .envelope import convexify
+from .envelope import NumericalFailure, convexify
 from .potentials import ProblemSpec
-from .radial_solver import (
-    NumericalFailure,
-    RadialGrid,
-    RadialProfile,
-    _off_radius,
-    dp_oracle,
-    ensure_envelope,
-    solve_pipeline,
-)
 from .specfile import SpecFileError, emit_spec_text, parse_spec
+
+# each command imports the modules it runs, so a command loads only those
+if TYPE_CHECKING:
+    from .disc2d import DiscField
+    from .radial_solver import RadialGrid, RadialProfile
 
 SCHEMA_VERSION = 2
 CSV_VERSION = 1
@@ -240,12 +235,18 @@ def _report_text(cfg: argparse.Namespace, spec: Optional[ProblemSpec],
     return _json_text(report) + "\n"
 
 
+# one encoder: json.dumps builds a new one per call when given an option
+_json_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
 def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed reports.
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for
+    str-keyed reports.
 
     An indent sends json through its pure-Python encoder; here a list of
     floats with a finite sum (so none is NaN or infinite) is one join.
-    Raises TypeError on a key that is not a str.
+    Raises TypeError on a key that is not a str, and ValueError on a NaN
+    or infinite float, which JSON cannot hold.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -253,7 +254,7 @@ def _json_text(obj, indent: str = "") -> str:
             raise TypeError("report keys must be str")
         parts = [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
     elif not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
+        return _json_scalar(obj)
     elif all(type(x) is float for x in obj) and math.isfinite(sum(obj)):
         parts = list(map(float.__repr__, obj))
     else:
@@ -274,13 +275,16 @@ def _emit_profile_report(cfg: argparse.Namespace, spec: ProblemSpec,
                          results: dict, profile,
                          csv_path: Optional[str] = None) -> None:
     """Write the profile CSV to ``csv_path`` if given, then emit the
-    profile as CSV (``--format csv``) or the JSON report."""
+    profile as CSV (``--format csv``) or the JSON report. The report
+    text is built first, so a report that JSON cannot hold (a NaN)
+    writes no file."""
+    if cfg.fmt == "csv":
+        text = _profile_csv(profile)
+    else:
+        text = _report_text(cfg, spec, results)
     if csv_path:
         _write_text(csv_path, _profile_csv(profile))
-    if cfg.fmt == "csv":
-        _emit(cfg, _profile_csv(profile))
-    else:
-        _emit(cfg, _report_text(cfg, spec, results))
+    _emit(cfg, text)
 
 
 def _read_rows(path: str, names: List[str], header: bool):
@@ -323,6 +327,8 @@ def _read_rows(path: str, names: List[str], header: bool):
 
 def _read_profile_csv(path: str, spec: ProblemSpec) -> RadialProfile:
     """Read an r,u(,du_dr) profile table into a RadialProfile."""
+    from .radial_solver import RadialGrid, RadialProfile, _off_radius
+
     ru, last = _read_rows(path, ["r", "u"], header=False)
     r, u = ru.T.tolist()
     if len(r) < 17:
@@ -351,6 +357,9 @@ def _read_profile_csv(path: str, spec: ProblemSpec) -> RadialProfile:
 def _read_field_csv(path: str, spec_radius: float) -> DiscField:
     """Read an x,y,u field table: a header row ``x,y,u``, then one row per
     node of a square grid over [-R, R]^2, R the spec radius, in any order."""
+    from .disc2d import DiscField
+    from .radial_solver import _off_radius
+
     xyu, _ = _read_rows(path, ["x", "y", "u"], header=True)
     m = len(xyu)
     if not m:
@@ -377,7 +386,7 @@ def _read_field_csv(path: str, spec_radius: float) -> DiscField:
     try:
         fld = DiscField(n, R, vals)
     except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
+        raise SpecFileError(f"{path}: {exc}") from None
     if _off_radius(R, spec_radius):
         raise SpecFileError(f"{path}: field radius {R} does not match "
                             f"spec radius {spec_radius}")
@@ -407,6 +416,8 @@ def _require_corner_cells(cfg: argparse.Namespace, spec: ProblemSpec,
 
 
 def _solve_common(cfg: argparse.Namespace):
+    from .radial_solver import RadialGrid, solve_pipeline
+
     spec = parse_spec(cfg.spec)
     grid = RadialGrid.uniform(spec.radius, cfg.grid_points)
     _require_corner_cells(cfg, spec, grid, UsageError)
@@ -419,6 +430,8 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
     spec, report = _solve_common(cfg)
     results = report.to_dict()
     if cfg.oracle:
+        from .radial_solver import dp_oracle
+
         oracle = dp_oracle(spec, r_levels=100, u_levels=cfg.u_levels)
         results["oracle_gap"] = ((report.relaxed_energy - oracle.relaxed_energy)
                                  / (abs(oracle.relaxed_energy) or 1.0))
@@ -437,6 +450,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     # pipeline supplies one. Either way the energy_consistency record
     # holds the profile's price
     if cfg.profile_csv:
+        from .radial_solver import ensure_envelope
         from .verify import full_report
 
         spec = parse_spec(cfg.spec)
@@ -460,6 +474,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(cfg: argparse.Namespace) -> int:
+    from .radial_solver import dp_oracle
+
     spec = parse_spec(cfg.spec)
     report = dp_oracle(spec, r_levels=cfg.grid_points, u_levels=cfg.u_levels)
     results = report.to_dict()
@@ -470,6 +486,9 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry(cfg: argparse.Namespace) -> int:
+    from .disc2d import (DiscField, averaged_ray_energy_check,
+                         colinearity_defect, ray_profiles)
+
     spec = parse_spec(cfg.spec)
     if spec.dimension != 2:
         raise SpecFileError(

@@ -103,7 +103,7 @@ def _pchip_eval(x: np.ndarray, coeffs: tuple, t: np.ndarray) -> np.ndarray:
     """Evaluate the cubics at t as SciPy's PPoly does: the end cubics
     continue on both sides, and the sum starts from 0.0 so that signed
     zeros come out as PPoly's. Infinite t gives inf or NaN silently, as
-    PPoly does."""
+    PPoly does; ``Potential1D`` sets such entries to their limit."""
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     c0, c1, c2, c3 = (c[i] for c in coeffs)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -138,7 +138,7 @@ class Potential1D:
             finite, strictly increasing and contain t = 0; the values
             finite. Evaluation is the Fritsch-Carlson monotone cubic
             (PCHIP), computed in numpy; outside the grid the end cubic
-            continues.
+            continues, and at +-inf W, W' and W'' take its limit.
         even: declared evenness for ``piecewise_poly`` (self-checked on a
             1000-point grid). The t^2 kind is even by construction.
 
@@ -260,12 +260,16 @@ class Potential1D:
                 out[m] = _horner(piece, t[m])
         return out
 
-    def _poly_limit(self, t: float, order: int) -> float:
+    def _limit(self, t: float, order: int) -> float:
         """The limit of W (order 0), W' or W'' at t = +-inf: the sign of
-        the leading term of the outer polynomial in t, or its constant."""
+        the leading term of the outer polynomial in t, or its constant.
+        For a sampled kind that polynomial is the end cubic, in t - x_i."""
         if self.kind == "poly_in_t_squared":
             c = [0.0] * (2 * len(self.coefficients) - 1)
             c[::2] = self.coefficients
+        elif self.kind == "sampled":
+            # _tables holds the cubics highest power first
+            c = [float(a[0 if t < 0 else -1]) for a in self._tables[::-1]]
         else:
             c = list(self.coefficients[0 if t < 0 else -1])
         for _ in range(order):
@@ -276,14 +280,16 @@ class Potential1D:
         odd = (len(c) - 1) % 2 == 1
         return math.copysign(math.inf, c[-1] * (t if odd else 1.0))
 
-    def _poly_array(self, t: np.ndarray, order: int) -> np.ndarray:
-        """``_poly`` on an array, with each +-inf entry set to its limit
-        (``_poly`` there meets inf * 0, which is NaN)."""
+    def _array(self, t: np.ndarray, order: int) -> np.ndarray:
+        """``_poly`` or ``_sampled`` on an array, with each +-inf entry set
+        to its limit (the kernels meet inf * 0 or inf - inf there, which
+        are NaN)."""
+        kernel = self._sampled if self.kind == "sampled" else self._poly
         big = np.isinf(t)
         if not big.any():
-            return self._poly(t, order)
-        out = self._poly(np.where(big, 0.0, t), order)
-        out[big] = [self._poly_limit(x, order) for x in t[big].tolist()]
+            return kernel(t, order)
+        out = kernel(np.where(big, 0.0, t), order)
+        out[big] = [self._limit(x, order) for x in t[big].tolist()]
         return out
 
     def _sampled(self, t: np.ndarray, order: int) -> np.ndarray:
@@ -302,8 +308,7 @@ class Potential1D:
             return self._poly(float(t), order)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
-        kernel = self._sampled if self.kind == "sampled" else self._poly_array
-        out = kernel(ts, order)
+        out = self._array(ts, order)
         return float(out[0]) if arr.ndim == 0 else out
 
     def eval(self, t):

@@ -24,7 +24,6 @@ from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
 from radrelax.potentials import ProblemSpec, sphere_area
 
 __all__ = [
-    "NumericalFailure",
     "RadialGrid",
     "RadialProfile",
     "SolveReport",

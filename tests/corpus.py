@@ -18,8 +18,9 @@ starts and continued an unconverged winner by Newton: MONOTONE at 1024
 cells, HARD at 64 cells.
 
 ``CLI_MATRIX`` names the 192 command lines of the output comparison (16
-spec texts times 12 commands), and ``cli_matrix_digests`` runs them in
-process and returns one SHA-256 per run.
+spec texts times 12 commands), ``cli_matrix_digests`` runs them in
+process and returns one SHA-256 per run, and ``matrix_digest`` folds
+those into one short digest of the whole matrix.
 """
 
 import contextlib
@@ -360,3 +361,11 @@ def cli_matrix_digests(workdir, runs=None, blank=()):
                          + canonical(fh.read()).encode() + b"\0")
         digests[run] = h.hexdigest()
     return digests
+
+
+def matrix_digest(digests):
+    """The first 16 hex digits of the SHA-256 of ``digests`` (a ``{run:
+    digest}`` dict, as ``cli_matrix_digests`` returns) as sorted-key JSON;
+    a change to any run's digest changes it."""
+    text = json.dumps(digests, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

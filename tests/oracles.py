@@ -506,10 +506,10 @@ def fixed_step_polish_tangency(W, a, b, sigma):
 def allocating_dp_oracle(spec, r_levels=100, u_levels=200, slope_levels=None):
     """``radial_solver.dp_oracle`` as it was before its sweep reused one
     cost buffer: each step allocates the scaled base and the cost matrix."""
-    from radrelax.radial_solver import (NumericalFailure, RadialGrid,
-                                        RadialProfile, SolveReport,
-                                        _slope_bound, ensure_envelope,
-                                        sphere_area)
+    from radrelax.envelope import NumericalFailure
+    from radrelax.potentials import sphere_area
+    from radrelax.radial_solver import (RadialGrid, RadialProfile, SolveReport,
+                                        _slope_bound, ensure_envelope)
 
     if not 16 <= r_levels <= 200:
         raise ValueError("r_levels must lie in [16, 200]")

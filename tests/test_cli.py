@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
 from conftest import field_from_function, three_well, write_field_csv
-from corpus import CLI_MATRIX, cli_matrix_digests
+from corpus import CLI_MATRIX, cli_matrix_digests, matrix_digest
 from oracles import loop_field_grid
 
 FAST = ["--grid-points", "128"]
@@ -366,7 +367,7 @@ def test_symmetry_rejects_3d_spec_before_ray_work(prototype_ini, tmp_path,
     spec3 = tmp_path / "d3.ini"
     spec3.write_text(open(prototype_ini).read().replace("dimension = 2",
                                                         "dimension = 3"))
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", str(spec3), "--grid-points", "33",
                  "--rays", "4"]) == 1
     err = capsys.readouterr().err
@@ -378,7 +379,7 @@ def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     path = tmp_path / "r2.csv"
     write_field_csv(DiscField.random_smooth(33, 2.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path)]) == 1
     err = capsys.readouterr().err
@@ -503,7 +504,7 @@ _FIELD_ERRORS = {
     "header_only": (_text("x,y,u"), "{p}: no nodes after the header"),
     "small_grid": (_text("x,y,u\n" + "\n".join(
         f"{x},{y},0.0" for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0))),
-        "grid size must be odd and at least 33"),
+        "{p}: grid size must be odd and at least 33"),
     "off_grid": (_edit_line(_CENTRE, lambda c: f"0.001,{c[1]},{c[2]}"),
                  "{p}: node (0.001, 0.0) off the grid"),
     "far_node": (_edit_line(_CENTRE, lambda c: f"{c[0]},1e308,{c[2]}"),
@@ -554,7 +555,7 @@ def test_csv_reader_messages(table, case, prototype_ini, tmp_path,
         edit, message = _PROFILE_ERRORS[case]
         argv = ["verify", "--profile-csv", str(path)]
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     monkeypatch.setattr("radrelax.verify.full_report", _no_ray_work)
     out = tmp_path / "rep.json"
     assert main(argv + ["--spec", prototype_ini, "--out", str(out)]) == 1
@@ -602,7 +603,7 @@ def test_symmetry_csv_needs_single_field(prototype_ini, capsys):
 
 def test_symmetry_csv_rejects_many_fields_before_ray_work(prototype_ini,
                                                          monkeypatch, capsys):
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "65",
                  "--random-fields", "2", "--format", "csv"]) == 1
     assert "csv format needs a single field" in capsys.readouterr().err
@@ -612,7 +613,7 @@ def test_symmetry_profile_csv_needs_single_field(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     # per-ray CSVs are written for one field only, so asking for them with
     # several fields is a usage error, not a silent skip
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     prefix = str(tmp_path / "p_")
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
@@ -630,7 +631,7 @@ def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
     # random fields with it is a usage error, not a one-field report
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), "--random-fields", fields,
@@ -651,7 +652,7 @@ def test_symmetry_field_csv_rejects_grid_points_and_seed(
     # flags would be ignored, and --seed echoed for a field it did not make
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(65, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.cli.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), flag, value,
@@ -916,12 +917,32 @@ def test_numerical_failure_exits_2(prototype_ini, monkeypatch, capsys):
             == "numerical failure: tangency near [-1, 1]: slope residual 1\n")
 
 
+def test_non_finite_report_value_exits_2(prototype_ini, tmp_path,
+                                         monkeypatch, capsys):
+    # a NaN would be written as a NaN token, which is not JSON; the report
+    # is refused before any file, the profile CSV included, is written
+    from radrelax.radial_solver import SolveReport
+
+    to_dict = SolveReport.to_dict
+
+    def nan_energy(self):
+        return {**to_dict(self), "relaxed_energy": math.nan}
+
+    monkeypatch.setattr(SolveReport, "to_dict", nan_energy)
+    out, prof = tmp_path / "rep.json", tmp_path / "prof.csv"
+    assert main(["solve", "--spec", prototype_ini, "--grid-points", "64",
+                 "--out", str(out), "--profile-csv", str(prof)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: Out of range float values are not JSON compliant")
+    assert os.listdir(tmp_path) == []
+
+
 def _no_descent(*args, **kwargs):
     raise AssertionError("descent ran before the corner window was checked")
 
 
 def test_tight_corner_window_exits_1(prototype_ini, monkeypatch, capsys):
-    monkeypatch.setattr("radrelax.cli.solve_pipeline", _no_descent)
+    monkeypatch.setattr("radrelax.radial_solver.solve_pipeline", _no_descent)
     assert main(["verify", "--spec", prototype_ini, *FAST,
                  "--window", "0.02"]) == 1
     assert (capsys.readouterr().err
@@ -933,7 +954,7 @@ def test_tight_corner_window_exits_1(prototype_ini, monkeypatch, capsys):
 def test_coarse_grid_default_window_exits_1_before_descent(
         command, cells, held, prototype_ini, monkeypatch, capsys):
     # the default window 0.2 R holds 8 cells from 38 cells on
-    monkeypatch.setattr("radrelax.cli.solve_pipeline", _no_descent)
+    monkeypatch.setattr("radrelax.radial_solver.solve_pipeline", _no_descent)
     assert main([command, "--spec", prototype_ini,
                  "--grid-points", cells]) == 1
     assert (capsys.readouterr().err
@@ -1081,6 +1102,44 @@ def test_runtime_makes_no_lapack_call(prototype_ini, tmp_path):
             == [0, 0, 0, 0, 0, 3])
 
 
+_CORE = ["cli", "envelope", "potentials", "specfile"]
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["envelope", "--grid-points", "64"], []),
+    (["oracle", "--grid-points", "16", "--u-levels", "20"], ["radial_solver"]),
+    (["solve", "--oracle", "--grid-points", "64", "--u-levels", "20"],
+     ["radial_solver", "verify"]),
+    (["verify", "--grid-points", "64"], ["radial_solver", "verify"]),
+    (["verify", "--profile-csv", "{csv}"], ["radial_solver", "verify"]),
+    (["symmetry", "--grid-points", "33", "--rays", "4"],
+     ["disc2d", "radial_solver"]),
+], ids=["envelope", "oracle", "solve_oracle", "verify", "verify_csv",
+        "symmetry"])
+def test_each_command_loads_only_its_modules(argv, extra, prototype_ini,
+                                             tmp_path):
+    # a fresh interpreter runs one command in process and lists the
+    # radrelax modules it has loaded: each command imports what it runs
+    csv_path = tmp_path / "profile.csv"
+    _half_slope_csv(csv_path)
+    argv = [a.format(csv=csv_path) for a in argv]
+    code = (
+        "import json, sys\n"
+        "from radrelax.cli import main\n"
+        f"rc = main({argv!r} + ['--spec', {prototype_ini!r},\n"
+        f"                      '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps([rc, sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                             if m.startswith('radrelax.'))]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert rc in (0, 3)
+    assert loaded == sorted(_CORE + extra)
+
+
 def test_cli_matrix_digests_blank_named_fields(tmp_path, monkeypatch):
     # the prototype's row of the CLI matrix with the corner fit nudged:
     # the four reports that carry it change, and blanking its two fields
@@ -1103,3 +1162,12 @@ def test_cli_matrix_digests_blank_named_fields(tmp_path, monkeypatch):
     moved = cli_matrix_digests(tmp_path / "d", runs)
     changed = sorted(r.split(":")[1] for r in runs if moved[r] != plain[r])
     assert changed == ["solve_csv", "solve_oracle", "verify", "verify_csv"]
+
+
+def test_matrix_digest_folds_runs_in_name_order():
+    # one digest for the whole matrix, whatever order the runs came in
+    runs = {"b:solve": "0" * 64, "a:verify": "1" * 64}
+    folded = matrix_digest(runs)
+    assert folded == matrix_digest(dict(sorted(runs.items())))
+    assert len(folded) == 16 and int(folded, 16) >= 0
+    assert folded != matrix_digest({**runs, "b:solve": "2" * 64})

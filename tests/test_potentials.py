@@ -91,6 +91,24 @@ def test_polynomial_kinds_take_their_limit_at_infinity(name):
         assert [at(-_INF, order), at(_INF, order)] == [lo, hi]
 
 
+def test_sampled_kind_takes_the_end_cubics_limit_at_infinity():
+    # eval gave NaN silently, and the centered differences met inf - inf
+    # with a RuntimeWarning, before. The end cubics continue past the
+    # grid, so at +-1e100 each order is already huge with its limit's
+    # sign; the finite entries keep the kernel's bits
+    W = random_even_sampled(3)
+    at = _orders(W)
+    t = np.array([-_INF, -1.5, 0.5, _INF])
+    for order in (0, 1, 2):
+        far = at(np.array([-1e100, 1e100]), order)
+        assert np.all(np.abs(far) > 1e99)
+        limits = [math.copysign(_INF, x) for x in far]
+        out = at(t, order)
+        assert [out[0], out[-1]] == limits
+        assert out[1:3].tobytes() == W._sampled(t[1:3], order).tobytes()
+        assert [at(-_INF, order), at(_INF, order)] == limits
+
+
 @pytest.mark.parametrize("name", list(_LIMITS))
 def test_polynomial_array_path_keeps_finite_bits(name):
     # the array path on finite input, signed zeros and subnormals

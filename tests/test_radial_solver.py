@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radrelax.envelope import convexify
-from radrelax.potentials import Potential1D, ProblemSpec
+from radrelax.envelope import NumericalFailure, convexify
+from radrelax.potentials import Potential1D, ProblemSpec, sphere_area
 from radrelax.radial_solver import (
-    NumericalFailure,
     RadialGrid,
     RadialProfile,
     SolveReport,
@@ -19,7 +18,6 @@ from radrelax.radial_solver import (
     minimize_relaxed,
     monotone_rearrange,
     solve_pipeline,
-    sphere_area,
 )
 from radrelax.radial_solver import (_RelaxedEnergy, _newton,
                                     _newton_direction, _outermost_levels,
