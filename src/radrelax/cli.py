@@ -405,8 +405,9 @@ def _cmd_envelope(cfg: argparse.Namespace) -> int:
 
 
 def _require_corner_cells(cfg: argparse.Namespace, spec: ProblemSpec,
-                          grid: RadialGrid, error: type) -> None:
-    # the corner fit's cell count, before any compute starts
+                          grid: RadialGrid, error) -> None:
+    # the corner fit's cell count, before any compute starts; error
+    # makes the exception from the message
     from .verify import _corner_cells, _corner_window
 
     try:
@@ -455,7 +456,9 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
         spec = parse_spec(cfg.spec)
         profile = _read_profile_csv(cfg.profile_csv, spec)
-        _require_corner_cells(cfg, spec, profile.grid, SpecFileError)
+        _require_corner_cells(
+            cfg, spec, profile.grid,
+            lambda msg: SpecFileError(f"{cfg.profile_csv}: {msg}"))
         ver = full_report(profile, spec, ensure_envelope(spec),
                           corner_window=cfg.window, corner_tol=cfg.tol_corner)
         warnings = []

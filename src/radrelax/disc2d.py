@@ -381,7 +381,7 @@ class RayAverageReport:
             "rhs": float(self.rhs),
             "tol": float(self.tol),
             "passes": bool(self.passes),
-            "per_theta_energies": [float(e) for e in self.per_theta],
+            "per_theta_energies": self.per_theta.tolist(),
         }
 
 

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Potential1D",
     "ProblemSpec",
-    "ShapeReport",
     "compute_M",
     "check_G_shape",
     "sphere_area",
@@ -139,8 +138,11 @@ class Potential1D:
             finite. Evaluation is the Fritsch-Carlson monotone cubic
             (PCHIP), computed in numpy; outside the grid the end cubic
             continues, and at +-inf W, W' and W'' take its limit.
-        even: declared evenness for ``piecewise_poly`` (self-checked on a
-            1000-point grid). The t^2 kind is even by construction.
+        even: whether W is even; declared for ``piecewise_poly``, and set
+            at construction for the others: True for the t^2 kind, the
+            evenness probe's verdict for the sampled kind. The probe
+            compares W(t) with W(-t) on 1000 points of [0, T]; a
+            piecewise kind declared even must pass it.
 
     Coefficients and breakpoints must be finite. Construction builds all
     that evaluation needs, and decides the evenness ``is_even`` returns.
@@ -160,7 +162,6 @@ class Potential1D:
     # the samples as one read-only (2, n) array
     _sample_array: np.ndarray = field(default=None, init=False, repr=False,
                                       compare=False)
-    _even: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -169,7 +170,6 @@ class Potential1D:
             self.coefficients = _finite_tuple(self.coefficients, "coefficients")
             if not self.coefficients:
                 raise ValueError("poly_in_t_squared needs coefficients")
-            self.even = True
             self._tables = _derivative_tables(self.coefficients)
         elif self.kind == "piecewise_poly":
             pieces = tuple(_finite_tuple(p, "coefficients")
@@ -204,7 +204,7 @@ class Potential1D:
             self._tables = _pchip_coeffs(grid[0], grid[1])
             self.samples = tuple(map(tuple, grid.tolist()))
         self.domain_halfwidth = self._auto_halfwidth()
-        self._even = self._decide_evenness()
+        self.even = self._decide_evenness()
 
     def _auto_halfwidth(self) -> float:
         if self.kind == "sampled":
@@ -220,16 +220,13 @@ class Potential1D:
 
     def _decide_evenness(self) -> bool:
         # the t^2 kind is even; a piecewise one only as declared, and the
-        # declaration must hold on a 1000-point grid; a sampled one is
-        # probed at 256 seeded random points
+        # declaration must pass the probe; a sampled one as the probe
+        # finds it
         if self.kind == "poly_in_t_squared":
             return True
-        if self.kind == "piecewise_poly":
-            if not self.even:
-                return False
-            t = np.linspace(0.0, self.domain_halfwidth, 1000)
-        else:
-            t = np.random.default_rng(0).uniform(0.0, self.domain_halfwidth, 256)
+        if self.kind == "piecewise_poly" and not self.even:
+            return False
+        t = np.linspace(0.0, self.domain_halfwidth, 1000)
         a, b = self.eval(t), self.eval(-t)
         scale = max(1.0, float(np.max(np.abs(a))))
         even = bool(np.max(np.abs(a - b)) <= _EVEN_TOL * scale)
@@ -337,7 +334,7 @@ class Potential1D:
 
     def is_even(self) -> bool:
         """Whether W is even, as decided at construction."""
-        return self._even
+        return self.even
 
 
 def _require_coercive(W: Potential1D):
@@ -422,20 +419,12 @@ def compute_M(W: Potential1D) -> float:
     return 0.0 if best <= 1e-12 * T else float(best)
 
 
-@dataclass
-class ShapeReport:
-    """Outcome of the monotone-shape test for G."""
-
-    passes: bool
-    witnesses: list
-
-
-def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
+def check_G_shape(G: Potential1D, strict: bool = False) -> list:
     """Test that G is (strictly) nonincreasing on [0, T] with G(mu) <= G(-mu).
 
-    The first violating consecutive sample pair of each flavor is reported as
-    a witness dict. Strict mode demands a genuine decrease between every pair
-    of consecutive samples.
+    Returns the witnesses, empty when G has the shape: the first violating
+    consecutive sample pair of each flavor, as a dict. Strict mode demands
+    a genuine decrease between every pair of consecutive samples.
     """
     T = G.domain_halfwidth
     mu = np.linspace(0.0, T, _SCAN_POINTS)
@@ -461,7 +450,7 @@ def check_G_shape(G: Potential1D, strict: bool = False) -> ShapeReport:
             "mu": float(mu[i + 1]),
             "g_pos": float(g[i + 1]), "g_neg": float(gneg[i]),
         })
-    return ShapeReport(passes=not witnesses, witnesses=witnesses)
+    return witnesses
 
 
 def sphere_area(dimension: int) -> float:
@@ -506,7 +495,8 @@ class ProblemSpec:
         if not self.W.is_even():
             raise ValueError("W must be even")
         if self.shape_flag != "none":
-            rep = check_G_shape(self.G, strict=self.shape_flag == "G2_strict")
-            if not rep.passes:
+            witnesses = check_G_shape(self.G,
+                                      strict=self.shape_flag == "G2_strict")
+            if witnesses:
                 raise ValueError(
-                    f"G fails the declared {self.shape_flag} shape: {rep.witnesses[0]}")
+                    f"G fails the declared {self.shape_flag} shape: {witnesses[0]}")

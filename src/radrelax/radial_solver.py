@@ -120,9 +120,9 @@ class SolveReport:
             "warnings": list(self.warnings),
             "discretization": self.discretization,
             "profile": {
-                "r": [float(x) for x in self.profile.grid.nodes],
-                "u": [float(x) for x in self.profile.u],
-                "du_dr": [float(x) for x in self.profile.slopes],
+                "r": self.profile.grid.nodes.tolist(),
+                "u": self.profile.u.tolist(),
+                "du_dr": self.profile.slopes.tolist(),
             },
         }
         if self.verify is not None:

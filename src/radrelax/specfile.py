@@ -25,8 +25,9 @@ Format::
     shape = G2
 
 Comments take a whole line and start with ``#`` or ``;``.  Every number
-must be finite.  The sampled potential kind holds imported data and has
-no file syntax.
+must be finite.  ``p`` must be W's growth exponent, its degree in t (of
+the outer piece for a piecewise W).  The sampled potential kind holds
+imported data and has no file syntax.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
-from .potentials import Potential1D, ProblemSpec, _require_coercive
+from .potentials import Potential1D, ProblemSpec, _require_coercive, _trim
 
 __all__ = ["SpecFileError", "parse_spec", "parse_spec_text", "emit_spec_text"]
 
@@ -177,6 +178,14 @@ def _potential(src: str, name: str, sec: Dict[str, Tuple[str, int]],
     return pot
 
 
+def _growth_exponent(W: Potential1D) -> int:
+    # W's degree in t: twice that of P for W = P(t^2), else the outer
+    # piece's
+    if W.kind == "poly_in_t_squared":
+        return 2 * (len(_trim(W.coefficients)) - 1)
+    return len(_trim(W.coefficients[-1])) - 1
+
+
 def parse_spec_text(text: str, src: str = "<string>") -> ProblemSpec:
     """Parse spec text; see parse_spec."""
     sections = _scan(text, src)
@@ -194,6 +203,10 @@ def parse_spec_text(text: str, src: str = "<string>") -> ProblemSpec:
         raise _err(src, prob["p"][1], "p must exceed 1")
 
     W = _potential(src, "W", sections["W"], force_even=True)
+    degree = _growth_exponent(W)
+    if p != degree:
+        raise _err(src, prob["p"][1], f"p = {p!r} is not W's growth "
+                   f"exponent, its degree in t ({degree})")
     G = _potential(src, "G", sections["G"], force_even=False)
 
     shape = "none"

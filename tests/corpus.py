@@ -20,7 +20,8 @@ cells, HARD at 64 cells.
 ``CLI_MATRIX`` names the 192 command lines of the output comparison (16
 spec texts times 12 commands), ``cli_matrix_digests`` runs them in
 process and returns one SHA-256 per run, and ``matrix_digest`` folds
-those into one short digest of the whole matrix.
+those into one short digest of the whole matrix. Run as a script,
+``PYTHONPATH=src python tests/corpus.py``, it prints that digest.
 """
 
 import contextlib
@@ -369,3 +370,10 @@ def matrix_digest(digests):
     a change to any run's digest changes it."""
     text = json.dumps(digests, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        print(matrix_digest(cli_matrix_digests(workdir)))

@@ -779,6 +779,16 @@ def test_rejected_spec_exits_1_with_line(prototype_ini, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_p_other_than_w_degree_exits_1_citing_its_line(prototype_ini, tmp_path,
+                                                       capsys):
+    # the prototype's W is quartic, so p = 2.0 (line 4) is a parse error
+    bad = tmp_path / "p2.ini"
+    bad.write_text(open(prototype_ini).read().replace("p = 4.0", "p = 2.0"))
+    assert main(["envelope", "--spec", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{bad}:4: p = 2.0 is not W's growth exponent, its degree in t (4)")
+
+
 @pytest.mark.parametrize("command", ["envelope", "solve", "oracle", "verify",
                                      "symmetry"])
 @pytest.mark.parametrize("coeffs", ["1.0, -2.0, -1.0", "1.0; 1.0, 0.0, -1.0; 1.0"])
@@ -977,7 +987,7 @@ def test_coarse_profile_csv_exits_1_before_checks(prototype_ini, tmp_path,
     assert main(["verify", "--spec", prototype_ini,
                  "--profile-csv", str(path)]) == 1
     assert (capsys.readouterr().err
-            == "corner window 0.2 holds 3 cells; need at least 8\n")
+            == f"{path}: corner window 0.2 holds 3 cells; need at least 8\n")
 
 
 @pytest.mark.parametrize("command", ["envelope", "solve", "oracle", "verify",

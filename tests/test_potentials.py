@@ -163,6 +163,19 @@ def test_sampled_kind_interpolates_its_nodes():
         assert all(type(x) is float for a in got for x in a)
 
 
+def test_sampled_evenness_is_the_even_field():
+    # the probe's verdict is the field itself, so an even sampled
+    # potential equals the same samples declared even
+    W = random_even_sampled(3)
+    assert W.even is True
+    assert W.is_even() is True
+    assert W == Potential1D(kind="sampled", samples=W.samples, even=True)
+    t = np.linspace(-2.0, 2.0, 41)
+    tilted = Potential1D(kind="sampled", samples=(t, t ** 4 + 0.1 * t),
+                         even=True)
+    assert tilted.even is False
+
+
 def test_evenness_declarations():
     assert double_well().is_even()
     assert three_well().is_even()
@@ -380,17 +393,17 @@ def test_coercivity_rejection():
 
 def test_check_G_shape_monotone_cases():
     G = Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0))
-    assert check_G_shape(G).passes
-    assert check_G_shape(G, strict=True).passes
+    assert check_G_shape(G) == []
+    assert check_G_shape(G, strict=True) == []
 
     rising = Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0))
-    rep = check_G_shape(rising)
-    assert not rep.passes
-    assert rep.witnesses[0]["check"] == "monotone_decrease"
-    assert rep.witnesses[0]["mu_lo"] == 0.0
+    witnesses = check_G_shape(rising)
+    assert witnesses
+    assert witnesses[0]["check"] == "monotone_decrease"
+    assert witnesses[0]["mu_lo"] == 0.0
 
     linear = Potential1D(kind="piecewise_poly", coefficients=((0.0, -1.0),))
-    assert check_G_shape(linear, strict=True).passes
+    assert check_G_shape(linear, strict=True) == []
 
 
 def test_check_G_shape_strict_implies_nonstrict():
@@ -400,16 +413,16 @@ def test_check_G_shape_strict_implies_nonstrict():
         G = Potential1D(kind="poly_in_t_squared", coefficients=tuple(c))
         strict = check_G_shape(G, strict=True)
         loose = check_G_shape(G)
-        if strict.passes:
-            assert loose.passes
+        if not strict:
+            assert not loose
 
 
 def test_check_G_shape_even_dominance_witness():
     # decreasing on [0, T] but larger there than at the mirrored point
     G = Potential1D(kind="piecewise_poly", coefficients=((0.0, 1.0, -1.0),))
-    rep = check_G_shape(G)
-    assert not rep.passes
-    assert any(wit["check"] == "even_dominance" for wit in rep.witnesses)
+    witnesses = check_G_shape(G)
+    assert witnesses
+    assert any(wit["check"] == "even_dominance" for wit in witnesses)
 
 
 def test_problem_spec_validation():

@@ -137,8 +137,9 @@ _COEFF = st.floats(-10.0, 10.0, allow_nan=False)
 @st.composite
 def specs(draw):
     # W coercive and even: a t^2 polynomial with a positive leading
-    # coefficient, or one piece even in t; G any polynomial in u, whole
-    # or piecewise, with shape flag none (a drawn G rarely meets G2)
+    # coefficient, or one piece even in t; p its degree in t; G any
+    # polynomial in u, whole or piecewise, with shape flag none (a drawn
+    # G rarely meets G2)
     lead = draw(st.floats(0.01, 10.0))
     coeffs = draw(st.lists(_COEFF, min_size=1, max_size=3)) + [lead]
     if draw(st.booleans()):
@@ -158,7 +159,7 @@ def specs(draw):
     return ProblemSpec(
         dimension=draw(st.integers(2, 6)),
         radius=draw(st.floats(1e-3, 1e3)),
-        p=draw(st.floats(1.001, 50.0)),
+        p=2.0 * (len(coeffs) - 1),
         W=W, G=G)
 
 

@@ -189,6 +189,20 @@ def test_p_exceeds_one():
     _expect(PROTOTYPE_INI.replace("p = 4.0", "p = 1.0"), "p must exceed 1")
 
 
+@pytest.mark.parametrize("text,degree", [(PROTOTYPE_INI, 4), (CONVEX_INI, 2),
+                                         (THREE_WELL_INI, 4)],
+                         ids=["t2_kind", "convex", "piecewise"])
+def test_p_must_be_the_degree_of_W(text, degree):
+    # p is W's growth exponent: its degree in t, of the outer piece for a
+    # piecewise W; any other p is an error of the p line
+    assert parse_spec_text(text).p == degree
+    p_line = next(l for l in text.splitlines() if l.startswith("p = "))
+    bad = text.replace(p_line, "p = 3.0")
+    lineno = 1 + bad.splitlines().index("p = 3.0")
+    _expect(bad, f":{lineno}: p = 3.0 is not W's growth exponent, its "
+                 rf"degree in t \({degree}\)")
+
+
 def test_sampled_kind_rejected():
     _expect(PROTOTYPE_INI.replace("kind = poly_in_t_squared", "kind = sampled"),
             "cannot be written")
