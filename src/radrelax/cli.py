@@ -7,9 +7,9 @@ qualitative checks as the headline result), and ``symmetry`` (planar
 disc experiments: averaged ray energy and gradient colinearity).
 
 Reports are JSON with sorted keys and a schema version; curve outputs
-are CSV.  Every report echoes the seed and the parsed spec, output
-files are written atomically, and nothing varies run to run for a
-fixed seed.
+are CSV.  Every report echoes the seed and the parsed spec, every
+output's text is built before any file is written, output files are
+written atomically, and nothing varies run to run for a fixed seed.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure,
 3 a qualitative check failed.
@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -202,13 +202,6 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(cfg.out, text)
-
-
 def _csv_text(columns: List[str], rows) -> str:
     lines = [f"# radrelax csv {CSV_VERSION}", ",".join(columns)]
     for row in rows:
@@ -216,22 +209,21 @@ def _csv_text(columns: List[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_text(cfg: argparse.Namespace, spec: Optional[ProblemSpec],
+def _report_text(cfg: argparse.Namespace, spec: ProblemSpec,
                  results: dict) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
         "seed": int(cfg.seed),
         "results": results,
-    }
-    if spec is not None:
-        report["spec"] = {
+        "spec": {
             "dimension": spec.dimension,
             "radius": spec.radius,
             "p": spec.p,
             "shape_flag": spec.shape_flag,
             "ini": emit_spec_text(spec),
-        }
+        },
+    }
     return _json_text(report) + "\n"
 
 
@@ -271,20 +263,22 @@ def _profile_csv(profile) -> str:
     return _csv_text(["r", "u", "du_dr"], zip(profile.grid.nodes, profile.u, du))
 
 
-def _emit_profile_report(cfg: argparse.Namespace, spec: ProblemSpec,
-                         results: dict, profile,
-                         csv_path: Optional[str] = None) -> None:
-    """Write the profile CSV to ``csv_path`` if given, then emit the
-    profile as CSV (``--format csv``) or the JSON report. The report
-    text is built first, so a report that JSON cannot hold (a NaN)
-    writes no file."""
+def _emit(cfg: argparse.Namespace, spec: ProblemSpec, results: dict,
+          csv_text: Callable[[], str], files=()) -> None:
+    """Write a command's outputs: the JSON report, or ``csv_text()`` under
+    ``--format csv``, to stdout or ``--out``, and each (path, text) pair of
+    ``files`` to its path. Every text is built before any file is written,
+    so a report that JSON cannot hold (a NaN) writes no file."""
     if cfg.fmt == "csv":
-        text = _profile_csv(profile)
+        text = csv_text()
     else:
         text = _report_text(cfg, spec, results)
-    if csv_path:
-        _write_text(csv_path, _profile_csv(profile))
-    _emit(cfg, text)
+    for path, side in list(files):
+        _write_text(path, side)
+    if cfg.out is None:
+        sys.stdout.write(text)
+    else:
+        _write_text(cfg.out, text)
 
 
 def _read_rows(path: str, names: List[str], header: bool):
@@ -396,11 +390,9 @@ def _read_field_csv(path: str, spec_radius: float) -> DiscField:
 def _cmd_envelope(cfg: argparse.Namespace) -> int:
     spec = parse_spec(cfg.spec)
     env = convexify(spec.W, grid_points=cfg.grid_points)
-    if cfg.fmt == "csv":
-        rows = zip(env.grid, env.w_values, env.values)
-        _emit(cfg, _csv_text(["t", "w", "envelope"], rows))
-    else:
-        _emit(cfg, _report_text(cfg, spec, env.to_dict()))
+    rows = zip(env.grid, env.w_values, env.values)
+    _emit(cfg, spec, env.to_dict(),
+          lambda: _csv_text(["t", "w", "envelope"], rows))
     return EXIT_OK
 
 
@@ -442,7 +434,9 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
             "r_levels": 100,
             "u_levels": cfg.u_levels,
         }
-    _emit_profile_report(cfg, spec, results, report.profile, cfg.profile_csv)
+    profile = report.profile
+    _emit(cfg, spec, results, lambda: _profile_csv(profile),
+          [(cfg.profile_csv, _profile_csv(profile))] if cfg.profile_csv else ())
     return EXIT_OK if report.verify.overall else EXIT_VERIFY
 
 
@@ -472,7 +466,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         "warnings": list(warnings),
         "verify": ver.to_dict(),
     }
-    _emit_profile_report(cfg, spec, results, profile)
+    _emit(cfg, spec, results, lambda: _profile_csv(profile))
     return EXIT_OK if ver.overall else EXIT_VERIFY
 
 
@@ -484,7 +478,9 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
     results = report.to_dict()
     results["r_levels"] = cfg.grid_points
     results["u_levels"] = cfg.u_levels
-    _emit_profile_report(cfg, spec, results, report.profile, cfg.profile_csv)
+    profile = report.profile
+    _emit(cfg, spec, results, lambda: _profile_csv(profile),
+          [(cfg.profile_csv, _profile_csv(profile))] if cfg.profile_csv else ())
     return EXIT_OK
 
 
@@ -508,23 +504,24 @@ def _cmd_symmetry(cfg: argparse.Namespace) -> int:
     records = []
     all_pass = True
     for field_seed, fld in fields:
-        rep = averaged_ray_energy_check(fld, spec, n_thetas=cfg.rays)
+        # a field W or G cannot price gives a non-finite record, which the
+        # report writer refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = averaged_ray_energy_check(fld, spec, n_thetas=cfg.rays)
+            defect = colinearity_defect(fld)
         rec = rep.to_dict()
-        rec["defect"] = colinearity_defect(fld)
+        rec["defect"] = defect
         rec["field_seed"] = field_seed
         records.append(rec)
         all_pass &= rep.passes
     # every field is priced on the same rays; the CSV outputs use their
     # angles.  parse_args admits csv output for single-field runs only
-    thetas = rep.thetas
-    if cfg.profile_csv:
-        for k, prof in enumerate(ray_profiles(fld, thetas)):
-            _write_text(f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(["theta", "energy"], zip(thetas, rep.per_theta)))
-    else:
-        _emit(cfg, _report_text(cfg, spec,
-                                {"fields": records, "all_pass": all_pass}))
+    rows = zip(rep.thetas, rep.per_theta)
+    rays = ray_profiles(fld, rep.thetas) if cfg.profile_csv else ()
+    _emit(cfg, spec, {"fields": records, "all_pass": all_pass},
+          lambda: _csv_text(["theta", "energy"], rows),
+          ((f"{cfg.profile_csv}ray{k:03d}.csv", _profile_csv(prof))
+           for k, prof in enumerate(rays)))
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -537,11 +534,6 @@ _COMMANDS = {
 }
 
 
-def run(cfg: argparse.Namespace) -> int:
-    """Dispatch a parsed config; returns the process exit code."""
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = parse_args(argv)
@@ -551,7 +543,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        return run(cfg)
+        return _COMMANDS[cfg.command](cfg)
     # SpecFileError is a ValueError, so the input errors go first
     except (UsageError, SpecFileError, OSError) as exc:
         print(exc, file=sys.stderr)

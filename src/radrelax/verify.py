@@ -72,12 +72,9 @@ class VerifyReport:
         return next(r for r in self.records if r["name"] == name)
 
 
-def _interior_mask(slopes: np.ndarray, components,
-                   nonconstant_only: bool = False) -> np.ndarray:
+def _interior_mask(slopes: np.ndarray, components) -> np.ndarray:
     mask = np.zeros_like(slopes, dtype=bool)
     for c in components:
-        if nonconstant_only and c.is_constant:
-            continue
         mask |= (slopes > c.a + _EPS_SLOPE) & (slopes < c.b - _EPS_SLOPE)
     return mask
 
@@ -180,20 +177,19 @@ def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
     """
     _require_poly_G(spec)
     s = profile.slopes
-    inside = _interior_mask(s, env.components, nonconstant_only=True)
+    # each cell's affine slope; NaN where no nonconstant interval holds it
+    alphas = np.full(len(s), np.nan)
+    for c in env.components:
+        if not c.is_constant:
+            alphas[(s > c.a + _EPS_SLOPE) & (s < c.b - _EPS_SLOPE)] = c.alpha
+    inside = ~np.isnan(alphas)
     if not np.any(inside):
         return _rec("euler_lagrange_affine", True, 0.0,
                     {"vacuous": True, "cells": 0})
     rbar = profile.grid.midpoints[inside]
     ubar = profile.midpoint_values[inside]
-    alphas = np.zeros(int(np.count_nonzero(inside)))
-    sl = s[inside]
-    for c in env.components:
-        if c.is_constant:
-            continue
-        m = (sl > c.a + _EPS_SLOPE) & (sl < c.b - _EPS_SLOPE)
-        alphas[m] = c.alpha
-    res = np.abs(-(spec.dimension - 1) * alphas / rbar + spec.G.derivative(ubar))
+    res = np.abs(-(spec.dimension - 1) * alphas[inside] / rbar
+                 + spec.G.derivative(ubar))
     gmax = float(np.max(np.abs(spec.G.derivative(profile.midpoint_values))))
     tol = max(1e-8, 5.0 * float(np.max(profile.grid.dr))) * (1.0 + gmax)
     return _rec(

@@ -1,6 +1,6 @@
 """Exit codes under mutated input: ``cli.main`` run in process on spec
-texts and profile CSVs with lines dropped, duplicated, swapped or
-truncated and with one token replaced. Every run ends with an exit code
+texts, profile CSVs and field CSVs with lines dropped, duplicated, swapped
+or truncated and with one token replaced. Every run ends with an exit code
 in {0, 1, 2, 3}, no exception leaves ``main``, and an exit 1 names the
 input file."""
 
@@ -14,8 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from radrelax.cli import main  # noqa: E402
+from radrelax.disc2d import DiscField  # noqa: E402
 
-from conftest import PROTOTYPE_INI  # noqa: E402
+from conftest import PROTOTYPE_INI, write_field_csv  # noqa: E402
 from corpus import CLI_SPECS  # noqa: E402
 
 _TOKENS = ("", "x", "nan", "inf", "1e400", "1e300", "0", "-1", ";", "=",
@@ -63,6 +64,7 @@ def _run(argv, named):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert str(named) in stderr.getvalue()
+    return code
 
 
 @settings(max_examples=400)
@@ -84,3 +86,27 @@ def test_mutated_profile_csv_exit_codes(data, tmp_path_factory):
     profile.write_text(_mutate(data, _PROFILE_CSV))
     _run(["verify", "--spec", str(spec), "--profile-csv", str(profile),
           "--out", str(work / "verify.json")], profile)
+
+
+@pytest.fixture(scope="module")
+def field_csv_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("field") / "field.csv"
+    write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
+    return path.read_text()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_field_csv_exit_codes(data, field_csv_text, tmp_path_factory):
+    # a field W or G cannot price exits 2 and writes no file, as
+    # test_unpriceable_field_exits_2_writing_no_file in test_cli.py pins
+    work = tmp_path_factory.mktemp("field")
+    spec, field = work / "spec.ini", work / "field.csv"
+    spec.write_text(PROTOTYPE_INI)
+    field.write_text(_mutate(data, field_csv_text))
+    report = work / "symmetry.json"
+    code = _run(["symmetry", "--spec", str(spec), "--field-csv", str(field),
+                 "--rays", "4", "--profile-csv", str(work / "p_"),
+                 "--out", str(report)], field)
+    written = [report] + [work / f"p_ray{k:03d}.csv" for k in range(4)]
+    assert [path.exists() for path in written] == [code in (0, 3)] * 5
