@@ -203,9 +203,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _csv_text(columns: List[str], rows) -> str:
+    """The CSV table of rows under the version line and the header.
+    Raises ValueError on a NaN or infinite value, as ``_json_text``
+    does."""
     lines = [f"# radrelax csv {CSV_VERSION}", ",".join(columns)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+        vals = [float(v) for v in row]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("Out of range float values are not CSV "
+                             "compliant")
+        lines.append(",".join(map(repr, vals)))
     return "\n".join(lines) + "\n"
 
 

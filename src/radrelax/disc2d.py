@@ -158,47 +158,63 @@ def _cell_centres(fld: DiscField) -> np.ndarray:
     return 0.5 * (x[:-1] + x[1:])
 
 
-def _cell_area_weights(fld: DiscField, a: int = 0,
-                       b: Optional[int] = None) -> np.ndarray:
-    """Fraction of each cell inside the disc, for the cell rows a..b
-    (all rows by default).
+def _rim(fld: DiscField):
+    """The rim cells in row-major order, as index arrays (i, j), and the
+    fraction of each inside the disc.
 
-    Cells with all four corners inside count fully; cells whose nearest
-    point to the origin lies outside count zero; the ring in between is
-    subsampled on a 16x16 lattice of subcell centers.
-
-    The farthest corner of a cell is its farthest node along each axis:
-    rounded squares, sums and square roots are monotone, so the corner
-    distance built from ``_far2`` is the largest of the four computed
-    corner distances, bit for bit.
+    A cell is in the rim when it is not full (``far2[i] + far2[j] >=
+    radius ** 2``) and the point of its box nearest the origin lies
+    inside the disc.  The fraction counts the subcell centres of a
+    16x16 lattice that lie inside; the count of 0/1 values is exact, so
+    it has the bits of their float mean.
     """
     x = fld.coords
     R = fld.radius
-    h = fld.h
-    b = fld.n - 1 if b is None else b
     far2 = _far2(x)
     # nearest point of the cell box to the origin, per axis
     near = np.clip(0.0, x[:-1], x[1:])
     near2 = near * near
-    corner_max = np.sqrt(far2[a:b, None] + far2[None, :])
-    nearest = np.sqrt(near2[a:b, None] + near2[None, :])
-    w = np.zeros_like(corner_max)
-    w[corner_max <= R] = 1.0
-    straddle = (corner_max > R) & (nearest < R)
-    ii, jj = np.nonzero(straddle)
-    off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
-    # a chunk's lattice is (_RIM_CHUNK, 16, 16); the count of 0/1 values
-    # is exact, so the fraction has the bits of their float mean
-    for s in range(0, len(ii), _RIM_CHUNK):
-        i, j = ii[s:s + _RIM_CHUNK], jj[s:s + _RIM_CHUNK]
-        sx = x[i + a][:, None, None] + off[None, :, None]
-        sy = x[j][:, None, None] + off[None, None, :]
-        w[i, j] = np.count_nonzero(sx * sx + sy * sy < R * R,
-                                   axis=(1, 2)) / _SUBCELL ** 2
+    rows, cols = [], []
+    for a, b in _row_blocks(len(far2)):
+        rim = ((far2[a:b, None] + far2[None, :] >= R ** 2)
+               & (np.sqrt(near2[a:b, None] + near2[None, :]) < R))
+        ii, jj = np.nonzero(rim)
+        rows.append(ii + a)
+        cols.append(jj)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    frac = np.empty(len(i))
+    off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * fld.h
+    for s in range(0, len(i), _RIM_CHUNK):
+        sx = x[i[s:s + _RIM_CHUNK], None, None] + off[None, :, None]
+        sy = x[j[s:s + _RIM_CHUNK], None, None] + off[None, None, :]
+        frac[s:s + _RIM_CHUNK] = np.count_nonzero(
+            sx * sx + sy * sy < R * R, axis=(1, 2)) / _SUBCELL ** 2
+    return i, j, frac
+
+
+def _cell_area_weights(fld: DiscField, rim, a: int = 0,
+                       b: Optional[int] = None) -> np.ndarray:
+    """Fraction of each cell inside the disc, for the cell rows a..b
+    (all rows by default): 1 where the farthest corner is within the
+    radius, the fraction of ``_rim`` on the other rim cells, 0 elsewhere.
+
+    The farthest corner of a cell is its farthest node along each axis:
+    rounded squares, sums and square roots are monotone, so the corner
+    distance built from ``_far2`` is the largest of the four computed
+    corner distances, bit for bit.  A full cell counts 1, since
+    sqrt(R * R) == R in IEEE arithmetic.
+    """
+    i, j, frac = rim
+    far2 = _far2(fld.coords)
+    b = len(far2) if b is None else b
+    lo, hi = np.searchsorted(i, (a, b))
+    w = np.zeros((b - a, len(far2)))
+    w[i[lo:hi] - a, j[lo:hi]] = frac[lo:hi]
+    w[np.sqrt(far2[a:b, None] + far2[None, :]) <= fld.radius] = 1.0
     return w
 
 
-def _donor_map(fld: DiscField):
+def _donor_map(fld: DiscField, rim):
     """Rim cells that borrow the gradient of a fully-interior cell, as
     index arrays (i0, j0) of the borrowers and (ci, cj) of their donors,
     row-major in the borrowers.
@@ -209,34 +225,20 @@ def _donor_map(fld: DiscField):
     nonzero.  Copying the gradient from the adjacent interior cell
     keeps the error at O(h) on an O(h) strip.
 
-    Every cell that is not full walks toward the center at once, in at
-    most six array steps: each step moves one cell along the axis whose
+    Every cell of ``_rim`` walks toward the center at once, in at most
+    six array steps: each step moves one cell along the axis whose
     center coordinate is larger in magnitude, and a cell stops walking
-    once it stands on a full cell (its donor).  A step that would leave
-    the grid sends the cell back to its origin and stops it, so it keeps
-    its own gradient, as does a cell that finds no full cell in six
-    steps; neither is in the map.  Donors are full cells and borrowers
-    never are, so a donor's gradient is its own.  Only cells centred
-    within reach of a full cell walk at all.
+    once it stands on a full cell (its donor).  A step moves toward the
+    centre, so no walk leaves the grid; a cell that finds no full cell
+    in six steps keeps its own gradient and is not in the map.  Donors
+    are full cells and borrowers never are, so a donor's gradient is
+    its own.
     """
     far2 = _far2(fld.coords)
     R2 = fld.radius ** 2
     xc = _cell_centres(fld)
-    nc = len(xc)
-    # a full cell's centre lies inside the disc and a step moves a centre
-    # by h, so a cell centred beyond R + 6h (one more h of margin) cannot
-    # land and keeps its own gradient without walking
-    reach = fld.radius + 7.0 * fld.h
-    xc2 = xc * xc
-    rows, cols = [], []
-    for a, b in _row_blocks(nc):
-        near = xc2[a:b, None] + xc2[None, :] <= reach * reach
-        full = far2[a:b, None] + far2[None, :] < R2
-        ii, jj = np.nonzero(near & ~full)
-        rows.append(ii + a)
-        cols.append(jj)
-    i0, j0 = np.concatenate(rows), np.concatenate(cols)
-    ci, cj = i0.copy(), j0.copy()
+    i0, j0, _ = rim
+    ci, cj = i0, j0
     walking = np.ones(len(i0), dtype=bool)
     for _ in range(6):
         walking &= far2[ci] + far2[cj] >= R2
@@ -246,10 +248,6 @@ def _donor_map(fld: DiscField):
         along_x = np.abs(xi) >= np.abs(xj)
         ci = np.where(walking & along_x, ci + np.where(xi < 0, 1, -1), ci)
         cj = np.where(walking & ~along_x, cj + np.where(xj < 0, 1, -1), cj)
-        off = (ci < 0) | (ci >= nc) | (cj < 0) | (cj >= nc)
-        ci[off] = i0[off]
-        cj[off] = j0[off]
-        walking &= ~off
     landed = far2[ci] + far2[cj] < R2
     return i0[landed], j0[landed], ci[landed], cj[landed]
 
@@ -277,7 +275,8 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
     W = ensure_envelope(spec) if use_envelope else spec.W
     h = fld.h
-    i0, j0, ci, cj = _donor_map(fld)
+    rim = _rim(fld)
+    i0, j0, ci, cj = _donor_map(fld, rim)
     donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h))
     nc = fld.n - 1
     terms = np.empty((nc, nc))
@@ -289,7 +288,8 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
         wvals = W.eval(gnorm.ravel()).reshape(gnorm.shape)
         ubar = 0.25 * (c[0] + c[1] + c[2] + c[3])
         gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-        terms[a:b] = _cell_area_weights(fld, a, b) * h ** 2 * (wvals + gvals)
+        w = _cell_area_weights(fld, rim, a, b)
+        terms[a:b] = w * h ** 2 * (wvals + gvals)
     return float(np.sum(terms))
 
 

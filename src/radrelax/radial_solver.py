@@ -321,19 +321,37 @@ def _spd_tridiagonal_solve(d: np.ndarray, e: np.ndarray,
 def _newton_direction(diag, off, mass, g):
     """-(H + lam D)^-1 g, D the node masses, for the first lam in
     0, lam0, 10 lam0, ... at which the shifted Hessian is positive definite,
-    as ``_spd_tridiagonal_solve`` finds it."""
-    lam = 0.0
+    as ``_spd_tridiagonal_solve`` finds it.
+
+    After 0 and lam0, the search doubles the number of decades past lam0
+    until a shift succeeds, then bisects back to the first rung that
+    does: a larger shift of a positive definite matrix is positive
+    definite.  Each rung is 10 times the one below it, as a product.
+    """
     # a positive definite matrix needs a positive diagonal; start at twice
     # the shift that gives one. Inside detachment intervals this leaves the
     # smooth mode nearly singular, and the long step along it is what walks
     # slopes out of the interval: starting at 4x or 10x took 3.4x as many
     # steps on the 1024-cell prototype and stalled on the three-well spec
     lam0 = max(2.0 * float(np.max(-diag / mass)), 1e-8)
-    while True:
-        x = _spd_tridiagonal_solve(diag + lam * mass, off, g)
-        if x is not None:
-            return -x
-        lam = 10.0 * lam if lam > 0.0 else lam0
+    ladder = [0.0, lam0]
+
+    def solve(k):
+        while len(ladder) <= k:
+            ladder.append(10.0 * ladder[-1])
+        return _spd_tridiagonal_solve(diag + ladder[k] * mass, off, g)
+
+    bad, k = -1, 0  # rung bad fails (-1: none tried); k is tried next
+    while (x := solve(k)) is None:
+        bad, k = k, max(1, 2 * k)
+    while k - bad > 1:
+        mid = (bad + k) // 2
+        y = solve(mid)
+        if y is None:
+            bad = mid
+        else:
+            k, x = mid, y
+    return -x
 
 
 def _newton(energy: _RelaxedEnergy, x: np.ndarray):

@@ -21,7 +21,12 @@ cells, HARD at 64 cells.
 spec texts times 12 commands), ``cli_matrix_digests`` runs them in
 process and returns one SHA-256 per run, and ``matrix_digest`` folds
 those into one short digest of the whole matrix. Run as a script,
-``PYTHONPATH=src python tests/corpus.py``, it prints that digest.
+``PYTHONPATH=src python tests/corpus.py``, it prints that digest;
+``--save FILE`` also writes the per-run ``{run: digest}`` JSON to FILE,
+and ``--diff FILE`` prints, in place of the digest, the runs whose digest
+differs from FILE's, then FILE's matrix digest and the current one. A
+byte comparison of two trees is then ``--save`` on one and ``--diff`` on
+the other.
 """
 
 import contextlib
@@ -373,7 +378,30 @@ def matrix_digest(digests):
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(
+        description="Digest of the outputs of the CLI matrix.")
+    parser.add_argument("--save", metavar="FILE",
+                        help="write the per-run {run: digest} JSON to FILE")
+    parser.add_argument("--diff", metavar="FILE",
+                        help="print the runs whose digest differs from "
+                        "FILE's, then both matrix digests")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        print(matrix_digest(cli_matrix_digests(workdir)))
+        digests = cli_matrix_digests(workdir)
+    if args.diff is None:
+        print(matrix_digest(digests))
+    else:
+        with open(args.diff, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        for run in sorted(saved.keys() | digests.keys()):
+            if saved.get(run) != digests.get(run):
+                print(run)
+        print(f"{matrix_digest(saved)} {args.diff}")
+        print(f"{matrix_digest(digests)} current")
+    if args.save is not None:
+        with open(args.save, "w", encoding="utf-8") as fh:
+            json.dump(digests, fh, indent=1, sort_keys=True)
+            fh.write("\n")

@@ -254,20 +254,37 @@ def cell_gradients(fld):
     return ux, uy, ubar
 
 
-def loop_donor_gradients(fld, ux, uy):
-    """Rim-cell donor gradients by walking one cell at a time.
+def meshgrid_rim(fld):
+    """The rim cells of ``disc2d._rim`` as an (n-1) x (n-1) bool array,
+    from the disc mask and 2-D coordinate arrays: a cell is in the rim
+    when not all four corners are in the mask and the point of its box
+    nearest the origin lies inside the disc."""
+    m = fld.mask
+    full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    X, Y = np.meshgrid(fld.coords, fld.coords, indexing="ij")
+    nx = np.clip(0.0, X[:-1, :-1], X[1:, 1:])
+    ny = np.clip(0.0, Y[:-1, :-1], Y[1:, 1:])
+    return ~full & (np.sqrt(nx * nx + ny * ny) < fld.radius)
+
+
+def loop_donor_walk(fld):
+    """``({borrower: donor}, exits)`` of the rim cells' walks, one cell
+    at a time.
 
     The per-cell loop that preceded the array walk of ``disc2d``'s donor
-    map.
+    map, over the cells of ``meshgrid_rim``: a cell steps toward the
+    centre along the axis whose centre coordinate is larger in magnitude
+    until it stands on a full cell, for at most six steps. A step that
+    would leave the grid stops the walk where it began; ``exits`` counts
+    those walks.
     """
     m = fld.mask
     full = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
     x = fld.coords
     xc = 0.5 * (x[:-1] + x[1:])
     nc = len(xc)
-    ux = ux.copy()
-    uy = uy.copy()
-    for i, j in zip(*np.nonzero(~full)):
+    donors, exits = {}, 0
+    for i, j in zip(*np.nonzero(meshgrid_rim(fld))):
         ci, cj = i, j
         for _ in range(6):
             if full[ci, cj]:
@@ -278,10 +295,21 @@ def loop_donor_gradients(fld, ux, uy):
                 cj += 1 if xc[cj] < 0 else -1
             if not (0 <= ci < nc and 0 <= cj < nc):
                 ci, cj = i, j
+                exits += 1
                 break
         if full[ci, cj]:
-            ux[i, j] = ux[ci, cj]
-            uy[i, j] = uy[ci, cj]
+            donors[i, j] = ci, cj
+    return donors, exits
+
+
+def loop_donor_gradients(fld, ux, uy):
+    """Rim-cell donor gradients from ``loop_donor_walk``; every other
+    cell keeps its own gradient."""
+    ux = ux.copy()
+    uy = uy.copy()
+    for (i, j), (ci, cj) in loop_donor_walk(fld)[0].items():
+        ux[i, j] = ux[ci, cj]
+        uy[i, j] = uy[ci, cj]
     return ux, uy
 
 
@@ -714,3 +742,17 @@ def banded_newton_direction(diag, off, mass, g):
             return -solveh_banded(ab, g)
         except LinAlgError:
             lam = 10.0 * lam if lam > 0.0 else lam0
+
+
+def ladder_newton_direction(diag, off, mass, g):
+    """``radial_solver._newton_direction`` trying the shifts 0, lam0,
+    10 lam0, ... one at a time, as it did before it bracketed them."""
+    from radrelax.radial_solver import _spd_tridiagonal_solve
+
+    lam = 0.0
+    lam0 = max(2.0 * float(np.max(-diag / mass)), 1e-8)
+    while True:
+        x = _spd_tridiagonal_solve(diag + lam * mass, off, g)
+        if x is not None:
+            return -x
+        lam = 10.0 * lam if lam > 0.0 else lam0

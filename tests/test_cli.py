@@ -404,22 +404,24 @@ def test_symmetry_rejects_non_finite_field_csv(prototype_ini, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_unpriceable_field_exits_2_writing_no_file(prototype_ini, tmp_path,
-                                                   capsys):
+                                                   capsys, fmt):
     # u = 1e200 inside r < 0.5 is finite, but W and G overflow on it; the
-    # non-finite record is refused by the report writer before the report
-    # or any per-ray CSV is written, and no RuntimeWarning escapes
+    # non-finite record is refused by the report or CSV writer before the
+    # output or any per-ray CSV is written, and no RuntimeWarning escapes
     path = tmp_path / "field.csv"
     write_field_csv(field_from_function(
         lambda X, Y: np.where(X * X + Y * Y < 0.25, 1e200, 0.0), 33, 1.0),
         str(path))
-    out = tmp_path / "sym.json"
+    out = tmp_path / "sym.out"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), "--profile-csv",
-                 str(tmp_path / "ray_"), "--out", str(out)]) == 2
+                 str(tmp_path / "ray_"), "--format", fmt,
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "numerical failure: Out of range float values are not JSON "
-        "compliant\n")
+        "numerical failure: Out of range float values are not "
+        f"{fmt.upper()} compliant\n")
     assert not out.exists()
     assert not list(tmp_path.glob("ray*.csv"))
 

@@ -17,6 +17,7 @@ from radrelax.disc2d import (
     _cell_area_weights,
     _donor_map,
     _ray_energies,
+    _rim,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
@@ -27,11 +28,13 @@ from oracles import (
     cell_gradients,
     loop_angular_average,
     loop_donor_gradients,
+    loop_donor_walk,
     loop_ray_check,
     meshgrid_cell_area_weights,
     meshgrid_colinearity_defect,
     meshgrid_disc_mask,
     meshgrid_random_smooth_values,
+    meshgrid_rim,
     single_ray_profile,
     whole_energy_2d,
 )
@@ -88,7 +91,7 @@ def test_offcenter_cone_envelope_gradient_term_is_zero():
 
 def _mapped_donor_gradients(fld, ux, uy):
     # the donor map applied to whole cell arrays
-    i0, j0, ci, cj = _donor_map(fld)
+    i0, j0, ci, cj = _donor_map(fld, _rim(fld))
     ux, uy = ux.copy(), uy.copy()
     ux[i0, j0] = ux[ci, cj]
     uy[i0, j0] = uy[ci, cj]
@@ -106,13 +109,38 @@ def test_donor_gradients_match_cell_walk(n, radius):
     assert np.array_equal(new[1], old[1])
 
 
+@pytest.mark.parametrize("n", [33, 35, 65, 129, 257, 259])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 1.7, 10.0])
+def test_borrowers_are_the_rim_cells_that_land(n, radius):
+    # each rim cell walks on its own: no step leaves the grid, the
+    # borrowers are the walks that stand on a full cell within six steps,
+    # and those cells are their donors
+    fld = DiscField.random_smooth(n, radius, seed=n)
+    rim = _rim(fld)
+    assert np.array_equal(np.stack(rim[:2]), np.nonzero(meshgrid_rim(fld)))
+    donors, exits = loop_donor_walk(fld)
+    assert exits == 0
+    i0, j0, ci, cj = _donor_map(fld, rim)
+    assert len(i0) == len(donors)
+    assert dict(zip(zip(i0, j0), zip(ci, cj))) == donors
+    m = fld.mask
+    assert (m[ci, cj] & m[ci + 1, cj] & m[ci, cj + 1] & m[ci + 1, cj + 1]).all()
+
+
+def test_rim_at_257_nodes_holds_1020_borrowers():
+    # the walk from every non-full cell centred within R + 7h found 3,364
+    # borrowers here, 2,352 of them with zero area weight
+    fld = DiscField.random_smooth(257, R, seed=1)
+    assert len(_donor_map(fld, _rim(fld))[0]) == 1020
+
+
 @pytest.mark.parametrize("n", [33, 65, 129, 257])
 @pytest.mark.parametrize("radius", [0.3, 1.0, 1.7, 10.0])
 def test_disc_geometry_matches_meshgrid_forms(n, radius):
     # the 1-D corner distances and broadcast cell centres must give the
     # weights and the colinearity defect of the 2-D arrays, bit for bit
     fld = DiscField.random_smooth(n, radius, seed=n)
-    assert (_cell_area_weights(fld).tobytes()
+    assert (_cell_area_weights(fld, _rim(fld)).tobytes()
             == meshgrid_cell_area_weights(fld).tobytes())
     assert (colinearity_defect(fld).hex()
             == meshgrid_colinearity_defect(fld).hex())
@@ -160,10 +188,11 @@ def test_row_blocks_match_whole_array_oracles(n):
     for radius, W in ((1.0, make_prototype_spec().W), (1.7, three_well())):
         spec0 = dataclasses.replace(make_prototype_spec(), radius=radius, W=W)
         fld = DiscField.random_smooth(n, radius, seed=n)
-        i0, _, ci, _ = _donor_map(fld)
+        rim = _rim(fld)
+        i0, _, ci, _ = _donor_map(fld, rim)
         crosses = np.any(i0 // _BLOCK_ROWS != ci // _BLOCK_ROWS)
         assert crosses == (n in (35, 257, 259))
-        assert (_cell_area_weights(fld).tobytes()
+        assert (_cell_area_weights(fld, rim).tobytes()
                 == meshgrid_cell_area_weights(fld).tobytes())
         assert (colinearity_defect(fld).hex()
                 == meshgrid_colinearity_defect(fld).hex())

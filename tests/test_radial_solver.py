@@ -28,8 +28,8 @@ from conftest import (double_well, graded_grid, make_m0_spec,
 from corpus import (HARD, HARD_CELLS, HARD_REFERENCE, MONOTONE,
                     MONOTONE_CELLS, MONOTONE_REFERENCE)
 from oracles import (allocating_dp_oracle, array_only_envelope,
-                     banded_newton_direction, quadratic_outermost_levels,
-                     random_even_sampled)
+                     banded_newton_direction, ladder_newton_direction,
+                     quadratic_outermost_levels, random_even_sampled)
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -245,6 +245,47 @@ def test_unbounded_energy_raises():
     with pytest.raises(NumericalFailure, match="descent diverged: the relaxed "
                        r"energy is -inf after \d+ Newton steps"):
         minimize_relaxed(spec, RadialGrid.uniform(1.0, 16))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_unbounded_descent_brackets_its_shifts(monkeypatch):
+    # the Hessians of this descent are indefinite with a positive
+    # diagonal, so lam0 is the 1e-8 floor and the first positive definite
+    # shift lies decades above it; trying the decades one at a time took
+    # 87,018 factorizations in the same 968 steps
+    import radrelax.radial_solver as rs
+
+    solve, calls = rs._spd_tridiagonal_solve, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(rs, "_spd_tridiagonal_solve", counted)
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, 0.0, -20.0)),
+                       shape_flag="none")
+    with pytest.raises(NumericalFailure, match="-inf after 968 Newton steps"):
+        minimize_relaxed(spec, RadialGrid.uniform(1.0, 64))
+    assert calls[0] < 20000
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e9, 1e40])
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_direction_picks_the_first_positive_definite_rung(scale, seed):
+    # the bracketed search must land on the rung the one-at-a-time ladder
+    # finds, so every direction keeps its bits
+    rng = np.random.default_rng(seed)
+    n = 200
+    diag = rng.uniform(-1.0, 1.0, n) * (seed % 2)
+    diag[0] = 1e-6
+    off = rng.uniform(-1.0, 1.0, n - 1) * scale
+    mass = rng.uniform(0.5, 2.0, n)
+    g = rng.standard_normal(n)
+    want = ladder_newton_direction(diag, off, mass, g)
+    assert _newton_direction(diag, off, mass, g).tobytes() == want.tobytes()
 
 
 def test_zero_node_mass_raises_before_descent(capped_solves):
