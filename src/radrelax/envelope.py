@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from radrelax.potentials import Potential1D, _require_coercive, compute_M
+from .potentials import Potential1D, _require_coercive, compute_M
 
 __all__ = ["DetachmentComponent", "EnvelopeResult", "NumericalFailure", "convexify"]
 

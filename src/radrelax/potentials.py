@@ -9,6 +9,7 @@ piecewise polynomial, or sampled on a grid.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,10 +39,10 @@ def _finite_tuple(x, what: str) -> tuple:
 
 
 def _derivative_tables(coeffs: tuple) -> tuple:
-    # ascending coefficients of the 0th, 1st and 2nd derivative, as
-    # Python-float tuples for _horner, by numpy.polynomial.polyder's
-    # products: j * c[j] per order, and (c[0] * 0,) once the degree is
-    # used up
+    # ascending coefficients of the 0th, 1st and 2nd derivative, by
+    # numpy.polynomial.polyder's products: j * c[j] per order, and
+    # (c[0] * 0,) once the degree is used up; of Python floats, or of
+    # arrays with one entry per point (looked-up cubics)
     tables = [tuple(coeffs)]
     for k in (1, 2):
         d = tables[-1]
@@ -59,6 +60,18 @@ def _horner(c: tuple, x):
     return y
 
 
+def _power_sum(c: tuple, s):
+    # SciPy's PPoly sum of ascending c: 0.0 + c[0] + c[1] s + c[2] (s s)
+    # + ..., each power the product of the one below with s, so the bits,
+    # signed zeros included, are PPoly's
+    out, z = 0.0 + c[0], s
+    for ck in c[1:-1]:
+        out += ck * z
+        z = z * s
+    out += c[-1] * z
+    return out
+
+
 def _pchip_end_slope(h0, h1, m0, m1):
     # one-sided three-point estimate, kept shape-preserving (Moler,
     # "Numerical Computing with MATLAB", pchiptx); both ends at once
@@ -70,10 +83,10 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Per-interval cubic coefficients (c0, c1, c2, c3) of the monotone
-    piecewise cubic interpolant (PCHIP; Fritsch and Carlson, SIAM J. Numer.
-    Anal. 17, 1980), highest power first, in the local variable s = t - x[i].
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval cubics of the monotone piecewise cubic interpolant
+    (PCHIP; Fritsch and Carlson, SIAM J. Numer. Anal. 17, 1980): row k of
+    the (4, n - 1) result holds the coefficients of (t - x[i])^k.
 
     Node slopes are the weighted harmonic mean of the neighbouring secants,
     zero where the secants change sign or one of them vanishes (Fritsch and
@@ -95,24 +108,7 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> tuple:
     d[[0, -1]] = _pchip_end_slope(h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]])
     # the Hermite form of each interval, as CubicHermiteSpline builds it
     t = (d[:-1] + d[1:] - 2 * m) / h
-    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
-
-
-def _pchip_eval(x: np.ndarray, coeffs: tuple, t: np.ndarray) -> np.ndarray:
-    """Evaluate the cubics at t as SciPy's PPoly does: the end cubics
-    continue on both sides, and the sum starts from 0.0 so that signed
-    zeros come out as PPoly's. Infinite t gives inf or NaN silently, as
-    PPoly does; ``Potential1D`` sets such entries to their limit."""
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    c0, c1, c2, c3 = (c[i] for c in coeffs)
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = t - x[i]
-        s2 = s * s
-        out = 0.0 + c3
-        out += c2 * s
-        out += c1 * s2
-        out += c0 * (s2 * s)
-    return out
+    return np.array((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
 
 
 def _trim(coeffs: Sequence[float]) -> tuple:
@@ -120,6 +116,17 @@ def _trim(coeffs: Sequence[float]) -> tuple:
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
     return tuple(c)
+
+
+def _limit(c: Sequence[float], sign: float, order: int) -> float:
+    # the limit at sign * inf of the order-th derivative of the polynomial
+    # of ascending coefficients c, in a variable that tends to sign * inf
+    # with t: its constant (0.0 once the degree is used up), or the sign
+    # of its leading term
+    c = _trim(_derivative_tables(c)[order]) if order < len(c) else (0.0,)
+    if len(c) == 1:
+        return c[0]
+    return math.copysign(math.inf, c[-1] * sign ** (len(c) - 1))
 
 
 @dataclass
@@ -135,8 +142,8 @@ class Potential1D:
         breakpoints: sorted interior breakpoints (piecewise kind only).
         samples: pair (t_grid, values) for the sampled kind; the grid must be
             finite, strictly increasing and contain t = 0; the values
-            finite. Evaluation is the Fritsch-Carlson monotone cubic
-            (PCHIP), computed in numpy; outside the grid the end cubic
+            finite. W is the Fritsch-Carlson monotone cubic (PCHIP), W'
+            and W'' its exact derivatives; outside the grid the end cubic
             continues, and at +-inf W, W' and W'' take its limit.
         even: whether W is even; declared for ``piecewise_poly``, and set
             at construction for the others: True for the t^2 kind, the
@@ -156,9 +163,14 @@ class Potential1D:
     # T, sized past the outermost critical point so downstream scans see
     # the full shape
     domain_halfwidth: float = field(init=False)
-    # Horner tables of orders 0, 1 and 2 (of P for the t^2 kind, W =
-    # P(t^2); per piece for the piecewise kind), or the PCHIP cubics
+    # the table (see _kernel): cut points; per order 0-2, each piece's
+    # Python-float coefficients in its local variable (polynomial kinds);
+    # the same as one array's columns per order, or the sampled cubics of
+    # order 0 alone; and the limits (at -inf, at +inf) of W, W' and W''
+    _cuts: Sequence = field(default=(), init=False, repr=False, compare=False)
     _tables: tuple = field(default=(), init=False, repr=False, compare=False)
+    _columns: tuple = field(default=(), init=False, repr=False, compare=False)
+    _limits: tuple = field(default=(), init=False, repr=False, compare=False)
     # the samples as one read-only (2, n) array
     _sample_array: np.ndarray = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -170,7 +182,9 @@ class Potential1D:
             self.coefficients = _finite_tuple(self.coefficients, "coefficients")
             if not self.coefficients:
                 raise ValueError("poly_in_t_squared needs coefficients")
-            self._tables = _derivative_tables(self.coefficients)
+            pieces = (self.coefficients,)
+            # W in t, c_k at t^(2k), for its limits
+            ends = 2 * ([x for c in self.coefficients for x in (c, 0.0)][:-1],)
         elif self.kind == "piecewise_poly":
             pieces = tuple(_finite_tuple(p, "coefficients")
                            for p in self.coefficients)
@@ -185,7 +199,7 @@ class Potential1D:
                     f"{len(self.breakpoints)} breakpoints need "
                     f"{len(self.breakpoints) + 1} pieces, got {len(pieces)}"
                 )
-            self._tables = tuple(zip(*map(_derivative_tables, pieces)))
+            self._cuts, ends = self.breakpoints, (pieces[0], pieces[-1])
         else:
             if self.samples is None:
                 raise ValueError("sampled kind needs samples")
@@ -201,8 +215,20 @@ class Potential1D:
                 raise ValueError("sample grid must contain t = 0")
             grid.flags.writeable = False
             self._sample_array = grid
-            self._tables = _pchip_coeffs(grid[0], grid[1])
             self.samples = tuple(map(tuple, grid.tolist()))
+            cubics = _pchip_coeffs(grid[0], grid[1])
+            self._cuts, self._columns = grid[0][1:-1], (cubics,)
+            ends, pieces = cubics[:, [0, -1]].T.tolist(), ()
+        if pieces:
+            self._tables = tuple(zip(*map(_derivative_tables, pieces)))
+            # an array's lookup among several pieces gathers from these;
+            # zeros above a short piece's degree leave Horner's bits
+            # unchanged at every finite t
+            self._columns = tuple(
+                np.array(list(itertools.zip_longest(*tab, fillvalue=0.0)))
+                for tab in self._tables if self._cuts)
+        self._limits = tuple((_limit(ends[0], -1.0, k), _limit(ends[1], 1.0, k))
+                             for k in range(3))
         self.domain_halfwidth = self._auto_halfwidth()
         self.even = self._decide_evenness()
 
@@ -213,7 +239,7 @@ class Potential1D:
         maxbp = max((abs(b) for b in self.breakpoints), default=0.0)
         probe = max(8.0, 4.0 * maxbp)
         t = np.linspace(1e-9, probe, 4096)
-        d = self._poly(t, 1)
+        d = self._kernel(t, 1)
         sign_change = np.nonzero(d[:-1] * d[1:] <= 0)[0]
         t_crit = float(t[sign_change[-1] + 1]) if sign_change.size else 0.0
         return max(2.0, 1.5 * t_crit + 1.0, 1.25 * maxbp + 1.0)
@@ -234,78 +260,50 @@ class Potential1D:
             raise ValueError("piecewise_poly declared even but is not")
         return even
 
-    def _poly(self, t, order: int):
-        """W (order 0), W' or W'' of a polynomial kind at a Python float or
-        an array; the same operations in the same order either way."""
+    def _kernel(self, t, order: int):
+        """W (order 0), W' or W'' at a finite float of a polynomial kind or
+        at an array of finite values: the t^2 kind's one piece by the chain
+        rule, else the piece that bisect_right (a float, or no cuts) or
+        searchsorted finds, PPoly's among the sampled cuts x[1:-1]. Sampled
+        derivative tables are taken here. Horner's rule for polynomial
+        kinds and PPoly's power sums for the cubics keep every W's bits."""
         if self.kind == "poly_in_t_squared":
+            # one piece, P's tables in x = t^2: W = P(x) by the chain rule
+            x = t * t
+            c = self._tables[order][0]
             if order == 0:
-                return _horner(self._tables[0], t * t)
-            dP = _horner(self._tables[1], t * t)
+                return _horner(c, x)
+            dP = _horner(self._tables[1][0], x)
             if order == 1:
                 return dP * 2.0 * t
-            ddP = _horner(self._tables[2], t * t)
-            return ddP * 4.0 * t * t + 2.0 * dP
-        pieces = self._tables[order]
-        if isinstance(t, float):
-            # bisect_right is searchsorted(side="right")
-            return _horner(pieces[bisect.bisect_right(self.breakpoints, t)], t)
-        out = np.empty_like(t)
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        for k, piece in enumerate(pieces):
-            m = idx == k
-            if np.any(m):
-                out[m] = _horner(piece, t[m])
-        return out
-
-    def _limit(self, t: float, order: int) -> float:
-        """The limit of W (order 0), W' or W'' at t = +-inf: the sign of
-        the leading term of the outer polynomial in t, or its constant.
-        For a sampled kind that polynomial is the end cubic, in t - x_i."""
-        if self.kind == "poly_in_t_squared":
-            c = [0.0] * (2 * len(self.coefficients) - 1)
-            c[::2] = self.coefficients
-        elif self.kind == "sampled":
-            # _tables holds the cubics highest power first
-            c = [float(a[0 if t < 0 else -1]) for a in self._tables[::-1]]
+            return _horner(c, x) * 4.0 * t * t + 2.0 * dP
+        if isinstance(t, float) or not len(self._cuts):
+            c = self._tables[order][bisect.bisect_right(self._cuts, t)]
         else:
-            c = list(self.coefficients[0 if t < 0 else -1])
-        for _ in range(order):
-            c = [j * c[j] for j in range(1, len(c))] or [0.0]
-        c = _trim(c)
-        if len(c) == 1:
-            return c[0]
-        odd = (len(c) - 1) % 2 == 1
-        return math.copysign(math.inf, c[-1] * (t if odd else 1.0))
-
-    def _array(self, t: np.ndarray, order: int) -> np.ndarray:
-        """``_poly`` or ``_sampled`` on an array, with each +-inf entry set
-        to its limit (the kernels meet inf * 0 or inf - inf there, which
-        are NaN)."""
-        kernel = self._sampled if self.kind == "sampled" else self._poly
-        big = np.isinf(t)
-        if not big.any():
-            return kernel(t, order)
-        out = kernel(np.where(big, 0.0, t), order)
-        out[big] = [self._limit(x, order) for x in t[big].tolist()]
-        return out
-
-    def _sampled(self, t: np.ndarray, order: int) -> np.ndarray:
-        """The PCHIP (order 0), or the centered difference of the order
-        below: step 1e-6 max(1, |t|) for W', 1e-4 max(1, |t|) for W''."""
-        if order == 0:
-            return _pchip_eval(self._sample_array[0], self._tables, t)
-        h = (1e-6 if order == 1 else 1e-4) * np.maximum(1.0, np.abs(t))
-        return (self._sampled(t + h, order - 1)
-                - self._sampled(t - h, order - 1)) / (2.0 * h)
+            i = np.searchsorted(self._cuts, t, side="right")
+            if self._sample_array is not None:
+                c = tuple(self._columns[0].take(i, axis=1))
+                if order:
+                    c = _derivative_tables(c)[order]
+                # far out the powers overflow silently, as PPoly's do
+                with np.errstate(invalid="ignore", over="ignore"):
+                    return _power_sum(c, t - self._sample_array[0][i])
+            c = self._columns[order].take(i, axis=1)
+        return _horner(c, t)
 
     def _at(self, t, order: int):
         # a finite float (np.float64 included) of a polynomial kind stays
-        # a Python float; anything else goes through a 1-D array
-        if self.kind != "sampled" and isinstance(t, float) and math.isfinite(t):
-            return self._poly(float(t), order)
+        # a Python float; anything else goes through a 1-D array, whose
+        # +-inf entries, NaN in the kernel, take their limit
+        if isinstance(t, float) and math.isfinite(t) and self._tables:
+            return self._kernel(float(t), order)
         arr = np.asarray(t, dtype=float)
         ts = np.atleast_1d(arr)
-        out = self._array(ts, order)
+        big = np.isinf(ts)
+        any_big = big.any()
+        out = self._kernel(np.where(big, 0.0, ts) if any_big else ts, order)
+        if any_big:
+            out[big] = np.where(ts[big] < 0, *self._limits[order])
         return float(out[0]) if arr.ndim == 0 else out
 
     def eval(self, t):
@@ -321,9 +319,10 @@ class Potential1D:
 
         Args:
             t: scalar or array of slope values.
-            order: 1 or 2. Sampled kinds give centered differences (see
-                ``_sampled``): W'' is a curvature estimate, as a Newton
-                model needs it, not data.
+            order: 1 or 2. Every kind gives exact derivatives of its
+                pieces; a sampled kind's are those of SciPy's
+                ``PchipInterpolator(x, y).derivative(order)``, bit for bit,
+                so its W'' jumps at the sample nodes.
 
         Raises:
             ValueError: on unsupported order.

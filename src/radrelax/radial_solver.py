@@ -20,8 +20,8 @@ from typing import List, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radrelax.envelope import EnvelopeResult, NumericalFailure, convexify
-from radrelax.potentials import ProblemSpec, sphere_area
+from .envelope import EnvelopeResult, NumericalFailure, convexify
+from .potentials import ProblemSpec, sphere_area
 
 __all__ = [
     "RadialGrid",
@@ -696,7 +696,7 @@ def solve_pipeline(spec: ProblemSpec, grid: RadialGrid,
     Raises:
         NumericalFailure: if the post-rearrangement energies disagree.
     """
-    from radrelax import verify as verify_mod
+    from . import verify
 
     env = ensure_envelope(spec)
     warnings = []
@@ -713,9 +713,9 @@ def solve_pipeline(spec: ProblemSpec, grid: RadialGrid,
     if rearranged:
         profile = monotone_rearrange(profile, env)
 
-    vrep = verify_mod.full_report(profile, spec, env,
-                                  corner_window=corner_window,
-                                  corner_tol=corner_tol)
+    vrep = verify.full_report(profile, spec, env,
+                              corner_window=corner_window,
+                              corner_tol=corner_tol)
     consistency = vrep._record("energy_consistency")
     price = consistency["details"]
     if rearranged and not consistency["passed"]:

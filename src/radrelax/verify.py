@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from radrelax.envelope import EnvelopeResult
-from radrelax.potentials import ProblemSpec, sphere_area
-from radrelax.radial_solver import RadialProfile, energy_reduced
+from .envelope import EnvelopeResult
+from .potentials import ProblemSpec, sphere_area
+from .radial_solver import RadialProfile, energy_reduced
 
 __all__ = [
     "VerifyReport",

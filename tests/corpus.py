@@ -20,13 +20,18 @@ cells, HARD at 64 cells.
 ``CLI_MATRIX`` names the 192 command lines of the output comparison (16
 spec texts times 12 commands), ``cli_matrix_digests`` runs them in
 process and returns one SHA-256 per run, and ``matrix_digest`` folds
-those into one short digest of the whole matrix. Run as a script,
-``PYTHONPATH=src python tests/corpus.py``, it prints that digest;
-``--save FILE`` also writes the per-run ``{run: digest}`` JSON to FILE,
-and ``--diff FILE`` prints, in place of the digest, the runs whose digest
-differs from FILE's, then FILE's matrix digest and the current one. A
-byte comparison of two trees is then ``--save`` on one and ``--diff`` on
-the other.
+those into one short digest of the whole matrix. ``potential_digests``
+returns one SHA-256 of W, W' and W'' of each of 225 potentials (the W and
+G of every ``MONOTONE`` and ``HARD`` problem, the three double wells, the
+three-well and ``random_even_sampled(0..38)``) on a fixed point set.
+
+Run as a script, ``PYTHONPATH=src python tests/corpus.py``, it prints
+the matrix digest on its first line and the folded potential digest on
+its second; ``--save FILE`` also writes the per-run and per-potential
+``{name: digest}`` JSON to FILE, and ``--diff FILE`` prints, in place of
+the digests, the names whose digest differs from FILE's, then FILE's two
+folded digests and the current ones. A byte comparison of two trees is
+then ``--save`` on one and ``--diff`` on the other.
 """
 
 import contextlib
@@ -37,6 +42,8 @@ import io
 import json
 import os
 
+import numpy as np
+
 from radrelax.disc2d import DiscField
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec_text
@@ -44,6 +51,7 @@ from radrelax.specfile import emit_spec_text, parse_spec_text
 from conftest import (CONVEX_INI, M0_INI, PROTOTYPE_INI, make_m0_spec,
                       make_prototype_spec, make_three_well_spec, three_well,
                       write_field_csv)
+from oracles import random_even_sampled
 
 MONOTONE_CELLS = 1024
 HARD_CELLS = 64
@@ -259,6 +267,47 @@ HARD_REFERENCE = {
 }
 
 
+def _spec_potentials(label, problems):
+    # the W and G of each problem, "<label>/<problem>/W" and ".../G"
+    out = {}
+    for name, build in problems.items():
+        spec = build()
+        out[f"{label}/{name}/W"], out[f"{label}/{name}/G"] = spec.W, spec.G
+    return out
+
+
+def _potentials():
+    pots = {**_spec_potentials("MONOTONE", MONOTONE),
+            **_spec_potentials("HARD", HARD)}
+    pots.update({f"double_well_{a:g}": _double_well(a) for a in (0.5, 1, 1.7)})
+    pots["three_well"] = three_well()
+    pots.update({f"sampled_{s}": random_even_sampled(s) for s in range(39)})
+    return pots
+
+
+def potential_digests():
+    """``{"<potential>:<order>": sha256 hex}`` over the 225 potentials
+    and the orders 0 (W), 1 (W') and 2 (W'').
+
+    A digest covers the values at 401 points over [-2T, 2T], the cut
+    points (the breakpoints, or every sample node), +-0.0, +-1e-300 and
+    +-inf, from one array call and then from one Python float at a time.
+    """
+    digests = {}
+    for name, W in _potentials().items():
+        T = W.domain_halfwidth
+        cuts = W.samples[0] if W.kind == "sampled" else W.breakpoints
+        pts = np.concatenate([np.linspace(-2.0 * T, 2.0 * T, 401), cuts,
+                              [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf]])
+        for order in range(3):
+            at = (W.eval if order == 0
+                  else functools.partial(W.derivative, order=order))
+            h = hashlib.sha256(np.asarray(at(pts), dtype=float).tobytes())
+            h.update(np.array([at(x) for x in pts.tolist()]).tobytes())
+            digests[f"{name}:{order}"] = h.hexdigest()
+    return digests
+
+
 def _bench_text(name):
     return emit_spec_text(_bench_spec(name))
 
@@ -382,25 +431,37 @@ if __name__ == "__main__":
     import tempfile
 
     parser = argparse.ArgumentParser(
-        description="Digest of the outputs of the CLI matrix.")
+        description="Digests of the outputs of the CLI matrix and of the "
+        "potentials' values.")
     parser.add_argument("--save", metavar="FILE",
-                        help="write the per-run {run: digest} JSON to FILE")
+                        help="write the {name: digest} JSON to FILE")
     parser.add_argument("--diff", metavar="FILE",
-                        help="print the runs whose digest differs from "
-                        "FILE's, then both matrix digests")
+                        help="print the names whose digest differs from "
+                        "FILE's, then both pairs of folded digests")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         digests = cli_matrix_digests(workdir)
+    kernel = potential_digests()
+
+    def folded(found):
+        # the matrix digest and the potential digest of {name: digest}
+        return (matrix_digest({k: v for k, v in found.items()
+                               if k in CLI_MATRIX}),
+                matrix_digest({k: v for k, v in found.items()
+                               if k not in CLI_MATRIX}))
+
     if args.diff is None:
         print(matrix_digest(digests))
-    else:
+        print(matrix_digest(kernel))
+    digests.update(kernel)
+    if args.diff is not None:
         with open(args.diff, encoding="utf-8") as fh:
             saved = json.load(fh)
-        for run in sorted(saved.keys() | digests.keys()):
-            if saved.get(run) != digests.get(run):
-                print(run)
-        print(f"{matrix_digest(saved)} {args.diff}")
-        print(f"{matrix_digest(digests)} current")
+        for name in sorted(saved.keys() | digests.keys()):
+            if saved.get(name) != digests.get(name):
+                print(name)
+        print(*folded(saved), args.diff)
+        print(*folded(digests), "current")
     if args.save is not None:
         with open(args.save, "w", encoding="utf-8") as fh:
             json.dump(digests, fh, indent=1, sort_keys=True)

@@ -625,8 +625,8 @@ def array_only(W):
     """A copy of W whose every call goes through numpy arrays and
     ``numpy.polynomial.polyval``, as ``Potential1D`` evaluated before its
     Python-float kernels. Self-contained, so that it stays a reference
-    for ``_horner``; sampled kinds, which never had a scalar path, keep
-    the package's own."""
+    for ``_horner``; sampled kinds, whose float arguments take the array
+    path as well, keep the package's own."""
     from numpy.polynomial import polynomial as npoly
 
     from radrelax.potentials import Potential1D

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -1170,6 +1171,28 @@ def test_each_command_loads_only_its_modules(argv, extra, prototype_ini,
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc in (0, 3)
     assert loaded == sorted(_CORE + extra)
+
+
+def test_renamed_package_copy_loads_no_radrelax_module(tmp_path):
+    # every import between the package's modules is relative, so a copy
+    # under another name, beside the original on the path, runs only its
+    # own modules: two trees can be loaded into one process
+    shutil.copytree(os.path.dirname(radrelax.__file__), tmp_path / "radrelax_b",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = (
+        "import json, sys\n"
+        "import radrelax_b.cli, radrelax_b.verify, radrelax_b.disc2d\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0].startswith('radrelax'))))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tmp_path), os.path.dirname(os.path.dirname(radrelax.__file__))])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == ["radrelax_b"] + [f"radrelax_b.{m}" for m in sorted(
+        _CORE + ["disc2d", "radial_solver", "verify"])]
 
 
 def test_cli_matrix_digests_blank_named_fields(tmp_path, monkeypatch):

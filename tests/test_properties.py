@@ -326,11 +326,15 @@ def _at(W, order, t):
        data=st.data())
 @example(W=double_well(), order=1, data=None)
 @example(W=three_well(), order=2, data=None)
+@example(W=_LEVEL_POTENTIALS["turning_sampled"], order=1, data=None)
+@example(W=_LEVEL_POTENTIALS["turning_sampled"], order=2, data=None)
 def test_potential_scalar_path_matches_array_path(W, order, data):
-    # signed zeros, an underflowing square, and the exact breakpoints,
-    # where bisect_right must pick the piece searchsorted picks
+    # signed zeros, an underflowing square, and the exact breakpoints or
+    # sample nodes, where bisect_right must pick the piece searchsorted
+    # picks
     ts = [0.0, -0.0, 1.0, -1.0, 1e-300]
     ts += [b for bp in W.breakpoints for b in (bp, -bp)]
+    ts += list(W.samples[0]) if W.samples else []
     if data is not None:
         ts += data.draw(st.lists(_ARGS, max_size=8))
     for t in ts:
@@ -359,7 +363,7 @@ def _envelope(name):
                       **_LEVEL_POTENTIALS}[name])
 
 
-@given(name=st.sampled_from(sorted(_ENVELOPES)),
+@given(name=st.sampled_from(sorted(_ENVELOPES) + ["sampled_0"]),
        ts=st.lists(_ARGS, max_size=8))
 def test_envelope_scalar_path_matches_array_path(name, ts):
     env = _envelope(name)
@@ -408,12 +412,14 @@ _SAMPLE_VALUES = st.integers(-2, 2).map(float) | st.just(-0.0) | _COEFF
 
 
 def _end_cubic_limit(c, t):
-    # the limit at t = +-inf of the cubic c[0] s^3 + ... + c[3], s = t - x_i
-    lead = np.flatnonzero(c[:3])
+    # the limit at t = +-inf of the polynomial c[0] s^k + ... + c[k] in
+    # s = t - x_i: an end cubic of PPoly, or its derivative
+    lead = np.flatnonzero(c[:-1])
     if not lead.size:
-        return c[3]
+        return c[-1]
     j = lead[0]
-    return math.copysign(math.inf, c[j] * (t if j % 2 == 0 else 1.0))
+    odd = (len(c) - 1 - j) % 2 == 1
+    return math.copysign(math.inf, c[j] * (t if odd else 1.0))
 
 
 @st.composite
@@ -436,9 +442,10 @@ def sampled_potentials(draw):
     np.linspace(-2.0, 2.0, 41), (np.linspace(-2.0, 2.0, 41) ** 2 - 1) ** 2)),
     ts=[], beyond=[0.0, 12.0])
 def test_sampled_eval_matches_scipy_pchip_bitwise(W, ts, beyond):
-    # the numpy monotone cubic must be SciPy's PCHIP with extrapolation,
-    # signed zeros and NaN included; at +-inf, where PPoly meets inf * 0
-    # or inf - inf, it takes the limit of SciPy's end cubic
+    # the numpy monotone cubic and its first two derivatives must be
+    # SciPy's PCHIP with extrapolation and its derivative(k), signed zeros
+    # and NaN included; at +-inf, where PPoly meets inf * 0 or inf - inf,
+    # each takes the limit of SciPy's end cubic of that order
     from scipy.interpolate import PchipInterpolator
 
     x, y = (np.asarray(a) for a in W.samples)
@@ -448,12 +455,15 @@ def test_sampled_eval_matches_scipy_pchip_bitwise(W, ts, beyond):
     # SciPy's own harmonic mean overflows on tiny secants and warns
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pchip = PchipInterpolator(x, y, extrapolate=True)
-        want = pchip(t)
-    for k in np.flatnonzero(np.isinf(t)):
-        want[k] = _end_cubic_limit(pchip.c[:, 0 if t[k] < 0 else -1], t[k])
-    got = W.eval(t)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
-        t[got.view(np.int64) != want.view(np.int64)]
+    for order in (0, 1, 2):
+        pp = pchip.derivative(order) if order else pchip
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = pp(t)
+        for k in np.flatnonzero(np.isinf(t)):
+            want[k] = _end_cubic_limit(pp.c[:, 0 if t[k] < 0 else -1], t[k])
+        got = W.derivative(t, order) if order else W.eval(t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            (order, t[got.view(np.int64) != want.view(np.int64)])
 
 
 # sizes around powers of two change the parity of the rows left at some

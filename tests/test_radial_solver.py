@@ -247,6 +247,19 @@ def test_unbounded_energy_raises():
         minimize_relaxed(spec, RadialGrid.uniform(1.0, 16))
 
 
+def test_sampled_descent_past_the_grid_raises_without_warning():
+    # the end cubics of this W turn down past its grid, so the energy has
+    # no minimum; descent walks past T (to -inf after 344 steps) and must
+    # say so, with no RuntimeWarning on the way
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0,
+                       W=random_even_sampled(10),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, -1.0)))
+    with pytest.raises(NumericalFailure, match="descent diverged: the relaxed "
+                       r"energy is -inf after \d+ Newton steps"):
+        minimize_relaxed(spec, RadialGrid.uniform(1.0, 256))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_unbounded_descent_brackets_its_shifts(monkeypatch):
@@ -345,7 +358,7 @@ def test_newton_direction_matches_banded_cholesky(three_well_spec):
 
 def test_minimize_sampled_potentials(prototype_spec):
     # a sampled kind's order-2 derivative, which the Newton model takes,
-    # is a centered difference of its first derivative
+    # is the exact W'' of its cubics, which jumps at the sample nodes
     grid = RadialGrid.uniform(1.0, 64)
     mu = np.linspace(-4.0, 4.0, 801)
     G = Potential1D(kind="sampled", samples=(mu, -mu * mu))
