@@ -348,17 +348,23 @@ def _read_profile_csv(path: str, spec: ProblemSpec) -> RadialProfile:
         raise SpecFileError(f"{path}: {exc}") from None
     # finite values can still price to inf: u = 1e300 overflows W and G
     with np.errstate(over="ignore", invalid="ignore"):
-        priced = (spec.W.eval(profile.slopes),
-                  spec.G.eval(profile.midpoint_values))
-    if not all(np.all(np.isfinite(v)) for v in priced):
-        raise SpecFileError(f"{path}: W or G is not finite on this profile")
+        _require_priced(path, "profile", spec.W.eval(profile.slopes),
+                        spec.G.eval(profile.midpoint_values))
     return profile
 
 
-def _read_field_csv(path: str, spec_radius: float) -> DiscField:
+def _require_priced(path: str, what: str, *priced) -> None:
+    """Raise SpecFileError naming path unless every W and G value is finite."""
+    if not all(np.all(np.isfinite(v)) for v in priced):
+        raise SpecFileError(f"{path}: W or G is not finite on this {what}")
+
+
+def _read_field_csv(path: str, spec: ProblemSpec) -> DiscField:
     """Read an x,y,u field table: a header row ``x,y,u``, then one row per
-    node of a square grid over [-R, R]^2, R the spec radius, in any order."""
-    from .disc2d import DiscField
+    node of a square grid over [-R, R]^2, R the spec radius, in any order.
+    W must price each cell's gradient norm and G each cell's mean, as the
+    planar energy takes them."""
+    from .disc2d import DiscField, _gradient, _row_corners
     from .radial_solver import _off_radius
 
     xyu, _ = _read_rows(path, ["x", "y", "u"], header=True)
@@ -388,9 +394,15 @@ def _read_field_csv(path: str, spec_radius: float) -> DiscField:
         fld = DiscField(n, R, vals)
     except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from None
-    if _off_radius(R, spec_radius):
+    if _off_radius(R, spec.radius):
         raise SpecFileError(f"{path}: field radius {R} does not match "
-                            f"spec radius {spec_radius}")
+                            f"spec radius {spec.radius}")
+    # finite values can still price to inf: u = 1e200 overflows W and G
+    corners = _row_corners(fld.values, 0, n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.hypot(*_gradient(*corners, fld.h))
+        _require_priced(path, "field", spec.W.eval(norms.ravel()),
+                        spec.G.eval(0.25 * sum(corners).ravel()))
     return fld
 
 
@@ -501,7 +513,7 @@ def _cmd_symmetry(cfg: argparse.Namespace) -> int:
             f"{cfg.spec}: symmetry needs a spec of dimension 2, "
             f"got {spec.dimension}")
     if cfg.field_csv is not None:
-        fields = [(None, _read_field_csv(cfg.field_csv, spec.radius))]
+        fields = [(None, _read_field_csv(cfg.field_csv, spec))]
     else:
         # one field at a time, whatever the count
         fields = ((cfg.seed + k,

@@ -276,7 +276,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
     _require_coercive(W)
-    if not W.is_even():
+    if not W.even:
         raise ValueError("W must be even")
 
     M = compute_M(W)

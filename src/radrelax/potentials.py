@@ -29,6 +29,12 @@ SHAPE_FLAGS = ("none", "G2", "G2_strict")
 
 _SCAN_POINTS = 10_000
 _EVEN_TOL = 1e-12
+# the fields a kind does not use, which it refuses
+_UNUSED_FIELDS = {
+    "poly_in_t_squared": ("breakpoints", "samples"),
+    "piecewise_poly": ("samples",),
+    "sampled": ("coefficients", "breakpoints"),
+}
 
 
 def _finite_tuple(x, what: str) -> tuple:
@@ -149,10 +155,14 @@ class Potential1D:
             at construction for the others: True for the t^2 kind, the
             evenness probe's verdict for the sampled kind. The probe
             compares W(t) with W(-t) on 1000 points of [0, T]; a
-            piecewise kind declared even must pass it.
+            piecewise kind declared even must pass it. Read evenness
+            from this field.
 
-    Coefficients and breakpoints must be finite. Construction builds all
-    that evaluation needs, and decides the evenness ``is_even`` returns.
+    Coefficients and breakpoints must be finite, and a kind given a field
+    it does not use (breakpoints or samples for the t^2 kind, samples for
+    the piecewise kind, coefficients or breakpoints for the sampled kind)
+    raises ValueError naming it. Construction builds all that evaluation
+    needs, and decides the evenness.
     """
 
     kind: str
@@ -178,6 +188,10 @@ class Potential1D:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        for name in _UNUSED_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if value is not None and len(value):
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.kind == "poly_in_t_squared":
             self.coefficients = _finite_tuple(self.coefficients, "coefficients")
             if not self.coefficients:
@@ -330,10 +344,6 @@ class Potential1D:
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         return self._at(t, order)
-
-    def is_even(self) -> bool:
-        """Whether W is even, as decided at construction."""
-        return self.even
 
 
 def _require_coercive(W: Potential1D):
@@ -491,7 +501,7 @@ class ProblemSpec:
             raise ValueError("p must exceed 1 and be finite")
         if self.shape_flag not in SHAPE_FLAGS:
             raise ValueError(f"unknown shape flag {self.shape_flag!r}")
-        if not self.W.is_even():
+        if not self.W.even:
             raise ValueError("W must be even")
         if self.shape_flag != "none":
             witnesses = check_G_shape(self.G,

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,27 @@ else:
     settings.load_profile("deterministic")
 
 THREE_WELL_BREAK = math.sqrt(151.0 / 60.0)
+
+# Tier-1 (the whole suite) must finish within this wall time
+WALL_BUDGET_S = 40.0
+_session_start = []
+
+
+def pytest_sessionstart(session):
+    _session_start.append(time.perf_counter())
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_terminal_summary(terminalreporter):
+    # every run reports its wall time and test count against the budget
+    wall = time.perf_counter() - _session_start[0]
+    count = sum(len(terminalreporter.stats.get(outcome, ()))
+                for outcome in ("passed", "failed", "error", "skipped",
+                                "xfailed", "xpassed"))
+    verdict = "over" if wall > WALL_BUDGET_S else "within"
+    terminalreporter.write_line(
+        f"wall time {wall:.1f} s for {count} tests, {verdict} the "
+        f"{WALL_BUDGET_S:.0f} s Tier-1 budget")
 
 
 def graded_grid(radius, cells):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
 
-from conftest import field_from_function, three_well, write_field_csv
+from conftest import (field_from_function, make_prototype_spec, three_well,
+                      write_field_csv)
 from corpus import CLI_MATRIX, cli_matrix_digests, matrix_digest
 from oracles import loop_field_grid
 
@@ -406,10 +409,10 @@ def test_symmetry_rejects_non_finite_field_csv(prototype_ini, tmp_path,
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_unpriceable_field_exits_2_writing_no_file(prototype_ini, tmp_path,
+def test_unpriceable_field_exits_1_writing_no_file(prototype_ini, tmp_path,
                                                    capsys, fmt):
     # u = 1e200 inside r < 0.5 is finite, but W and G overflow on it; the
-    # non-finite record is refused by the report or CSV writer before the
+    # reader prices the field and refuses it, naming the CSV, before the
     # output or any per-ray CSV is written, and no RuntimeWarning escapes
     path = tmp_path / "field.csv"
     write_field_csv(field_from_function(
@@ -419,19 +422,22 @@ def test_unpriceable_field_exits_2_writing_no_file(prototype_ini, tmp_path,
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), "--profile-csv",
                  str(tmp_path / "ray_"), "--format", fmt,
-                 "--out", str(out)]) == 2
+                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "numerical failure: Out of range float values are not "
-        f"{fmt.upper()} compliant\n")
+        f"{path}: W or G is not finite on this field\n")
     assert not out.exists()
     assert not list(tmp_path.glob("ray*.csv"))
+
+
+def _prototype_of_radius(radius):
+    return dataclasses.replace(make_prototype_spec(), radius=radius)
 
 
 def test_field_csv_round_trip(tmp_path):
     fld = DiscField.random_smooth(33, 1.5, seed=9)
     path = str(tmp_path / "field.csv")
     write_field_csv(fld, path)
-    back = _read_field_csv(path, 1.5)
+    back = _read_field_csv(path, _prototype_of_radius(1.5))
     assert back.n == fld.n
     assert back.radius == fld.radius
     assert np.array_equal(back.values, fld.values)
@@ -441,15 +447,15 @@ def test_field_csv_errors(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("r,u,du\n0,0,0\n")
     with pytest.raises(ValueError, match="header"):
-        _read_field_csv(str(bad_header), 1.0)
+        _read_field_csv(str(bad_header), _prototype_of_radius(1.0))
     not_square = tmp_path / "b.csv"
     not_square.write_text("x,y,u\n0.0,0.0,1.0\n1.0,0.0,1.0\n")
     with pytest.raises(ValueError, match="square"):
-        _read_field_csv(str(not_square), 1.0)
+        _read_field_csv(str(not_square), _prototype_of_radius(1.0))
     bad_value = tmp_path / "c.csv"
     bad_value.write_text("x,y,u\n0.0,0.0,oops\n")
     with pytest.raises(ValueError, match="line 2"):
-        _read_field_csv(str(bad_value), 1.0)
+        _read_field_csv(str(bad_value), _prototype_of_radius(1.0))
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -461,7 +467,7 @@ def test_field_csv_rejects_non_finite_values(tmp_path, token):
     lines[500] = f"{x},{y},{token}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 501: .*finite"):
-        _read_field_csv(str(path), 1.0)
+        _read_field_csv(str(path), _prototype_of_radius(1.0))
 
 
 def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
@@ -471,6 +477,7 @@ def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "field.csv"
     for n, radius in ((33, 1.0), (65, 1.5), (33, 0.7)):
+        spec = _prototype_of_radius(radius)
         fld = DiscField.random_smooth(n, radius, seed=n)
         x, vals = fld.coords.tolist(), fld.values.tolist()
         rows = [[x[i], x[j], vals[i][j]] for i in range(n) for j in range(n)]
@@ -486,9 +493,9 @@ def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
             assert (ref is None) == (shift > 1e-9)
             if ref is None:
                 with pytest.raises(ValueError, match="off the grid"):
-                    _read_field_csv(str(path), radius)
+                    _read_field_csv(str(path), spec)
             else:
-                back = _read_field_csv(str(path), radius)
+                back = _read_field_csv(str(path), spec)
                 assert (back.n, back.radius) == ref[:2]
                 assert (back.values.tobytes()
                         == DiscField(*ref).values.tobytes())
@@ -714,10 +721,22 @@ def test_dimension_too_large_for_first_cell_exits_2(
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_unbounded_energy_exits_2(tmp_path, capsys):
+def test_unbounded_energy_exits_2(tmp_path, capsys, monkeypatch):
     # G = -20 u^4 outgrows W = (t^2 - 1)^2: descent reaches an energy of
     # -inf, which solve reported as converged in a report that was not
-    # JSON (-Infinity)
+    # JSON (-Infinity). The Hessians of this descent are indefinite with a
+    # positive diagonal, so lam0 is the 1e-8 floor and the first positive
+    # definite shift lies decades above it; trying the decades one at a
+    # time took 87,018 factorizations in the same 968 steps
+    import radrelax.radial_solver as rs
+
+    solve, calls = rs._spd_tridiagonal_solve, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(rs, "_spd_tridiagonal_solve", counted)
     spec = ProblemSpec(dimension=2, radius=1.0, p=4.0,
                        W=Potential1D(kind="poly_in_t_squared",
                                      coefficients=(1.0, -2.0, 1.0)),
@@ -731,8 +750,9 @@ def test_unbounded_energy_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: descent diverged: the relaxed "
-                          "energy is -inf after ")
+                          "energy is -inf after 968 Newton steps")
     assert not out.exists()
+    assert calls[0] < 20000
 
 
 def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
@@ -911,33 +931,6 @@ def test_parsed_defaults(command, prototype_ini):
                          "out": None, "fmt": "json", **_DEFAULTS[command]}
 
 
-def test_parser_reuse_carries_no_flag_values(prototype_ini, tmp_path,
-                                             monkeypatch, capsys):
-    # main builds its parser once per process; every call must still
-    # print and exit as a fresh ``python -m radrelax.cli`` does
-    csv_path = tmp_path / "profile.csv"
-    _half_slope_csv(csv_path)
-    calls = [
-        ["solve", "--spec", prototype_ini, "--oracle", "--u-levels", "50"],
-        ["solve", "--spec", prototype_ini],
-        ["verify", "--spec", prototype_ini, "--profile-csv", str(csv_path)],
-        ["oracle", "--spec", prototype_ini],
-        ["envelope", "--spec", prototype_ini, "--format", "csv"],
-        ["oracle", "--spec", prototype_ini, "--u-levels", "50", "--bogus"],
-        ["--help"],
-    ]
-    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
-    for argv in calls:
-        rc = main(argv)
-        got = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "radrelax.cli", *argv],
-                               env=env, capture_output=True, timeout=120)
-        assert (rc, got.out.encode(), got.err.encode()) == (
-            fresh.returncode, fresh.stdout, fresh.stderr), argv
-
-
 def test_numerical_failure_exits_2(prototype_ini, monkeypatch, capsys):
     # a tangency that fails its checks is a numerical failure, not a usage
     # error; no valid spec is known to trip one, so the envelope raises it
@@ -1027,150 +1020,7 @@ def test_dimension_with_overflowing_sphere_area_exits_1(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("which", ["prototype", "three_well"])
-def test_cold_start_loads_no_scipy(which, prototype_ini, tmp_path):
-    # the command line, a polynomial envelope and Newton descent never
-    # touch scipy, so start-up must not pay for importing it; the
-    # three-well has affine pieces of nonzero slope, whose tangency points
-    # are found too, and an indefinite Hessian at two of its starts
-    spec_path = prototype_ini
-    if which == "three_well":
-        spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
-                           G=Potential1D(kind="poly_in_t_squared",
-                                         coefficients=(0.0, -1.0)),
-                           shape_flag="G2")
-        spec_path = str(tmp_path / "three_well.ini")
-        with open(spec_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_spec_text(spec))
-    commands = ["envelope", "solve", "verify"]
-    code = (
-        "import json, sys\n"
-        "from radrelax.cli import main\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "seen = [scipy_modules()]\n"
-        f"for command in {commands!r}:\n"
-        f"    out = {str(tmp_path)!r} + '/' + command + '.json'\n"
-        f"    rc = main([command, '--spec', {spec_path!r}, '--out', out])\n"
-        "    with open(out, encoding='utf-8') as fh:\n"
-        "        results = json.load(fh)['results']\n"
-        "    seen.append([rc, results.get('converged'), scipy_modules()])\n"
-        "print(json.dumps(seen))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True)
-    after_import, *after = json.loads(out.stdout.splitlines()[-1])
-    assert after_import == []
-    # the three-well fails its corner check (exit 3) at 256 cells; its
-    # descent converges all the same. Only solve reports the converged
-    # flag.
-    verdict = 0 if which == "prototype" else 3
-    assert after == [[0, None, []], [verdict, True, []], [verdict, None, []]]
-
-
-def _runtime_exit_codes(prototype_ini, tmp_path, prelude):
-    # the exit codes of six command lines, one per command plus the
-    # three-well, run in process by a child that first executes prelude.
-    # Under -u^2 + 0.5u^4 the three-well's descent takes hundreds of
-    # Newton steps, most of them Levenberg-shifted; its solve fails a
-    # qualitative check (exit 3)
-    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
-                       G=Potential1D(kind="poly_in_t_squared",
-                                     coefficients=(0.0, -1.0, 0.5)),
-                       shape_flag="none")
-    three_well_ini = str(tmp_path / "three_well_quartic.ini")
-    with open(three_well_ini, "w", encoding="utf-8") as fh:
-        fh.write(emit_spec_text(spec))
-    runs = [["solve", "--spec", prototype_ini, "--oracle"],
-            ["verify", "--spec", prototype_ini],
-            ["envelope", "--spec", prototype_ini],
-            ["oracle", "--spec", prototype_ini],
-            ["symmetry", "--spec", prototype_ini],
-            ["solve", "--spec", three_well_ini, "--grid-points", "64"]]
-    code = (
-        "import json, sys\n"
-        + prelude +
-        "from radrelax.cli import main\n"
-        f"runs = {runs!r}\n"
-        f"outs = [{str(tmp_path)!r} + f'/{{k}}.out' for k in range(len(runs))]\n"
-        "print(json.dumps([main(argv + ['--out', out])\n"
-        "                  for argv, out in zip(runs, outs)]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def test_runtime_works_without_scipy(prototype_ini, tmp_path):
-    # every import of scipy fails, and each command still runs
-    prelude = (
-        "class NoScipy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.split('.')[0] == 'scipy':\n"
-        "            raise ImportError('scipy is unavailable')\n"
-        "sys.meta_path.insert(0, NoScipy())\n")
-    assert (_runtime_exit_codes(prototype_ini, tmp_path, prelude)
-            == [0, 0, 0, 0, 0, 3])
-
-
-def test_runtime_makes_no_lapack_call(prototype_ini, tmp_path):
-    # numpy's LAPACK-backed solvers, and polyfit (lstsq underneath),
-    # raise; each command still runs to the same exit code. The first
-    # LAPACK call leaves about 1 MB of workspace resident
-    prelude = (
-        "import numpy\n"
-        "def _no_lapack(name):\n"
-        "    def call(*args, **kwargs):\n"
-        "        raise AssertionError(f'LAPACK call: {name}')\n"
-        "    return call\n"
-        "numpy.polyfit = _no_lapack('polyfit')\n"
-        "for name in ('lstsq', 'solve', 'svd', 'inv', 'pinv', 'qr',\n"
-        "             'cholesky', 'eig', 'eigh', 'eigvals', 'eigvalsh'):\n"
-        "    setattr(numpy.linalg, name, _no_lapack(name))\n")
-    assert (_runtime_exit_codes(prototype_ini, tmp_path, prelude)
-            == [0, 0, 0, 0, 0, 3])
-
-
 _CORE = ["cli", "envelope", "potentials", "specfile"]
-
-
-@pytest.mark.parametrize("argv,extra", [
-    (["envelope", "--grid-points", "64"], []),
-    (["oracle", "--grid-points", "16", "--u-levels", "20"], ["radial_solver"]),
-    (["solve", "--oracle", "--grid-points", "64", "--u-levels", "20"],
-     ["radial_solver", "verify"]),
-    (["verify", "--grid-points", "64"], ["radial_solver", "verify"]),
-    (["verify", "--profile-csv", "{csv}"], ["radial_solver", "verify"]),
-    (["symmetry", "--grid-points", "33", "--rays", "4"],
-     ["disc2d", "radial_solver"]),
-], ids=["envelope", "oracle", "solve_oracle", "verify", "verify_csv",
-        "symmetry"])
-def test_each_command_loads_only_its_modules(argv, extra, prototype_ini,
-                                             tmp_path):
-    # a fresh interpreter runs one command in process and lists the
-    # radrelax modules it has loaded: each command imports what it runs
-    csv_path = tmp_path / "profile.csv"
-    _half_slope_csv(csv_path)
-    argv = [a.format(csv=csv_path) for a in argv]
-    code = (
-        "import json, sys\n"
-        "from radrelax.cli import main\n"
-        f"rc = main({argv!r} + ['--spec', {prototype_ini!r},\n"
-        f"                      '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(json.dumps([rc, sorted(m.split('.', 1)[1] for m in sys.modules\n"
-        "                             if m.startswith('radrelax.'))]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radrelax.__file__))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    rc, loaded = json.loads(out.stdout.splitlines()[-1])
-    assert rc in (0, 3)
-    assert loaded == sorted(_CORE + extra)
 
 
 def test_renamed_package_copy_loads_no_radrelax_module(tmp_path):
@@ -1226,3 +1076,175 @@ def test_matrix_digest_folds_runs_in_name_order():
     assert folded == matrix_digest(dict(sorted(runs.items())))
     assert len(folded) == 16 and int(folded, 16) >= 0
     assert folded != matrix_digest({**runs, "b:solve": "2" * 64})
+
+
+# The fresh-process tests share one run of each command line below, each
+# in its own child interpreter: the child records and refuses every scipy
+# import and every LAPACK-backed numpy call (polyfit is lstsq underneath;
+# the first LAPACK call leaves about 1 MB of workspace resident), runs
+# main on its argv as ``python -m radrelax.cli`` does, and records the
+# radrelax modules it loaded
+_CHILD = """\
+import json, sys
+record = {"scipy": [], "lapack": []}
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            record["scipy"].append(name)
+            raise ImportError("scipy is unavailable")
+
+
+sys.meta_path.insert(0, NoScipy())
+import numpy
+
+
+def no_lapack(name):
+    def call(*args, **kwargs):
+        record["lapack"].append(name)
+        raise AssertionError(f"LAPACK call: {name}")
+    return call
+
+
+numpy.polyfit = no_lapack("polyfit")
+for name in ("lstsq", "solve", "svd", "inv", "pinv", "qr", "cholesky",
+             "eig", "eigh", "eigvals", "eigvalsh"):
+    setattr(numpy.linalg, name, no_lapack(name))
+try:
+    from radrelax.cli import main
+    code = main(sys.argv[2:])
+finally:
+    record["modules"] = sorted(m.split(".", 1)[1] for m in sys.modules
+                               if m.startswith("radrelax."))
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+sys.exit(code)
+"""
+
+# name: (argv, exit code). The three-well under G = -u^2 (G2) has affine
+# envelope pieces of nonzero slope, whose tangency points are found too,
+# and fails its corner check (exit 3) at 256 cells though its descent
+# converges. Under G = -u^2 + 0.5u^4 its descent takes hundreds of Newton
+# steps, most of them Levenberg-shifted, and fails a qualitative check
+_RUNS = {
+    "solve_oracle": (["solve", "--spec", "{prototype}", "--oracle",
+                      "--u-levels", "50"], 0),
+    "solve": (["solve", "--spec", "{prototype}"], 0),
+    "verify_csv": (["verify", "--spec", "{prototype}", "--profile-csv",
+                    "{csv}"], 3),
+    "oracle": (["oracle", "--spec", "{prototype}"], 0),
+    "envelope": (["envelope", "--spec", "{prototype}"], 0),
+    "envelope_csv": (["envelope", "--spec", "{prototype}", "--format", "csv"],
+                     0),
+    "bad_flag": (["oracle", "--spec", "{prototype}", "--u-levels", "50",
+                  "--bogus"], 1),
+    "help": (["--help"], 0),
+    "verify": (["verify", "--spec", "{prototype}"], 0),
+    "symmetry": (["symmetry", "--spec", "{prototype}"], 0),
+    "three_well_envelope": (["envelope", "--spec", "{three_well}"], 0),
+    "three_well_solve": (["solve", "--spec", "{three_well}"], 3),
+    "three_well_verify": (["verify", "--spec", "{three_well}"], 3),
+    "quartic_solve": (["solve", "--spec", "{quartic}", "--grid-points",
+                       "64"], 3),
+}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fresh_children(prototype_ini, tmp_path_factory):
+    """Each command line of _RUNS, run once in a fresh child, as futures.
+    The children start with the module's first test, one at a time, so
+    they run beside the in-process tests that come before their readers."""
+    work = tmp_path_factory.mktemp("fresh")
+    paths = {"prototype": prototype_ini, "csv": str(work / "profile.csv")}
+    _half_slope_csv(work / "profile.csv")
+    for name, G in (("three_well", (0.0, -1.0)), ("quartic", (0.0, -1.0, 0.5))):
+        spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=three_well(),
+                           G=Potential1D(kind="poly_in_t_squared",
+                                         coefficients=G),
+                           shape_flag="G2" if name == "three_well" else "none")
+        paths[name] = str(work / f"{name}.ini")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(emit_spec_text(spec))
+    env = dict(os.environ, COLUMNS="80",  # the help text wraps to it
+               PYTHONPATH=os.path.dirname(os.path.dirname(radrelax.__file__)))
+
+    def run(name):
+        argv = [a.format(**paths) for a in _RUNS[name][0]]
+        record = work / f"{name}.json"
+        out = subprocess.run([sys.executable, "-c", _CHILD, str(record), *argv],
+                             env=env, capture_output=True, timeout=120)
+        return {**json.loads(record.read_text()), "argv": argv,
+                "code": out.returncode, "stdout": out.stdout,
+                "stderr": out.stderr}
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        yield {name: pool.submit(run, name) for name in _RUNS}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture
+def fresh_runs(_fresh_children):
+    """Per command line of _RUNS: its argv, exit code, stdout and stderr
+    bytes, the radrelax modules it loaded, and the scipy modules and
+    LAPACK functions it asked for."""
+    return {name: run.result() for name, run in _fresh_children.items()}
+
+
+def test_parser_reuse_carries_no_flag_values(fresh_runs, monkeypatch, capsys):
+    # main builds its parser once per process; every call must still
+    # print and exit as a fresh ``python -m radrelax.cli`` does
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("solve_oracle", "solve", "verify_csv", "oracle",
+                 "envelope_csv", "bad_flag", "help"):
+        fresh = fresh_runs[name]
+        rc = main(fresh["argv"])
+        got = capsys.readouterr()
+        assert (rc, got.out.encode(), got.err.encode()) == (
+            fresh["code"], fresh["stdout"], fresh["stderr"]), name
+
+
+@pytest.mark.parametrize("which", ["prototype", "three_well"])
+def test_cold_start_loads_no_scipy(which, fresh_runs):
+    # the command line, a polynomial envelope and Newton descent never
+    # touch scipy, so start-up must not pay for importing it. Only solve
+    # reports the converged flag
+    prefix = "" if which == "prototype" else "three_well_"
+    runs = [fresh_runs[prefix + command]
+            for command in ("envelope", "solve", "verify")]
+    verdict = 0 if which == "prototype" else 3
+    assert [[run["code"],
+             json.loads(run["stdout"])["results"].get("converged"),
+             run["scipy"]] for run in runs] == [
+        [0, None, []], [verdict, True, []], [verdict, None, []]]
+
+
+def test_runtime_works_without_scipy(fresh_runs):
+    # every import of scipy fails, and each command still runs to its
+    # exit code
+    assert {name: run["code"] for name, run in fresh_runs.items()} == {
+        name: code for name, (_, code) in _RUNS.items()}
+
+
+def test_runtime_makes_no_lapack_call(fresh_runs):
+    # numpy's LAPACK-backed solvers, and polyfit, raise; no command calls
+    # one
+    assert {name: run["lapack"] for name, run in fresh_runs.items()} == {
+        name: [] for name in _RUNS}
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("envelope", []),
+    ("oracle", ["radial_solver"]),
+    ("solve_oracle", ["radial_solver", "verify"]),
+    ("verify", ["radial_solver", "verify"]),
+    ("verify_csv", ["radial_solver", "verify"]),
+    ("symmetry", ["disc2d", "radial_solver"]),
+], ids=["envelope", "oracle", "solve_oracle", "verify", "verify_csv",
+        "symmetry"])
+def test_each_command_loads_only_its_modules(name, extra, fresh_runs):
+    # each command imports what it runs
+    assert fresh_runs[name]["code"] in (0, 3)
+    assert fresh_runs[name]["modules"] == sorted(_CORE + extra)

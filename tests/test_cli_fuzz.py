@@ -2,7 +2,20 @@
 texts, profile CSVs and field CSVs with lines dropped, duplicated, swapped
 or truncated and with one token replaced. Every run ends with an exit code
 in {0, 1, 2, 3}, no exception leaves ``main``, and an exit 1 names the
-input file."""
+input file.
+
+Example counts. An outcome class is an exit code with the last stderr
+line, its numbers and quoted tokens blanked. Derandomized runs draw
+other examples at other counts, so each cut count was checked on its own
+draws:
+- spec texts, 400: the 400-example run still finds a new class at
+  example 345, so the count stays.
+- profile CSVs, 120 (was 400): the 400-example run finds its last new
+  class at example 105; 120 examples find all of its classes.
+- field CSVs, 80 (was 200): the 200-example run finds its last new class
+  at example 55; 80 examples find all of its classes, 60 miss three.
+At the cut counts each test still kills every seeded single-site mutant
+of ``src/radrelax`` its longer run killed."""
 
 import contextlib
 import io
@@ -77,7 +90,7 @@ def test_mutated_spec_exit_codes(name, data, tmp_path_factory):
          spec)
 
 
-@settings(max_examples=400)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_mutated_profile_csv_exit_codes(data, tmp_path_factory):
     work = tmp_path_factory.mktemp("csv")
@@ -95,11 +108,12 @@ def field_csv_text(tmp_path_factory):
     return path.read_text()
 
 
-@settings(max_examples=200)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_mutated_field_csv_exit_codes(data, field_csv_text, tmp_path_factory):
-    # a field W or G cannot price exits 2 and writes no file, as
-    # test_unpriceable_field_exits_2_writing_no_file in test_cli.py pins
+    # a field W or G cannot price exits 1 naming the CSV and writes no
+    # file, as test_unpriceable_field_exits_1_writing_no_file in
+    # test_cli.py pins
     work = tmp_path_factory.mktemp("field")
     spec, field = work / "spec.ini", work / "field.csv"
     spec.write_text(PROTOTYPE_INI)

@@ -168,7 +168,6 @@ def test_sampled_evenness_is_the_even_field():
     # potential equals the same samples declared even
     W = random_even_sampled(3)
     assert W.even is True
-    assert W.is_even() is True
     assert W == Potential1D(kind="sampled", samples=W.samples, even=True)
     t = np.linspace(-2.0, 2.0, 41)
     tilted = Potential1D(kind="sampled", samples=(t, t ** 4 + 0.1 * t),
@@ -177,10 +176,10 @@ def test_sampled_evenness_is_the_even_field():
 
 
 def test_evenness_declarations():
-    assert double_well().is_even()
-    assert three_well().is_even()
+    assert double_well().even is True
+    assert three_well().even is True
     odd = Potential1D(kind="piecewise_poly", coefficients=((0.0, 1.0, 0.0, 1.0),))
-    assert not odd.is_even()
+    assert odd.even is False
     with pytest.raises(ValueError, match="declared even"):
         Potential1D(kind="piecewise_poly", coefficients=((0.0, 1.0, 0.0, 1.0),),
                     even=True)
@@ -210,6 +209,27 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="finite"):
         Potential1D(kind="sampled",
                     samples=((-1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 1.0, 2.0)))
+
+
+_SAMPLES = ((-1.0, 0.0, 1.0, 2.0), (1.0, 0.0, 1.0, 4.0))
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("poly_in_t_squared", "breakpoints", (10.0,)),
+    ("poly_in_t_squared", "samples", _SAMPLES),
+    ("piecewise_poly", "samples", _SAMPLES),
+    ("sampled", "coefficients", (1.0, -2.0, 1.0)),
+    ("sampled", "breakpoints", (10.0,)),
+])
+def test_unused_fields_rejected(kind, field, value):
+    # a field its kind never evaluates would still count in equality, and
+    # breakpoints would size T: the double well given breakpoints=(10.0,)
+    # got T = 13.5 instead of 2.50
+    given = {"poly_in_t_squared": {"coefficients": (1.0, -2.0, 1.0)},
+             "piecewise_poly": {"coefficients": ((1.0, -2.0, 1.0),)},
+             "sampled": {"samples": _SAMPLES}}[kind]
+    with pytest.raises(ValueError, match=f"^{kind} takes no {field}$"):
+        Potential1D(kind=kind, **given, **{field: value})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from radrelax.cli import _json_text  # noqa: E402
+from radrelax.cli import _csv_text, _json_text  # noqa: E402
 from radrelax.envelope import (_hull_values, _lower_hull, _runs,  # noqa: E402
                                convexify)
 from radrelax.potentials import (Potential1D, ProblemSpec,  # noqa: E402
@@ -63,6 +63,7 @@ def profiles(draw):
     return RadialProfile(grid, u - u[-1])
 
 
+@settings(max_examples=50)
 @given(prof=profiles(), name=st.sampled_from(sorted(_SPECS)))
 def test_rearrangement_laws(prof, name):
     spec = _SPECS[name]
@@ -108,6 +109,7 @@ def _level_slopes(env):
     return sorted({float(x) for x in out if x >= 0.0})
 
 
+@settings(max_examples=50)
 @given(name=st.sampled_from(sorted(_LEVEL_POTENTIALS)), data=st.data())
 def test_rearrangement_matches_bisecting_oracle(name, data):
     # cells of unit width whose nodes alternate between 0 and a drawn
@@ -183,6 +185,7 @@ def even_samples(draw):
     return t, w
 
 
+@settings(max_examples=50)
 @given(samples=even_samples())
 def test_sampled_hull_matches_chord_oracle(samples):
     # the hull convexify builds for a sampled W, on the samples themselves
@@ -248,6 +251,7 @@ def _containers(children):
             | st.dictionaries(st.text(), children, max_size=4))
 
 
+@settings(max_examples=50)
 @given(obj=st.recursive(_SCALARS | _FLOAT_LISTS, _containers, max_leaves=30))
 @example(obj={})
 @example(obj=[])
@@ -281,6 +285,14 @@ def test_report_writer_rejects_nan_and_infinity(obj):
     # RFC 8259 JSON has no NaN or Infinity token
     with pytest.raises(ValueError, match="not JSON compliant"):
         _json_text(obj)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_csv_writer_rejects_nan_and_infinity(value):
+    # the readers refuse inputs that price to NaN or infinity, so no
+    # command is known to hand the CSV writer one; it refuses them too
+    with pytest.raises(ValueError, match="not CSV compliant"):
+        _csv_text(["r", "u"], [(0.0, 1.0), (1.0, value)])
 
 
 def _bits(x):
@@ -435,6 +447,7 @@ def sampled_potentials(draw):
     return Potential1D(kind="sampled", samples=(t, w))
 
 
+@settings(max_examples=50)
 @given(W=sampled_potentials(),
        ts=st.lists(st.floats(-200.0, 200.0, allow_nan=False), max_size=16),
        beyond=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))
