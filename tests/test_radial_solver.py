@@ -260,6 +260,31 @@ def test_sampled_descent_past_the_grid_raises_without_warning():
         minimize_relaxed(spec, RadialGrid.uniform(1.0, 256))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_unbounded_descent_brackets_its_shifts(monkeypatch):
+    # the Hessians of this descent are indefinite with a positive
+    # diagonal, so lam0 is the 1e-8 floor and the first positive definite
+    # shift lies decades above it; trying the decades one at a time took
+    # 87,018 factorizations in the same 968 steps
+    import radrelax.radial_solver as rs
+
+    solve, calls = rs._spd_tridiagonal_solve, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(rs, "_spd_tridiagonal_solve", counted)
+    spec = ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(),
+                       G=Potential1D(kind="poly_in_t_squared",
+                                     coefficients=(0.0, 0.0, -20.0)),
+                       shape_flag="none")
+    with pytest.raises(NumericalFailure, match="-inf after 968 Newton steps"):
+        minimize_relaxed(spec, RadialGrid.uniform(1.0, 64))
+    assert calls[0] < 20000
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e9, 1e40])
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_direction_picks_the_first_positive_definite_rung(scale, seed):
