@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .specfile import SpecFileError, emit_spec_text, parse_spec
 
 # each command imports the modules it runs, so a command loads only those
 if TYPE_CHECKING:
-    from .disc2d import DiscField
+    from .disc2d import DiscField, _DiscGeometry
     from .radial_solver import RadialGrid, RadialProfile
 
 SCHEMA_VERSION = 2
@@ -149,6 +149,9 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
             raise UsageError(f"{what} not found: {path}")
     if cmd == "symmetry" and cfg.random_fields < 1:
         raise UsageError("--random-fields must be at least 1")
+    if cmd == "symmetry" and cfg.seed + cfg.random_fields - 1 >= 2 ** 64:
+        # each field's seed is echoed, and must be one --seed accepts
+        raise UsageError("--seed + --random-fields - 1 must fit in 64 bits")
     if cmd == "envelope" and cfg.grid_points < 64:
         raise UsageError("--grid-points must be at least 64 for envelope")
     if cmd in ("solve", "verify") and cfg.grid_points < 16:
@@ -160,11 +163,13 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     if cmd == "symmetry" and cfg.rays < 1:
         raise UsageError("--rays must be at least 1")
     if cmd in ("solve", "verify"):
-        # NaN fails both comparisons; an infinite window fits every cell
-        if cfg.window is not None and not cfg.window > 0.0:
-            raise UsageError("--window must be positive")
-        if not cfg.tol_corner >= 0.0:
-            raise UsageError("--tol-corner must be nonnegative")
+        # NaN fails every comparison. The corner record echoes both values,
+        # and JSON cannot hold inf; a finite window of R or more already
+        # takes every cell
+        if cfg.window is not None and not 0.0 < cfg.window < math.inf:
+            raise UsageError("--window must be positive and finite")
+        if not 0.0 <= cfg.tol_corner < math.inf:
+            raise UsageError("--tol-corner must be nonnegative and finite")
     if cmd == "symmetry" and cfg.field_csv is None:
         if cfg.grid_points < 33 or cfg.grid_points % 2 == 0:
             raise UsageError(
@@ -359,12 +364,13 @@ def _require_priced(path: str, what: str, *priced) -> None:
         raise SpecFileError(f"{path}: W or G is not finite on this {what}")
 
 
-def _read_field_csv(path: str, spec: ProblemSpec) -> DiscField:
+def _read_field_csv(path: str,
+                    spec: ProblemSpec) -> Tuple[DiscField, _DiscGeometry]:
     """Read an x,y,u field table: a header row ``x,y,u``, then one row per
     node of a square grid over [-R, R]^2, R the spec radius, in any order.
     W must price each cell's gradient norm and G each cell's mean, as the
-    planar energy takes them."""
-    from .disc2d import DiscField, _gradient, _row_corners
+    planar energy takes them. Returns the field and its grid geometry."""
+    from .disc2d import DiscField, _DiscGeometry
     from .radial_solver import _off_radius
 
     xyu, _ = _read_rows(path, ["x", "y", "u"], header=True)
@@ -377,12 +383,13 @@ def _read_field_csv(path: str, spec: ProblemSpec) -> DiscField:
     R = float(np.abs(xyu[:, 0]).max())
     if R <= 0.0 or n == 1:
         raise SpecFileError(f"{path}: degenerate grid")
+    geo = _DiscGeometry(n, R)
     # each node's nearest grid index; one past the grid (a far y overflows
     # to inf) clips to an edge node at least h/2 away, so it is off the grid
     with np.errstate(over="ignore"):
-        ij = np.rint((xyu[:, :2] + R) / (2.0 * R / (n - 1)))
+        ij = np.rint((xyu[:, :2] + R) / geo.h)
     ij = np.clip(ij, 0, n - 1).astype(np.intp)
-    on = (np.abs(np.linspace(-R, R, n)[ij] - xyu[:, :2]) <= 1e-9 * R).all(axis=1)
+    on = (np.abs(geo.x[ij] - xyu[:, :2]) <= 1e-9 * R).all(axis=1)
     if not on.all():
         px, py = xyu[np.argmin(on), :2]
         raise SpecFileError(f"{path}: node ({float(px)}, {float(py)}) off the grid")
@@ -398,12 +405,11 @@ def _read_field_csv(path: str, spec: ProblemSpec) -> DiscField:
         raise SpecFileError(f"{path}: field radius {R} does not match "
                             f"spec radius {spec.radius}")
     # finite values can still price to inf: u = 1e200 overflows W and G
-    corners = _row_corners(fld.values, 0, n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.hypot(*_gradient(*corners, fld.h))
-        _require_priced(path, "field", spec.W.eval(norms.ravel()),
-                        spec.G.eval(0.25 * sum(corners).ravel()))
-    return fld
+        for _, _, ux, uy, ubar in geo.cells(fld.values):
+            _require_priced(path, "field", spec.W.eval(np.hypot(ux, uy).ravel()),
+                            spec.G.eval(ubar.ravel()))
+    return fld, geo
 
 
 def _cmd_envelope(cfg: argparse.Namespace) -> int:
@@ -504,17 +510,20 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry(cfg: argparse.Namespace) -> int:
-    from .disc2d import (DiscField, averaged_ray_energy_check,
-                         colinearity_defect, ray_profiles)
+    from .disc2d import (DiscField, _colinearity, _DiscGeometry, _ray_check,
+                         ray_profiles)
 
     spec = parse_spec(cfg.spec)
     if spec.dimension != 2:
         raise SpecFileError(
             f"{cfg.spec}: symmetry needs a spec of dimension 2, "
             f"got {spec.dimension}")
+    # one grid geometry for every field of the run
     if cfg.field_csv is not None:
-        fields = [(None, _read_field_csv(cfg.field_csv, spec))]
+        fld, geo = _read_field_csv(cfg.field_csv, spec)
+        fields = [(None, fld)]
     else:
+        geo = _DiscGeometry(cfg.grid_points, spec.radius)
         # one field at a time, whatever the count
         fields = ((cfg.seed + k,
                    DiscField.random_smooth(cfg.grid_points, spec.radius,
@@ -526,8 +535,8 @@ def _cmd_symmetry(cfg: argparse.Namespace) -> int:
         # a field W or G cannot price gives a non-finite record, which the
         # report writer refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = averaged_ray_energy_check(fld, spec, n_thetas=cfg.rays)
-            defect = colinearity_defect(fld)
+            rep = _ray_check(geo, fld, spec, cfg.rays)
+            defect = _colinearity(geo, fld)
         rec = rep.to_dict()
         rec["defect"] = defect
         rec["field_seed"] = field_seed

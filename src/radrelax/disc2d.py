@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -76,28 +76,23 @@ class DiscField:
 
     @property
     def mask(self) -> np.ndarray:
-        """Nodes strictly inside the circle, tested a block of rows at a
-        time, so no n-by-n float array is built."""
-        x = self.coords
-        x2 = x * x
-        inside = np.empty((self.n, self.n), dtype=bool)
-        for a, b in _row_blocks(self.n):
-            inside[a:b] = x2[a:b, None] + x2[None, :] < self.radius ** 2
-        return inside
+        """Nodes strictly inside the circle."""
+        return _DiscGeometry(self.n, self.radius).mask
 
     @property
     def coords(self) -> np.ndarray:
-        return np.linspace(-self.radius, self.radius, self.n)
+        return _DiscGeometry(self.n, self.radius).x
 
     @property
     def h(self) -> float:
-        return 2.0 * self.radius / (self.n - 1)
+        return _DiscGeometry(self.n, self.radius).h
 
     @classmethod
     def random_smooth(cls, n: int, radius: float, seed: int) -> "DiscField":
         """Seeded sum of four Gaussian bumps tapered to zero at the rim."""
         rng = np.random.default_rng(seed)
-        x = np.linspace(-radius, radius, n)
+        geo = _DiscGeometry(n, radius)
+        x = geo.x
         vals = np.zeros((n, n))
         for _ in range(4):
             rho = 0.6 * radius * math.sqrt(rng.uniform())
@@ -108,9 +103,8 @@ class DiscField:
             dx2, dy2 = (x - cx) ** 2, (x - cy) ** 2
             vals += amp * np.exp(-(dx2[:, None] + dy2[None, :])
                                  / (2.0 * sigma * sigma))
-        x2 = x * x
-        taper = np.clip(1.0 - (x2[:, None] + x2[None, :]) / radius ** 2,
-                        0.0, None)
+        taper = geo._outer(
+            geo.x2, lambda s: np.clip(1.0 - s / radius ** 2, 0.0, None), float)
         return cls(n, radius, vals * taper)
 
 
@@ -121,15 +115,9 @@ def _row_blocks(rows: int, size: int = _BLOCK_ROWS):
         yield a, min(a + size, rows)
 
 
-def _row_corners(arr: np.ndarray, a: int, b: int):
-    """Nodal values at the four corners of the cells in rows a..b: the
-    node itself, the next along x, the next along y, the opposite one."""
-    return (arr[a:b, :-1], arr[a + 1:b + 1, :-1],
-            arr[a:b, 1:], arr[a + 1:b + 1, 1:])
-
-
 def _cell_corners(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The corners of ``_row_corners`` for the cells (i[k], j[k])."""
+    """Nodal values at the four corners of the cells (i[k], j[k]): the
+    node itself, the next along x, the next along y, the opposite one."""
     return arr[i, j], arr[i + 1, j], arr[i, j + 1], arr[i + 1, j + 1]
 
 
@@ -139,117 +127,137 @@ def _gradient(c00, c10, c01, c11, h: float):
             (c01 - c00 + c11 - c10) / (2.0 * h))
 
 
-def _far2(x: np.ndarray) -> np.ndarray:
-    """Per cell along one axis of nodes x, the larger squared coordinate
-    of its two nodes: cell (i, j) is full, all four corners in the mask,
-    exactly when ``far2[i] + far2[j] < radius ** 2``.
+class _DiscGeometry:
+    """What the n-by-n grid over [-R, R]^2 fixes, whatever the field on
+    it: each fact is derived once, the two-dimensional ones on first use,
+    and kept.
 
-    The mask compares x^2 + y^2 at each node, and rounded sums are
-    monotone, so the largest of a cell's four corner sums is the sum of
-    its per-axis maxima, bit for bit.
+    The public kernels build one per call; ``radrelax symmetry`` builds
+    one per run and prices every field on it.  The two-dimensional facts
+    are built a block of rows at a time, so none needs an n-by-n float
+    temporary.
     """
-    x2 = x * x
-    return np.maximum(x2[:-1], x2[1:])
 
+    def __init__(self, n: int, radius: float):
+        self.n = n
+        self.radius = radius
+        self.h = 2.0 * radius / (n - 1)
+        # node coordinates along one axis (the same on both), and the
+        # cell centres
+        self.x = np.linspace(-radius, radius, n)
+        self.xc = 0.5 * (self.x[:-1] + self.x[1:])
+        self.x2 = self.x * self.x
+        # per cell along one axis, the larger squared coordinate of its two
+        # nodes: the mask compares x^2 + y^2 at each node, and rounded sums
+        # are monotone, so the largest of a cell's four corner sums is the
+        # sum of its per-axis maxima, bit for bit
+        self.far2 = np.maximum(self.x2[:-1], self.x2[1:])
 
-def _cell_centres(fld: DiscField) -> np.ndarray:
-    """Cell-centre coordinates along one axis (the same on both)."""
-    x = fld.coords
-    return 0.5 * (x[:-1] + x[1:])
+    def _outer(self, s2: np.ndarray, fn, dtype=bool) -> np.ndarray:
+        # fn(s2[i] + s2[j]) for every pair (i, j), a block of rows at a time
+        out = np.empty((len(s2), len(s2)), dtype=dtype)
+        for a, b in _row_blocks(len(s2)):
+            out[a:b] = fn(s2[a:b, None] + s2[None, :])
+        return out
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Nodes strictly inside the circle."""
+        return self._outer(self.x2, lambda s: s < self.radius ** 2)
 
-def _rim(fld: DiscField):
-    """The rim cells in row-major order, as index arrays (i, j), and the
-    fraction of each inside the disc.
+    @cached_property
+    def full(self) -> np.ndarray:
+        """Full cells, all four corners in the mask."""
+        return self._outer(self.far2, lambda s: s < self.radius ** 2)
 
-    A cell is in the rim when it is not full (``far2[i] + far2[j] >=
-    radius ** 2``) and the point of its box nearest the origin lies
-    inside the disc.  The fraction counts the subcell centres of a
-    16x16 lattice that lie inside; the count of 0/1 values is exact, so
-    it has the bits of their float mean.
-    """
-    x = fld.coords
-    R = fld.radius
-    far2 = _far2(x)
-    # nearest point of the cell box to the origin, per axis
-    near = np.clip(0.0, x[:-1], x[1:])
-    near2 = near * near
-    rows, cols = [], []
-    for a, b in _row_blocks(len(far2)):
-        rim = ((far2[a:b, None] + far2[None, :] >= R ** 2)
-               & (np.sqrt(near2[a:b, None] + near2[None, :]) < R))
-        ii, jj = np.nonzero(rim)
-        rows.append(ii + a)
-        cols.append(jj)
-    i, j = np.concatenate(rows), np.concatenate(cols)
-    frac = np.empty(len(i))
-    off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * fld.h
-    for s in range(0, len(i), _RIM_CHUNK):
-        sx = x[i[s:s + _RIM_CHUNK], None, None] + off[None, :, None]
-        sy = x[j[s:s + _RIM_CHUNK], None, None] + off[None, None, :]
-        frac[s:s + _RIM_CHUNK] = np.count_nonzero(
-            sx * sx + sy * sy < R * R, axis=(1, 2)) / _SUBCELL ** 2
-    return i, j, frac
+    @cached_property
+    def rim(self):
+        """The rim cells in row-major order, as index arrays (i, j), and
+        the fraction of each inside the disc.
 
+        A cell is in the rim when it is not full and the point of its box
+        nearest the origin lies inside the disc.  The fraction counts the
+        subcell centres of a 16x16 lattice that lie inside; the count of
+        0/1 values is exact, so it has the bits of their float mean.
+        """
+        x, R = self.x, self.radius
+        # nearest point of the cell box to the origin, per axis
+        near = np.clip(0.0, x[:-1], x[1:])
+        i, j = np.nonzero(~self.full & self._outer(near * near,
+                                                   lambda s: np.sqrt(s) < R))
+        frac = np.empty(len(i))
+        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * self.h
+        for s in range(0, len(i), _RIM_CHUNK):
+            sx = x[i[s:s + _RIM_CHUNK], None, None] + off[None, :, None]
+            sy = x[j[s:s + _RIM_CHUNK], None, None] + off[None, None, :]
+            frac[s:s + _RIM_CHUNK] = np.count_nonzero(
+                sx * sx + sy * sy < R * R, axis=(1, 2)) / _SUBCELL ** 2
+        return i, j, frac
 
-def _cell_area_weights(fld: DiscField, rim, a: int = 0,
-                       b: Optional[int] = None) -> np.ndarray:
-    """Fraction of each cell inside the disc, for the cell rows a..b
-    (all rows by default): 1 where the farthest corner is within the
-    radius, the fraction of ``_rim`` on the other rim cells, 0 elsewhere.
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Fraction of each cell inside the disc: 1 where the farthest
+        corner is within the radius, the fraction of ``rim`` on the other
+        rim cells, 0 elsewhere.
 
-    The farthest corner of a cell is its farthest node along each axis:
-    rounded squares, sums and square roots are monotone, so the corner
-    distance built from ``_far2`` is the largest of the four computed
-    corner distances, bit for bit.  A full cell counts 1, since
-    sqrt(R * R) == R in IEEE arithmetic.
-    """
-    i, j, frac = rim
-    far2 = _far2(fld.coords)
-    b = len(far2) if b is None else b
-    lo, hi = np.searchsorted(i, (a, b))
-    w = np.zeros((b - a, len(far2)))
-    w[i[lo:hi] - a, j[lo:hi]] = frac[lo:hi]
-    w[np.sqrt(far2[a:b, None] + far2[None, :]) <= fld.radius] = 1.0
-    return w
+        The farthest corner of a cell is its farthest node along each
+        axis: rounded squares, sums and square roots are monotone, so the
+        corner distance built from ``far2`` is the largest of the four
+        computed corner distances, bit for bit.  A full cell counts 1,
+        since sqrt(R * R) == R in IEEE arithmetic.
+        """
+        i, j, frac = self.rim
+        w = np.zeros(self.full.shape)
+        w[i, j] = frac
+        w[self._outer(self.far2, lambda s: np.sqrt(s) <= self.radius)] = 1.0
+        return w
 
+    @cached_property
+    def donors(self):
+        """Rim cells that borrow the gradient of a full cell, as index
+        arrays (i0, j0) of the borrowers and (ci, cj) of their donors,
+        row-major in the borrowers.
 
-def _donor_map(fld: DiscField, rim):
-    """Rim cells that borrow the gradient of a fully-interior cell, as
-    index arrays (i0, j0) of the borrowers and (ci, cj) of their donors,
-    row-major in the borrowers.
+        Cells cut by the circle have corners pinned to zero outside the
+        disc, which flattens their bilinear patch and misprices the
+        gradient term badly whenever the radial slope at the rim is
+        nonzero.  Copying the gradient from the adjacent interior cell
+        keeps the error at O(h) on an O(h) strip.
 
-    Cells cut by the circle have corners pinned to zero outside the
-    disc, which flattens their bilinear patch and misprices the
-    gradient term badly whenever the radial slope at the rim is
-    nonzero.  Copying the gradient from the adjacent interior cell
-    keeps the error at O(h) on an O(h) strip.
+        Every cell of ``rim`` walks toward the center at once, in at most
+        six array steps: each step moves one cell along the axis whose
+        center coordinate is larger in magnitude, and a cell stops
+        walking once it stands on a full cell (its donor).  A step moves
+        toward the centre, so no walk leaves the grid; a cell that finds
+        no full cell in six steps keeps its own gradient and is not in
+        the map.  Donors are full cells and borrowers never are, so a
+        donor's gradient is its own.
+        """
+        full, xc = self.full, self.xc
+        i0, j0, _ = self.rim
+        ci, cj = i0, j0
+        walking = np.ones(len(i0), dtype=bool)
+        for _ in range(6):
+            walking &= ~full[ci, cj]
+            if not walking.any():
+                break
+            xi, xj = xc[ci], xc[cj]
+            along_x = np.abs(xi) >= np.abs(xj)
+            ci = np.where(walking & along_x, ci + np.where(xi < 0, 1, -1), ci)
+            cj = np.where(walking & ~along_x, cj + np.where(xj < 0, 1, -1), cj)
+        landed = full[ci, cj]
+        return i0[landed], j0[landed], ci[landed], cj[landed]
 
-    Every cell of ``_rim`` walks toward the center at once, in at most
-    six array steps: each step moves one cell along the axis whose
-    center coordinate is larger in magnitude, and a cell stops walking
-    once it stands on a full cell (its donor).  A step moves toward the
-    centre, so no walk leaves the grid; a cell that finds no full cell
-    in six steps keeps its own gradient and is not in the map.  Donors
-    are full cells and borrowers never are, so a donor's gradient is
-    its own.
-    """
-    far2 = _far2(fld.coords)
-    R2 = fld.radius ** 2
-    xc = _cell_centres(fld)
-    i0, j0, _ = rim
-    ci, cj = i0, j0
-    walking = np.ones(len(i0), dtype=bool)
-    for _ in range(6):
-        walking &= far2[ci] + far2[cj] >= R2
-        if not walking.any():
-            break
-        xi, xj = xc[ci], xc[cj]
-        along_x = np.abs(xi) >= np.abs(xj)
-        ci = np.where(walking & along_x, ci + np.where(xi < 0, 1, -1), ci)
-        cj = np.where(walking & ~along_x, cj + np.where(xj < 0, 1, -1), cj)
-    landed = far2[ci] + far2[cj] < R2
-    return i0[landed], j0[landed], ci[landed], cj[landed]
+    def cells(self, values: np.ndarray, means: bool = True):
+        """The cell map of nodal values, a block of cell rows a..b at a
+        time: yields (a, b, ux, uy, ubar), each cell's own bilinear
+        gradient and the mean of its four corners (None without
+        ``means``)."""
+        for a, b in _row_blocks(self.n - 1):
+            c = (values[a:b, :-1], values[a + 1:b + 1, :-1],
+                 values[a:b, 1:], values[a + 1:b + 1, 1:])
+            ubar = 0.25 * (c[0] + c[1] + c[2] + c[3]) if means else None
+            yield (a, b, *_gradient(*c, self.h), ubar)
 
 
 def energy_2d(fld: DiscField, spec: ProblemSpec,
@@ -268,28 +276,30 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     Raises:
         ValueError: if spec.dimension is not 2 or the radii disagree.
     """
+    return _energy_2d(_DiscGeometry(fld.n, fld.radius), fld, spec,
+                      use_envelope)
+
+
+def _energy_2d(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
+               use_envelope: bool) -> float:
+    # energy_2d on the field's geometry
     if spec.dimension != 2:
         raise ValueError("planar energy requires dimension 2")
     if _off_radius(fld.radius, spec.radius):
         raise ValueError(
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
     W = ensure_envelope(spec) if use_envelope else spec.W
-    h = fld.h
-    rim = _rim(fld)
-    i0, j0, ci, cj = _donor_map(fld, rim)
+    h = geo.h
+    i0, j0, ci, cj = geo.donors
     donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h))
-    nc = fld.n - 1
-    terms = np.empty((nc, nc))
-    for a, b in _row_blocks(nc):
-        c = _row_corners(fld.values, a, b)
-        gnorm = np.hypot(*_gradient(*c, h))
+    terms = np.empty((fld.n - 1, fld.n - 1))
+    for a, b, ux, uy, ubar in geo.cells(fld.values):
+        gnorm = np.hypot(ux, uy)
         lo, hi = np.searchsorted(i0, (a, b))
         gnorm[i0[lo:hi] - a, j0[lo:hi]] = donor_norm[lo:hi]
         wvals = W.eval(gnorm.ravel()).reshape(gnorm.shape)
-        ubar = 0.25 * (c[0] + c[1] + c[2] + c[3])
         gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-        w = _cell_area_weights(fld, rim, a, b)
-        terms[a:b] = w * h ** 2 * (wvals + gvals)
+        terms[a:b] = geo.weights[a:b] * h ** 2 * (wvals + gvals)
     return float(np.sum(terms))
 
 
@@ -403,13 +413,19 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
         ValueError: if n_thetas < 1, the radii disagree, or the spec is
             not two-dimensional.
     """
+    return _ray_check(_DiscGeometry(fld.n, fld.radius), fld, spec, n_thetas)
+
+
+def _ray_check(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
+               n_thetas: int) -> RayAverageReport:
+    # averaged_ray_energy_check on the field's geometry
     if n_thetas < 1:
         raise ValueError("need at least one ray")
     thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
     energies = _ray_energies(fld, spec, thetas)
     lhs = float(np.mean(energies))
-    rhs = energy_2d(fld, spec, use_envelope=True)
-    tol = RAY_CHECK_TOL_COEFF * fld.h
+    rhs = _energy_2d(geo, fld, spec, use_envelope=True)
+    tol = RAY_CHECK_TOL_COEFF * geo.h
     return RayAverageReport(lhs, rhs, tol, lhs <= rhs + tol, energies, thetas)
 
 
@@ -424,18 +440,18 @@ def colinearity_defect(fld: DiscField) -> float:
     The full cells' terms are gathered in blocks of rows, in row-major
     order, into two 1-D arrays, each summed whole.
     """
-    xc = _cell_centres(fld)
-    far2 = _far2(fld.coords)
-    blocks = list(_row_blocks(len(xc)))
-    fulls = [far2[a:b, None] + far2[None, :] < fld.radius ** 2
-             for a, b in blocks]
-    tang = np.empty(sum(np.count_nonzero(full) for full in fulls))
+    return _colinearity(_DiscGeometry(fld.n, fld.radius), fld)
+
+
+def _colinearity(geo: _DiscGeometry, fld: DiscField) -> float:
+    # colinearity_defect on the field's geometry
+    tang = np.empty(np.count_nonzero(geo.full))
     grad = np.empty_like(tang)
     k = 0
-    YC = xc[None, :]
-    for (a, b), full in zip(blocks, fulls):
-        ux, uy = _gradient(*_row_corners(fld.values, a, b), fld.h)
-        XC = xc[a:b, None]
+    YC = geo.xc[None, :]
+    for a, b, ux, uy, _ in geo.cells(fld.values, means=False):
+        full = geo.full[a:b]
+        XC = geo.xc[a:b, None]
         rc = np.sqrt(XC * XC + YC * YC)
         # cell centers sit at half-node offsets, never at the origin
         ex, ey = XC / rc, YC / rc
@@ -464,10 +480,7 @@ def angular_average(fld: DiscField, n_thetas: int = 256) -> DiscField:
         fld, [2.0 * math.pi * k / n_thetas for k in range(n_thetas)])
     acc = np.sum(rows, axis=0) / n_thetas
     del rows
-    x = fld.coords
-    x2 = x * x
-    vals = np.empty((fld.n, fld.n))
-    for a, b in _row_blocks(fld.n):
-        vals[a:b] = np.interp(np.sqrt(x2[a:b, None] + x2[None, :]),
-                              grid.nodes, acc)
+    geo = _DiscGeometry(fld.n, fld.radius)
+    vals = geo._outer(geo.x2, lambda s: np.interp(np.sqrt(s), grid.nodes, acc),
+                      float)
     return DiscField(fld.n, fld.radius, vals)

@@ -160,22 +160,13 @@ def corner_condition_check(profile: RadialProfile, M: float,
     )
 
 
-def _require_poly_G(spec: ProblemSpec):
-    if spec.G.kind == "sampled":
-        raise ValueError("check requires a polynomial G")
-
-
 def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
                                 spec: ProblemSpec) -> dict:
     """On cells whose slope lies inside a nonconstant affine interval with
     slope alpha, the radial stationarity residual -(N-1) alpha / r + G'(u)
     must vanish; vacuously passes when no such cell exists (the expected
     outcome for minimizers).
-
-    Raises:
-        ValueError: for sampled G (needs trustworthy derivatives).
     """
-    _require_poly_G(spec)
     s = profile.slopes
     # each cell's affine slope; NaN where no nonconstant interval holds it
     alphas = np.full(len(s), np.nan)
@@ -244,11 +235,7 @@ def concavity_exclusion_check(profile: RadialProfile, env: EnvelopeResult,
     Each cell's neighbourhood is a window of the sorted midpoints, counted
     with a cumulative sum (see ``_window_density``): O(K log K) time and
     O(K) memory for K cells.
-
-    Raises:
-        ValueError: for sampled G (needs second derivatives).
     """
-    _require_poly_G(spec)
     s = profile.slopes
     inside = _interior_mask(s, env.components)
     if not np.any(inside):
@@ -314,23 +301,16 @@ def energy_consistency(profile: RadialProfile, spec: ProblemSpec,
 def full_report(profile: RadialProfile, spec: ProblemSpec,
                 env: EnvelopeResult, corner_window: Optional[float] = None,
                 corner_tol: float = 0.05) -> VerifyReport:
-    """Run every applicable check and conjoin the outcomes.
-
-    The derivative-based checks are recorded as skipped (passing) when G is
-    sampled; call them directly to get the hard error instead.
-    """
+    """Run every check and conjoin the outcomes."""
     corner_window = _corner_window(corner_window, spec.radius)
     records = [
         detachment_avoidance_report(profile, env),
         slope_and_sign_check(profile, env.M),
         corner_condition_check(profile, env.M, corner_window, corner_tol),
+        euler_lagrange_affine_check(profile, env, spec),
+        concavity_exclusion_check(profile, env, spec),
+        energy_consistency(profile, spec, env),
     ]
-    for name, check in (("euler_lagrange_affine", euler_lagrange_affine_check),
-                        ("concavity_exclusion", concavity_exclusion_check)):
-        records.append(_rec(name, True, 0.0, {"skipped": "sampled G"})
-                       if spec.G.kind == "sampled"
-                       else check(profile, env, spec))
-    records.append(energy_consistency(profile, spec, env))
 
     mu = profile.midpoint_values
     span = np.linspace(float(np.min(mu)), float(np.max(mu)), 512)

@@ -13,7 +13,8 @@ import pytest
 import radrelax
 from radrelax import verify
 from radrelax.cli import _read_field_csv, main, parse_args
-from radrelax.disc2d import DiscField
+from radrelax.disc2d import (DiscField, averaged_ray_energy_check,
+                             colinearity_defect)
 from radrelax.envelope import NumericalFailure
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec, parse_spec_text
@@ -307,7 +308,8 @@ def test_verify_rejects_non_finite_profile(token, where, prototype_ini,
 
 @pytest.mark.parametrize("flag,value", [
     ("--window", "nan"), ("--window", "-1"), ("--window", "0"),
-    ("--tol-corner", "nan"), ("--tol-corner", "-1")])
+    ("--window", "inf"), ("--tol-corner", "nan"), ("--tol-corner", "-1"),
+    ("--tol-corner", "inf")])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_bad_corner_fit_flags_exit_1(command, flag, value, prototype_ini,
                                      capsys):
@@ -317,11 +319,18 @@ def test_bad_corner_fit_flags_exit_1(command, flag, value, prototype_ini,
     assert "numerical failure" not in err
 
 
-def test_infinite_corner_window_is_legal(prototype_ini):
-    cfg = parse_args(["verify", "--spec", prototype_ini, "--window", "inf",
-                      "--tol-corner", "0"])
-    assert cfg.window == float("inf")
-    assert cfg.tol_corner == 0.0
+def test_infinite_corner_fit_flags_exit_1(prototype_ini, tmp_path, capsys):
+    # the corner record echoes both values, and JSON cannot hold inf; a
+    # finite window of R or more already takes every cell
+    out = tmp_path / "rep.json"
+    for command in ("solve", "verify"):
+        for flag, want in (("--window", "positive"),
+                           ("--tol-corner", "nonnegative")):
+            assert main([command, "--spec", prototype_ini, flag, "inf",
+                         "--out", str(out)]) == 1
+            assert (capsys.readouterr().err
+                    == f"{flag} must be {want} and finite\n")
+            assert not out.exists()
 
 
 def test_oracle_subcommand(m0_ini, tmp_path):
@@ -342,10 +351,15 @@ def test_symmetry_random_fields(prototype_ini, tmp_path):
     res = _load(out)["results"]
     assert res["all_pass"] is True
     assert [f["field_seed"] for f in res["fields"]] == [7, 8, 9]
-    for f in res["fields"]:
+    # every field is priced on one geometry, as the public calls price it
+    # on their own
+    spec = make_prototype_spec()
+    for k, f in enumerate(res["fields"]):
+        fld = DiscField.random_smooth(65, 1.0, 7 + k)
+        rep = averaged_ray_energy_check(fld, spec, n_thetas=16)
+        assert f == {**rep.to_dict(), "defect": colinearity_defect(fld),
+                     "field_seed": 7 + k}
         assert f["passes"] is True
-        assert len(f["per_theta_energies"]) == 16
-        assert f["defect"] >= 0.0
 
 
 def test_symmetry_field_csv(prototype_ini, tmp_path):
@@ -371,7 +385,7 @@ def test_symmetry_rejects_3d_spec_before_ray_work(prototype_ini, tmp_path,
     spec3 = tmp_path / "d3.ini"
     spec3.write_text(open(prototype_ini).read().replace("dimension = 2",
                                                         "dimension = 3"))
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     assert main(["symmetry", "--spec", str(spec3), "--grid-points", "33",
                  "--rays", "4"]) == 1
     err = capsys.readouterr().err
@@ -383,7 +397,7 @@ def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     path = tmp_path / "r2.csv"
     write_field_csv(DiscField.random_smooth(33, 2.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path)]) == 1
     err = capsys.readouterr().err
@@ -437,7 +451,8 @@ def test_field_csv_round_trip(tmp_path):
     fld = DiscField.random_smooth(33, 1.5, seed=9)
     path = str(tmp_path / "field.csv")
     write_field_csv(fld, path)
-    back = _read_field_csv(path, _prototype_of_radius(1.5))
+    back, geo = _read_field_csv(path, _prototype_of_radius(1.5))
+    assert (geo.n, geo.radius) == (fld.n, fld.radius)
     assert back.n == fld.n
     assert back.radius == fld.radius
     assert np.array_equal(back.values, fld.values)
@@ -495,7 +510,7 @@ def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
                 with pytest.raises(ValueError, match="off the grid"):
                     _read_field_csv(str(path), spec)
             else:
-                back = _read_field_csv(str(path), spec)
+                back, _ = _read_field_csv(str(path), spec)
                 assert (back.n, back.radius) == ref[:2]
                 assert (back.values.tobytes()
                         == DiscField(*ref).values.tobytes())
@@ -585,7 +600,7 @@ def test_csv_reader_messages(table, case, prototype_ini, tmp_path,
         edit, message = _PROFILE_ERRORS[case]
         argv = ["verify", "--profile-csv", str(path)]
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     monkeypatch.setattr("radrelax.verify.full_report", _no_ray_work)
     out = tmp_path / "rep.json"
     assert main(argv + ["--spec", prototype_ini, "--out", str(out)]) == 1
@@ -633,7 +648,7 @@ def test_symmetry_csv_needs_single_field(prototype_ini, capsys):
 
 def test_symmetry_csv_rejects_many_fields_before_ray_work(prototype_ini,
                                                          monkeypatch, capsys):
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "65",
                  "--random-fields", "2", "--format", "csv"]) == 1
     assert "csv format needs a single field" in capsys.readouterr().err
@@ -643,7 +658,7 @@ def test_symmetry_profile_csv_needs_single_field(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     # per-ray CSVs are written for one field only, so asking for them with
     # several fields is a usage error, not a silent skip
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     prefix = str(tmp_path / "p_")
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
@@ -661,7 +676,7 @@ def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
     # random fields with it is a usage error, not a one-field report
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), "--random-fields", fields,
@@ -682,7 +697,7 @@ def test_symmetry_field_csv_rejects_grid_points_and_seed(
     # flags would be ignored, and --seed echoed for a field it did not make
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(65, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), flag, value,
@@ -751,6 +766,12 @@ def test_usage_errors_exit_1(prototype_ini, tmp_path, capsys):
     assert "subcommand is required" in capsys.readouterr().err
     assert main(["solve", "--spec", prototype_ini, "--seed", "-1"]) == 1
     assert "64 bits" in capsys.readouterr().err
+    # the last field's seed must be one --seed accepts
+    top = str(2 ** 64 - 1)
+    assert main(["symmetry", "--spec", prototype_ini, "--seed", top,
+                 "--random-fields", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "--seed + --random-fields - 1 must fit in 64 bits\n")
     assert main(["solve", "--spec", prototype_ini,
                  "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 1
     assert "does not exist" in capsys.readouterr().err

@@ -14,10 +14,8 @@ from radrelax.disc2d import (
     ray_profiles,
     _BLOCK_RAYS,
     _BLOCK_ROWS,
-    _cell_area_weights,
-    _donor_map,
+    _DiscGeometry,
     _ray_energies,
-    _rim,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
 
@@ -91,7 +89,7 @@ def test_offcenter_cone_envelope_gradient_term_is_zero():
 
 def _mapped_donor_gradients(fld, ux, uy):
     # the donor map applied to whole cell arrays
-    i0, j0, ci, cj = _donor_map(fld, _rim(fld))
+    i0, j0, ci, cj = _DiscGeometry(fld.n, fld.radius).donors
     ux, uy = ux.copy(), uy.copy()
     ux[i0, j0] = ux[ci, cj]
     uy[i0, j0] = uy[ci, cj]
@@ -116,11 +114,11 @@ def test_borrowers_are_the_rim_cells_that_land(n, radius):
     # borrowers are the walks that stand on a full cell within six steps,
     # and those cells are their donors
     fld = DiscField.random_smooth(n, radius, seed=n)
-    rim = _rim(fld)
-    assert np.array_equal(np.stack(rim[:2]), np.nonzero(meshgrid_rim(fld)))
+    geo = _DiscGeometry(n, radius)
+    assert np.array_equal(np.stack(geo.rim[:2]), np.nonzero(meshgrid_rim(fld)))
     donors, exits = loop_donor_walk(fld)
     assert exits == 0
-    i0, j0, ci, cj = _donor_map(fld, rim)
+    i0, j0, ci, cj = geo.donors
     assert len(i0) == len(donors)
     assert dict(zip(zip(i0, j0), zip(ci, cj))) == donors
     m = fld.mask
@@ -130,8 +128,7 @@ def test_borrowers_are_the_rim_cells_that_land(n, radius):
 def test_rim_at_257_nodes_holds_1020_borrowers():
     # the walk from every non-full cell centred within R + 7h found 3,364
     # borrowers here, 2,352 of them with zero area weight
-    fld = DiscField.random_smooth(257, R, seed=1)
-    assert len(_donor_map(fld, _rim(fld))[0]) == 1020
+    assert len(_DiscGeometry(257, R).donors[0]) == 1020
 
 
 @pytest.mark.parametrize("n", [33, 65, 129, 257])
@@ -140,7 +137,7 @@ def test_disc_geometry_matches_meshgrid_forms(n, radius):
     # the 1-D corner distances and broadcast cell centres must give the
     # weights and the colinearity defect of the 2-D arrays, bit for bit
     fld = DiscField.random_smooth(n, radius, seed=n)
-    assert (_cell_area_weights(fld, _rim(fld)).tobytes()
+    assert (_DiscGeometry(n, radius).weights.tobytes()
             == meshgrid_cell_area_weights(fld).tobytes())
     assert (colinearity_defect(fld).hex()
             == meshgrid_colinearity_defect(fld).hex())
@@ -188,11 +185,11 @@ def test_row_blocks_match_whole_array_oracles(n):
     for radius, W in ((1.0, make_prototype_spec().W), (1.7, three_well())):
         spec0 = dataclasses.replace(make_prototype_spec(), radius=radius, W=W)
         fld = DiscField.random_smooth(n, radius, seed=n)
-        rim = _rim(fld)
-        i0, _, ci, _ = _donor_map(fld, rim)
+        geo = _DiscGeometry(n, radius)
+        i0, _, ci, _ = geo.donors
         crosses = np.any(i0 // _BLOCK_ROWS != ci // _BLOCK_ROWS)
         assert crosses == (n in (35, 257, 259))
-        assert (_cell_area_weights(fld, rim).tobytes()
+        assert (geo.weights.tobytes()
                 == meshgrid_cell_area_weights(fld).tobytes())
         assert (colinearity_defect(fld).hex()
                 == meshgrid_colinearity_defect(fld).hex())
@@ -359,6 +356,20 @@ def test_colinearity_radial_field_small():
 
 def test_colinearity_tilted_field_large():
     assert colinearity_defect(_tilted()) >= 0.5
+
+
+def test_colinearity_builds_no_rim(monkeypatch):
+    # the defect reads the full cells only; the rim, the donors and the
+    # area weights are built on first use, by the planar energy
+    def no_rim(geo):
+        raise AssertionError("rim built")
+
+    monkeypatch.setattr(_DiscGeometry, "rim", property(no_rim))
+    fld = _tilted()
+    assert (colinearity_defect(fld).hex()
+            == meshgrid_colinearity_defect(fld).hex())
+    with pytest.raises(AssertionError, match="rim built"):
+        energy_2d(fld, make_prototype_spec())
 
 
 def test_colinearity_zero_field():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -303,21 +304,31 @@ def test_full_report_structure_and_purity(proto_env, cone):
     assert a.grid["lipschitz_G"] >= 0.0
 
 
-def test_full_report_skips_derivative_checks_for_sampled_G(cone):
-    t = np.linspace(-2.0, 2.0, 201)
-    g = -np.abs(t)
-    spec = ProblemSpec(
-        dimension=2, radius=1.0, p=4.0,
-        W=Potential1D(kind="poly_in_t_squared", coefficients=(1.0, -2.0, 1.0)),
-        G=Potential1D(kind="sampled", samples=(tuple(t), tuple(g))))
+def test_full_report_runs_derivative_checks_for_sampled_G():
+    # a sampled G's G' and G'' are its cubic's own derivatives, so the
+    # stationarity and concavity checks run on it as on a polynomial G
+    t = np.linspace(-3.0, 3.0, 601)
+    spec = dataclasses.replace(
+        make_prototype_spec(),
+        G=Potential1D(kind="sampled", samples=(tuple(t), tuple(-t * t))))
     env = ensure_envelope(spec)
-    rep = full_report(cone, spec, env)
-    skipped = [r for r in rep.records if r["details"].get("skipped")]
-    assert len(skipped) == 2
-    with pytest.raises(ValueError, match="polynomial G"):
-        euler_lagrange_affine_check(cone, env, spec)
-    with pytest.raises(ValueError, match="polynomial G"):
-        concavity_exclusion_check(cone, env, spec)
+    cells = RadialGrid.uniform(1.0, 256)
+    names = ("euler_lagrange_affine", "concavity_exclusion")
+    for slope in (1.0, 0.5):
+        profile = RadialProfile(cells, slope * (1.0 - cells.nodes))
+        recs = {r["name"]: r for r in full_report(profile, spec, env).records}
+        assert [recs[name] for name in names] == [
+            euler_lagrange_affine_check(profile, env, spec),
+            concavity_exclusion_check(profile, env, spec)]
+        assert recs["euler_lagrange_affine"]["details"]["vacuous"]
+        concavity = recs["concavity_exclusion"]
+        if slope == 1.0:
+            # the cone's slope is no interior slope of the envelope
+            assert concavity["passed"] and concavity["details"]["vacuous"]
+        else:
+            # slope -1/2 lies inside the flat part, and -t^2 is concave
+            assert not concavity["passed"]
+            assert concavity["details"]["min_G_second_derivative"] < 0.0
 
 
 def test_pipeline_margins_stable_under_refinement(pipeline_reports):
