@@ -398,7 +398,7 @@ def _read_field_csv(path: str,
     if np.isnan(vals).any():
         raise SpecFileError(f"{path}: grid has missing nodes")
     try:
-        fld = DiscField(n, R, vals)
+        fld = DiscField._on(geo, vals)
     except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from None
     if _off_radius(R, spec.radius):

@@ -62,17 +62,33 @@ class DiscField:
     values: np.ndarray
 
     def __post_init__(self):
+        self._settle(None, copy=True)
+
+    @classmethod
+    def _on(cls, geo: "_DiscGeometry", values: np.ndarray) -> "DiscField":
+        """A field on ``geo``'s grid holding ``values``, a float array built
+        for it: checked and masked in place, not copied."""
+        fld = cls.__new__(cls)
+        fld.n, fld.radius, fld.values = geo.n, geo.radius, values
+        fld._settle(geo, copy=False)
+        return fld
+
+    def _settle(self, geo, copy: bool):
+        # check the grid and the values' shape, then keep the values (a
+        # copy when the caller may still hold them) with the nodes outside
+        # the disc zeroed
         if self.n < 33 or self.n % 2 == 0:
             raise ValueError("grid size must be odd and at least 33")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be positive and finite")
-        vals = np.asarray(self.values, dtype=float)
+        vals = (np.array if copy else np.asarray)(self.values, dtype=float)
         if vals.shape != (self.n, self.n):
             raise ValueError(
                 f"values shape {vals.shape} does not match n={self.n}")
-        vals = vals.copy()
-        vals[~self.mask] = 0.0
-        object.__setattr__(self, "values", vals)
+        if geo is None:
+            geo = _DiscGeometry(self.n, self.radius)
+        vals[~geo.mask] = 0.0
+        self.values = vals
 
     @property
     def mask(self) -> np.ndarray:
@@ -103,9 +119,9 @@ class DiscField:
             dx2, dy2 = (x - cx) ** 2, (x - cy) ** 2
             vals += amp * np.exp(-(dx2[:, None] + dy2[None, :])
                                  / (2.0 * sigma * sigma))
-        taper = geo._outer(
+        vals *= geo._outer(
             geo.x2, lambda s: np.clip(1.0 - s / radius ** 2, 0.0, None), float)
-        return cls(n, radius, vals * taper)
+        return cls._on(geo, vals)
 
 
 def _row_blocks(rows: int, size: int = _BLOCK_ROWS):
@@ -121,10 +137,24 @@ def _cell_corners(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
     return arr[i, j], arr[i + 1, j], arr[i, j + 1], arr[i + 1, j + 1]
 
 
-def _gradient(c00, c10, c01, c11, h: float):
-    """Cell-centred bilinear gradient (ux, uy) from the corner values."""
-    return ((c10 - c00 + c11 - c01) / (2.0 * h),
-            (c01 - c00 + c11 - c10) / (2.0 * h))
+def _gradient(c00, c10, c01, c11, h: float, ux: np.ndarray, uy: np.ndarray):
+    """Cell-centred bilinear gradient (ux, uy) from the corner values, into
+    the arrays ``ux`` and ``uy``.
+
+    Each starts as a copy of a corner and takes the others in place, so
+    strided corners cost a ufunc one block-sized buffer, not two.
+    """
+    np.copyto(ux, c10)
+    ux -= c00
+    ux += c11
+    ux -= c01
+    ux /= 2.0 * h
+    np.copyto(uy, c01)
+    uy -= c00
+    uy += c11
+    uy -= c10
+    uy /= 2.0 * h
+    return ux, uy
 
 
 class _DiscGeometry:
@@ -195,10 +225,9 @@ class _DiscGeometry:
         return i, j, frac
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """Fraction of each cell inside the disc: 1 where the farthest
-        corner is within the radius, the fraction of ``rim`` on the other
-        rim cells, 0 elsewhere.
+    def unit(self) -> np.ndarray:
+        """Cells of area weight 1, whose farthest corner is within the
+        radius.
 
         The farthest corner of a cell is its farthest node along each
         axis: rounded squares, sums and square roots are monotone, so the
@@ -206,11 +235,24 @@ class _DiscGeometry:
         computed corner distances, bit for bit.  A full cell counts 1,
         since sqrt(R * R) == R in IEEE arithmetic.
         """
+        return self._outer(self.far2, lambda s: np.sqrt(s) <= self.radius)
+
+    @cached_property
+    def partial(self):
+        """The cells of ``rim`` outside ``unit``, as index arrays (i, j) in
+        row-major order, and the fraction of each inside the disc."""
         i, j, frac = self.rim
-        w = np.zeros(self.full.shape)
-        w[i, j] = frac
-        w[self._outer(self.far2, lambda s: np.sqrt(s) <= self.radius)] = 1.0
-        return w
+        keep = ~self.unit[i, j]
+        return i[keep], j[keep], frac[keep]
+
+    def weights(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Fraction of each cell of rows a..b inside the disc, into
+        ``out``: 1 on ``unit``, the fraction on ``partial``, 0 elsewhere."""
+        np.copyto(out, self.unit[a:b])
+        i, j, frac = self.partial
+        lo, hi = np.searchsorted(i, (a, b))
+        out[i[lo:hi] - a, j[lo:hi]] = frac[lo:hi]
+        return out
 
     @cached_property
     def donors(self):
@@ -252,12 +294,29 @@ class _DiscGeometry:
         """The cell map of nodal values, a block of cell rows a..b at a
         time: yields (a, b, ux, uy, ubar), each cell's own bilinear
         gradient and the mean of its four corners (None without
-        ``means``)."""
+        ``means``).
+
+        The three arrays are block buffers, refilled for the next block,
+        so a caller may overwrite them but not keep them."""
+        bufs = self.buffers(3 if means else 2)
         for a, b in _row_blocks(self.n - 1):
+            m = b - a
             c = (values[a:b, :-1], values[a + 1:b + 1, :-1],
                  values[a:b, 1:], values[a + 1:b + 1, 1:])
-            ubar = 0.25 * (c[0] + c[1] + c[2] + c[3]) if means else None
-            yield (a, b, *_gradient(*c, self.h), ubar)
+            ux, uy = _gradient(*c, self.h, bufs[0, :m], bufs[1, :m])
+            ubar = None
+            if means:
+                ubar = bufs[2, :m]
+                np.copyto(ubar, c[0])
+                ubar += c[1]
+                ubar += c[2]
+                ubar += c[3]
+                ubar *= 0.25
+            yield a, b, ux, uy, ubar
+
+    def buffers(self, k: int) -> np.ndarray:
+        """k float buffers, each one block of cell rows."""
+        return np.empty((k, min(_BLOCK_ROWS, self.n - 1), self.n - 1))
 
 
 def energy_2d(fld: DiscField, spec: ProblemSpec,
@@ -291,20 +350,25 @@ def _energy_2d(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
     W = ensure_envelope(spec) if use_envelope else spec.W
     h = geo.h
     i0, j0, ci, cj = geo.donors
-    donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h))
+    donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h,
+                                      *np.empty((2, len(ci)))))
     terms = np.empty((fld.n - 1, fld.n - 1))
     for a, b, ux, uy, ubar in geo.cells(fld.values):
-        gnorm = np.hypot(ux, uy)
+        gnorm = np.hypot(ux, uy, out=ux)
         lo, hi = np.searchsorted(i0, (a, b))
         gnorm[i0[lo:hi] - a, j0[lo:hi]] = donor_norm[lo:hi]
-        wvals = W.eval(gnorm.ravel()).reshape(gnorm.shape)
-        gvals = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-        terms[a:b] = geo.weights[a:b] * h ** 2 * (wvals + gvals)
+        t = terms[a:b]
+        t[...] = W.eval(gnorm.ravel()).reshape(t.shape)
+        t += spec.G.eval(ubar.ravel()).reshape(t.shape)
+        # the weights go in gnorm's buffer, which W has priced
+        w = geo.weights(a, b, gnorm)
+        w *= h ** 2
+        t *= w
     return float(np.sum(terms))
 
 
-def _bilinear(fld: DiscField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    h = fld.h
+def _bilinear(fld: DiscField, h: float, px: np.ndarray,
+              py: np.ndarray) -> np.ndarray:
     R = fld.radius
     fx = np.clip((px + R) / h, 0.0, fld.n - 1 - 1e-12)
     fy = np.clip((py + R) / h, 0.0, fld.n - 1 - 1e-12)
@@ -328,10 +392,11 @@ def _ray_blocks(fld: DiscField, grid: RadialGrid, thetas):
     single ray bit for bit, whatever the block.
     """
     r = grid.nodes
+    h = fld.h
     c = np.array([math.cos(th) for th in thetas])
     s = np.array([math.sin(th) for th in thetas])
     for a, b in _row_blocks(len(c), _BLOCK_RAYS):
-        u = _bilinear(fld, c[a:b, None] * r, s[a:b, None] * r)
+        u = _bilinear(fld, h, c[a:b, None] * r, s[a:b, None] * r)
         u[:, -1] = 0.0
         yield a, b, u
 
@@ -448,19 +513,33 @@ def _colinearity(geo: _DiscGeometry, fld: DiscField) -> float:
     tang = np.empty(np.count_nonzero(geo.full))
     grad = np.empty_like(tang)
     k = 0
-    YC = geo.xc[None, :]
+    bufs = geo.buffers(4)
     for a, b, ux, uy, _ in geo.cells(fld.values, means=False):
-        full = geo.full[a:b]
-        XC = geo.xc[a:b, None]
-        rc = np.sqrt(XC * XC + YC * YC)
+        ex, ey, radial, tmp = bufs[:, :b - a]
+        # the cell centres' coordinates, copied out whole: a broadcast
+        # ufunc operand would cost a block-sized ufunc buffer
+        np.copyto(ex, geo.xc[a:b, None])
+        np.copyto(ey, geo.xc[None, :])
+        rc = np.multiply(ex, ex, out=radial)
+        rc += np.multiply(ey, ey, out=tmp)
+        np.sqrt(rc, out=rc)
         # cell centers sit at half-node offsets, never at the origin
-        ex, ey = XC / rc, YC / rc
-        radial = ux * ex + uy * ey
-        tx = ux - radial * ex
-        ty = uy - radial * ey
+        ex /= rc
+        ey /= rc
+        np.multiply(ux, ex, out=radial)
+        radial += np.multiply(uy, ey, out=tmp)
+        # the tangential part (tx, ty) in place of (ex, ey)
+        tx = np.subtract(ux, np.multiply(radial, ex, out=ex), out=ex)
+        ty = np.subtract(uy, np.multiply(radial, ey, out=ey), out=ey)
+        tx *= tx
+        tx += np.multiply(ty, ty, out=ty)
+        ux *= ux
+        ux += np.multiply(uy, uy, out=uy)
+        # a 1-D mask gathers without building index arrays
+        full = geo.full[a:b].ravel()
         e = k + np.count_nonzero(full)
-        tang[k:e] = (tx * tx + ty * ty)[full]
-        grad[k:e] = (ux * ux + uy * uy)[full]
+        tang[k:e] = tx.ravel()[full]
+        grad[k:e] = ux.ravel()[full]
         k = e
     tang2 = np.sum(tang)
     grad2 = np.sum(grad)
@@ -483,4 +562,4 @@ def angular_average(fld: DiscField, n_thetas: int = 256) -> DiscField:
     geo = _DiscGeometry(fld.n, fld.radius)
     vals = geo._outer(geo.x2, lambda s: np.interp(np.sqrt(s), grid.nodes, acc),
                       float)
-    return DiscField(fld.n, fld.radius, vals)
+    return DiscField._on(geo, vals)

@@ -324,7 +324,7 @@ def batched_ray_samples(fld, thetas):
     r = grid.nodes
     c = np.array([math.cos(th) for th in thetas])
     s = np.array([math.sin(th) for th in thetas])
-    u = _bilinear(fld, c[:, None] * r, s[:, None] * r)
+    u = _bilinear(fld, fld.h, c[:, None] * r, s[:, None] * r)
     u[:, -1] = 0.0
     return grid, u
 
@@ -382,7 +382,7 @@ def single_ray_profile(fld, theta):
 
     grid = RadialGrid.uniform(fld.radius, fld.n)
     r = grid.nodes
-    u = _bilinear(fld, r * math.cos(theta), r * math.sin(theta))
+    u = _bilinear(fld, fld.h, r * math.cos(theta), r * math.sin(theta))
     return RadialProfile(grid, u)
 
 
