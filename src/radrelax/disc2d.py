@@ -369,16 +369,37 @@ def _energy_2d(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
 
 def _bilinear(fld: DiscField, h: float, px: np.ndarray,
               py: np.ndarray) -> np.ndarray:
-    R = fld.radius
-    fx = np.clip((px + R) / h, 0.0, fld.n - 1 - 1e-12)
-    fy = np.clip((py + R) / h, 0.0, fld.n - 1 - 1e-12)
-    i = fx.astype(int)
-    j = fy.astype(int)
-    tx = fx - i
-    ty = fy - j
+    # (1 - tx) (1 - ty) v[i, j] + tx (1 - ty) v[i + 1, j]
+    # + (1 - tx) ty v[i, j + 1] + tx ty v[i + 1, j + 1], summed left to
+    # right: the products of that expression (a product's factors
+    # commute bit for bit), each weight formed in the buffer of a factor
+    # it outlives, and the corner indices stepped in place
+    top = fld.n - 1 - 1e-12
+    tx, ty = px + fld.radius, py + fld.radius
+    for f in (tx, ty):
+        f /= h
+        np.clip(f, 0.0, top, out=f)
+    i, j = tx.astype(int), ty.astype(int)
+    tx -= i
+    ty -= j
+    sx, sy = 1 - tx, 1 - ty
     v = fld.values
-    return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
-            + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+    out = sx * sy
+    out *= v[i, j]
+    i += 1
+    sy *= tx
+    sy *= v[i, j]
+    out += sy
+    i -= 1
+    j += 1
+    sx *= ty
+    sx *= v[i, j]
+    out += sx
+    i += 1
+    tx *= ty
+    tx *= v[i, j]
+    out += tx
+    return out
 
 
 def _ray_blocks(fld: DiscField, grid: RadialGrid, thetas):

@@ -281,7 +281,7 @@ def convexify(W: Potential1D, grid_points: int = 4097) -> EnvelopeResult:
 
     M = compute_M(W)
     if W.kind == "sampled":
-        t, w = W._sample_array
+        t, w = W.samples
         env = _hull_values(t, w, _lower_hull(t, w))
         comps = _extract_components(t, w, env, W, M)
     else:

@@ -146,11 +146,12 @@ class Potential1D:
             a sequence of per-piece ascending-in-t coefficient sequences,
             one more piece than there are breakpoints.
         breakpoints: sorted interior breakpoints (piecewise kind only).
-        samples: pair (t_grid, values) for the sampled kind; the grid must be
-            finite, strictly increasing and contain t = 0; the values
-            finite. W is the Fritsch-Carlson monotone cubic (PCHIP), W'
-            and W'' its exact derivatives; outside the grid the end cubic
-            continues, and at +-inf W, W' and W'' take its limit.
+        samples: pair (t_grid, values) for the sampled kind, kept as one
+            read-only (2, n) float64 array; the grid must be finite,
+            strictly increasing and contain t = 0; the values finite. W
+            is the Fritsch-Carlson monotone cubic (PCHIP), W' and W'' its
+            exact derivatives; outside the grid the end cubic continues,
+            and at +-inf W, W' and W'' take its limit.
         even: whether W is even; declared for ``piecewise_poly``, and set
             at construction for the others: True for the t^2 kind, the
             evenness probe's verdict for the sampled kind. The probe
@@ -162,13 +163,14 @@ class Potential1D:
     it does not use (breakpoints or samples for the t^2 kind, samples for
     the piecewise kind, coefficients or breakpoints for the sampled kind)
     raises ValueError naming it. Construction builds all that evaluation
-    needs, and decides the evenness.
+    needs, and decides the evenness. Potentials are equal when their
+    kind, coefficients, breakpoints, samples, evenness and T are.
     """
 
     kind: str
     coefficients: tuple = ()
     breakpoints: tuple = ()
-    samples: Optional[tuple] = None
+    samples: Optional[np.ndarray] = field(default=None, repr=False)
     even: bool = False
     # T, sized past the outermost critical point so downstream scans see
     # the full shape
@@ -181,9 +183,6 @@ class Potential1D:
     _tables: tuple = field(default=(), init=False, repr=False, compare=False)
     _columns: tuple = field(default=(), init=False, repr=False, compare=False)
     _limits: tuple = field(default=(), init=False, repr=False, compare=False)
-    # the samples as one read-only (2, n) array
-    _sample_array: np.ndarray = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -228,8 +227,7 @@ class Potential1D:
             if not np.any(grid[0] == 0.0):
                 raise ValueError("sample grid must contain t = 0")
             grid.flags.writeable = False
-            self._sample_array = grid
-            self.samples = tuple(map(tuple, grid.tolist()))
+            self.samples = grid
             cubics = _pchip_coeffs(grid[0], grid[1])
             self._cuts, self._columns = grid[0][1:-1], (cubics,)
             ends, pieces = cubics[:, [0, -1]].T.tolist(), ()
@@ -246,9 +244,19 @@ class Potential1D:
         self.domain_halfwidth = self._auto_halfwidth()
         self.even = self._decide_evenness()
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the sample arrays elementwise
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.coefficients, self.breakpoints, self.even,
+                 self.domain_halfwidth)
+                == (other.kind, other.coefficients, other.breakpoints,
+                    other.even, other.domain_halfwidth)
+                and np.array_equal(self.samples, other.samples))
+
     def _auto_halfwidth(self) -> float:
         if self.kind == "sampled":
-            tg = self._sample_array[0]
+            tg = self.samples[0]
             return float(max(tg[-1], -tg[0]))
         maxbp = max((abs(b) for b in self.breakpoints), default=0.0)
         probe = max(8.0, 4.0 * maxbp)
@@ -295,13 +303,13 @@ class Potential1D:
             c = self._tables[order][bisect.bisect_right(self._cuts, t)]
         else:
             i = np.searchsorted(self._cuts, t, side="right")
-            if self._sample_array is not None:
+            if self.kind == "sampled":
                 c = tuple(self._columns[0].take(i, axis=1))
                 if order:
                     c = _derivative_tables(c)[order]
                 # far out the powers overflow silently, as PPoly's do
                 with np.errstate(invalid="ignore", over="ignore"):
-                    return _power_sum(c, t - self._sample_array[0][i])
+                    return _power_sum(c, t - self.samples[0][i])
             c = self._columns[order].take(i, axis=1)
         return _horner(c, t)
 
@@ -356,7 +364,7 @@ def _require_coercive(W: Potential1D):
         if len(outer) < 2 or outer[-1] <= 0:
             raise ValueError("potential is not coercive (outer piece)")
     else:
-        vals = W._sample_array[1]
+        vals = W.samples[1]
         tail = vals[int(0.9 * len(vals)):]
         scale = max(1.0, float(np.max(np.abs(vals))))
         if not (np.all(np.diff(tail) >= -1e-12 * scale) and tail[-1] > vals.min()):
@@ -407,7 +415,7 @@ def compute_M(W: Potential1D) -> float:
     _require_coercive(W)
     T = W.domain_halfwidth
     if W.kind == "sampled":
-        t, v = W._sample_array
+        t, v = W.samples
         t, v = t[t >= 0.0], v[t >= 0.0]
     else:
         t = np.linspace(0.0, T, _SCAN_POINTS)

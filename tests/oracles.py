@@ -313,6 +313,21 @@ def loop_donor_gradients(fld, ux, uy):
     return ux, uy
 
 
+def plain_bilinear(fld, h, px, py):
+    """``disc2d._bilinear`` as one expression, as it was before it formed
+    its weights and sums in place."""
+    R = fld.radius
+    fx = np.clip((px + R) / h, 0.0, fld.n - 1 - 1e-12)
+    fy = np.clip((py + R) / h, 0.0, fld.n - 1 - 1e-12)
+    i = fx.astype(int)
+    j = fy.astype(int)
+    tx = fx - i
+    ty = fy - j
+    v = fld.values
+    return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
+            + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+
+
 def batched_ray_samples(fld, thetas):
     """(grid, u) with every ray sampled at once as one (len(thetas), n + 1)
     bilinear gather, as ``disc2d._ray_samples`` did before it filled its

@@ -163,6 +163,25 @@ def test_u_levels_out_of_range_exits_1(prototype_ini, capsys):
     assert "--u-levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, lo, hi, message", [
+    ("oracle", "--grid-points", 16, 200,
+     "--grid-points must lie in [16, 200] for oracle"),
+    ("oracle", "--u-levels", 2, 400, "--u-levels must lie in [2, 400]"),
+    ("solve", "--u-levels", 2, 400, "--u-levels must lie in [2, 400]"),
+])
+def test_dp_flag_bounds_are_inclusive(prototype_ini, capsys, command, flag,
+                                      lo, hi, message):
+    # the bounds themselves parse (checked by parse_args alone, with no DP
+    # run); one past either bound exits 1 with the message
+    dest = flag[2:].replace("-", "_")
+    for value in (lo, hi):
+        cfg = parse_args([command, "--spec", prototype_ini, flag, str(value)])
+        assert getattr(cfg, dest) == value
+    for value in (lo - 1, hi + 1):
+        assert main([command, "--spec", prototype_ini, flag, str(value)]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_rays_below_one_exits_1(prototype_ini, capsys):
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "0"]) == 1
     assert "--rays" in capsys.readouterr().err

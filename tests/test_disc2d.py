@@ -15,7 +15,9 @@ from radrelax.disc2d import (
     _BLOCK_RAYS,
     _BLOCK_ROWS,
     _DiscGeometry,
+    _bilinear,
     _ray_energies,
+    _ray_samples,
     _row_blocks,
 )
 from radrelax.potentials import Potential1D, ProblemSpec
@@ -34,6 +36,7 @@ from oracles import (
     meshgrid_disc_mask,
     meshgrid_random_smooth_values,
     meshgrid_rim,
+    plain_bilinear,
     single_ray_profile,
     whole_energy_2d,
 )
@@ -238,22 +241,43 @@ def test_planar_kernels_hold_few_cell_arrays(n, spec):
 
 
 def test_ray_energies_hold_one_block_of_rays(spec):
-    # all 64 rays priced at once peaked at 1.65 MiB
+    # all 64 rays priced at once peaked at 1.65 MiB, and with the
+    # bilinear weights as fresh temporaries, 0.45 MiB
     fld = DiscField.random_smooth(257, R, seed=5)
     thetas = np.arange(64) * (2.0 * math.pi / 64)
     _ray_energies(fld, spec, thetas)  # caches the envelope
     peak = _peak_bytes(lambda: _ray_energies(fld, spec, thetas))
-    assert peak <= 0.6 * 2 ** 20
+    assert peak <= 0.4 * 2 ** 20
 
 
 def test_angular_average_holds_one_sample_array():
     # at n = 257 the 256 rays' samples, (256, 258) floats, are 0.53 MB;
-    # the peak is that array plus one block of rays. The output field is
-    # built in place and peaks lower; copied by the field's constructor,
-    # it peaked at 1.28 MiB. The batched gather peaked at 6.57 MiB
+    # the peak is that array plus about 12 arrays of one block of rays
+    # (14.6 while the bilinear weights were fresh temporaries). The
+    # output field is built in place and peaks lower; copied by the
+    # field's constructor, it peaked at 1.28 MiB. The batched gather
+    # peaked at 6.57 MiB
     fld = DiscField.random_smooth(257, R, seed=6)
     samples = 256 * 258 * 8
-    assert _peak_bytes(lambda: angular_average(fld)) <= 2 * samples
+    block = _BLOCK_RAYS * 258 * 8
+    thetas = np.arange(256) * (2.0 * math.pi / 256)
+    bound = samples + 12 * block
+    assert _peak_bytes(lambda: _ray_samples(fld, thetas)) <= bound
+    assert _peak_bytes(lambda: angular_average(fld)) <= bound
+
+
+def test_bilinear_matches_the_plain_expression():
+    # in-place weights and sums keep the expression's bits, at points
+    # inside the grid, on its edges and clipped back to it; the
+    # coordinates given are left as they were
+    fld = DiscField.random_smooth(65, 1.3, seed=3)
+    px, py = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 7, 33))
+    px[0, :4], py[0, :4] = (-1.3, 1.3, 0.0, 1.3), (1.3, -1.3, 0.0, 1.3)
+    given = px.copy(), py.copy()
+    got = _bilinear(fld, fld.h, px, py)
+    assert got.tobytes() == plain_bilinear(fld, fld.h, px, py).tobytes()
+    assert px.tobytes() == given[0].tobytes()
+    assert py.tobytes() == given[1].tobytes()
 
 
 def test_fields_copy_only_values_they_are_given():

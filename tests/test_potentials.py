@@ -1,9 +1,11 @@
+import gc
 import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,18 +151,25 @@ def test_piecewise_eval_continuity_and_values():
 
 def test_sampled_kind_interpolates_its_nodes():
     W = random_even_sampled(3)
-    t, v = np.asarray(W.samples[0]), np.asarray(W.samples[1])
+    t, v = W.samples
     out = np.asarray(W.eval(t))
     assert np.max(np.abs(out - v)) < 1e-12
     # float32-representable samples given as lists, float64 arrays and
-    # float32 arrays are stored as the same tuples of Python floats
+    # float32 arrays are stored as the same read-only float64 array, and
+    # build equal potentials
     t32, v32 = t.astype(np.float32), v.astype(np.float32)
-    want = tuple(tuple(float(x) for x in a) for a in (t32, v32))
-    for samples in ((t32.tolist(), v32.tolist()),
-                    (t32.astype(float), v32.astype(float)), (t32, v32)):
-        got = Potential1D(kind="sampled", samples=samples).samples
-        assert got == want
-        assert all(type(x) is float for a in got for x in a)
+    want = np.array((t32, v32), dtype=np.float64)
+    built = [Potential1D(kind="sampled", samples=samples)
+             for samples in ((t32.tolist(), v32.tolist()),
+                             (t32.astype(float), v32.astype(float)),
+                             (t32, v32))]
+    for P in built:
+        got = P.samples
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == want.shape == (2, len(t))
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+        assert P == built[0]
 
 
 def test_sampled_evenness_is_the_even_field():
@@ -270,13 +279,72 @@ def test_spec_rejects_dimension_with_overflowing_sphere_area():
 
 
 def test_sample_array_is_read_only():
-    W = random_even_sampled(2)
-    arr = W._sample_array
-    assert arr.shape == (2, len(W.samples[0]))
+    # the potential keeps its own copy of the samples: writing the
+    # caller's array later leaves it, and its values, unchanged
+    t = np.linspace(-2.0, 2.0, 41)
+    given = np.array((t, (t * t - 1.0) ** 2))
+    kept = given.copy()
+    W = Potential1D(kind="sampled", samples=given)
+    arr = W.samples
+    assert arr.shape == (2, 41) and arr.dtype == np.float64
     assert not arr.flags.writeable
     with pytest.raises(ValueError):
         arr[1, 0] = 0.0
-    assert arr.tolist() == [list(a) for a in W.samples]
+    assert not np.shares_memory(arr, given)
+    given[1] = 0.0
+    assert arr.tobytes() == kept.tobytes()
+    assert W.eval(0.0) == 1.0
+
+
+def test_changing_one_sample_breaks_equality():
+    W = random_even_sampled(4)
+    t, v = (a.copy() for a in W.samples)
+    assert W == Potential1D(kind="sampled", samples=(t, v))
+    spec = ProblemSpec(dimension=2, radius=1.0, p=2.0, W=W, G=double_well())
+    v[len(v) // 2] += 1e-9
+    bumped = Potential1D(kind="sampled", samples=(t, v))
+    assert W != bumped and not W == bumped
+    same = Potential1D(kind="sampled", samples=W.samples)
+    assert spec == ProblemSpec(dimension=2, radius=1.0, p=2.0, W=same,
+                               G=double_well())
+    assert spec != ProblemSpec(dimension=2, radius=1.0, p=2.0, W=bumped,
+                               G=double_well())
+    t[1] = t[0] - (t[0] - t[1]) / 2  # one node moved, the values kept
+    assert W != Potential1D(kind="sampled", samples=(t, W.samples[1]))
+    assert W != double_well()
+
+
+def test_sampled_potential_rebuilt_from_its_samples_keeps_its_bits():
+    W = random_even_sampled(5)
+    again = Potential1D(kind="sampled", samples=W.samples)
+    pts = np.concatenate([W.samples[0], [0.0, -0.0, np.inf, -np.inf]])
+
+    def at(P, t, order):
+        return np.asarray(P.eval(t) if order == 0 else P.derivative(t, order))
+
+    for order in range(3):
+        for t in (pts, *pts.tolist()):
+            assert at(W, t, order).tobytes() == at(again, t, order).tobytes()
+
+
+def test_sampled_potential_holds_its_samples_once():
+    # the samples (16 bytes per node) and the cubics (32) are all a
+    # sampled potential keeps; a second copy of the samples as a tuple
+    # of Python floats kept about 114 bytes per node
+    t = np.linspace(-3.0, 3.0, 1501)
+    samples = (t, (t * t - 1.0) ** 2)
+    Potential1D(kind="sampled", samples=samples)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        W = Potential1D(kind="sampled", samples=samples)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert W.samples.shape == (2, 1501)
+    assert retained <= 56 * 1501
 
 
 def test_sampled_path_loads_no_scipy():

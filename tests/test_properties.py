@@ -346,7 +346,7 @@ def test_potential_scalar_path_matches_array_path(W, order, data):
     # picks
     ts = [0.0, -0.0, 1.0, -1.0, 1e-300]
     ts += [b for bp in W.breakpoints for b in (bp, -bp)]
-    ts += list(W.samples[0]) if W.samples else []
+    ts += list(W.samples[0]) if W.kind == "sampled" else []
     if data is not None:
         ts += data.draw(st.lists(_ARGS, max_size=8))
     for t in ts:
