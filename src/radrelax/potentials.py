@@ -162,9 +162,10 @@ class Potential1D:
     Coefficients and breakpoints must be finite, and a kind given a field
     it does not use (breakpoints or samples for the t^2 kind, samples for
     the piecewise kind, coefficients or breakpoints for the sampled kind)
-    raises ValueError naming it. Construction builds all that evaluation
-    needs, and decides the evenness. Potentials are equal when their
-    kind, coefficients, breakpoints, samples, evenness and T are.
+    raises ValueError naming it; an empty one is reset to its default.
+    Construction builds all that evaluation needs, and decides the
+    evenness. Potentials are equal when their kind, coefficients,
+    breakpoints, samples, evenness and T are.
     """
 
     kind: str
@@ -191,6 +192,9 @@ class Potential1D:
             value = getattr(self, name)
             if value is not None and len(value):
                 raise ValueError(f"{self.kind} takes no {name}")
+            # an empty one goes back to its default, so it cannot count
+            # in equality
+            setattr(self, name, None if name == "samples" else ())
         if self.kind == "poly_in_t_squared":
             self.coefficients = _finite_tuple(self.coefficients, "coefficients")
             if not self.coefficients:

@@ -605,6 +605,26 @@ def _last_brackets(vals: np.ndarray, targets: np.ndarray):
 
 def _outermost_levels(env, y: np.ndarray) -> np.ndarray:
     """Largest nu >= 0 with W(nu) = W(y) per entry of y, W = env.potential."""
+    nu = y.copy()
+    free, idx, bracket = _level_brackets(env, y)
+    # no scan interval brackets W(y): y, floored at M
+    nu[free] = np.maximum(y[free], env.M)
+    if idx.size:
+        _bracketed_roots(env.potential, nu, idx, *bracket)
+    # y sits in its own level set, so it floors the outermost point
+    np.maximum(nu, y, out=nu)
+    # around a well the float evaluation of W flattens to a plateau of
+    # rounding noise of width ~sqrt(eps), where a root may land anywhere;
+    # inputs already outermost to that resolution snap back exactly
+    snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
+    return np.where(snap, y, nu)
+
+
+def _level_brackets(env, y: np.ndarray):
+    """The entries of y that are not their own outermost point: the indices
+    of those without a scan bracket, the indices of the others, and their
+    last scan intervals (lo, hi) with the residuals of W - W(y) at both
+    ends and W(y) itself."""
     W, M = env.potential, env.M
     T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
             M + 1.0)
@@ -620,44 +640,80 @@ def _outermost_levels(env, y: np.ndarray) -> np.ndarray:
     # and every nu > y has W(nu) >= Wc(nu) > W(y): y is its own outermost
     # point. Margins of the snap's 1e-7 keep rounding near M and the
     # tangency points out; a bracket past y's own scan interval (a sampled
-    # W whose extension turns down past the samples) goes to the bisection
+    # W whose extension turns down past the samples) goes to the root finder
     keep = (y >= M * (1.0 + 1e-7)) & (~has | ((grid[last] <= y)
                                               & (y <= grid[last + 1])))
     for c in env.components:
         keep &= (y <= c.a - 1e-7 * abs(c.a)) | (y >= c.b + 1e-7 * abs(c.b))
-    out = y.copy()
-    move = np.flatnonzero(~keep)
-    if move.size:
-        out[move] = _bisect_levels(W, M, grid, y[move], targets[move],
-                                   last[move], has[move])
-    return out
+    idx = np.flatnonzero(~keep & has)
+    j = last[idx]
+    t = targets[idx]
+    return (np.flatnonzero(~(keep | has)), idx,
+            (grid[j], grid[j + 1], vals[j] - t, vals[j + 1] - t, t))
 
 
-def _bisect_levels(W, M, grid, y, targets, last, has):
-    # the last bracket of W - target, bisected to float resolution
-    lo = np.where(has, grid[last], np.maximum(y, M))
-    hi = np.where(has, grid[last + 1], lo)
-    # lo only moves to a midpoint with the residual sign of lo, so that
-    # sign is fixed
-    sign_lo = np.sign(np.asarray(W.eval(lo), dtype=float) - targets)
+def _bracketed_roots(W, out, idx, lo, hi, flo, fhi, t):
+    """Write into out[idx] a root of W - t in each bracket [lo, hi] whose
+    end residuals flo and fhi differ in sign or are 0, by safeguarded
+    Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4).
+
+    An end with residual 0 is its root. Every other cell starts at the
+    secant point of its bracket. A step takes the bracket's midpoint where
+    the point has left the open bracket, evaluates W there, and keeps the
+    bracket by the residual's sign; the Newton step from it, by W', is
+    lengthened to one ulp toward the root where it is shorter, so the
+    iterates cross the root. A cell stops once its residual is 0 or its
+    bracket ends are adjacent floats, and after 60 steps at most; its root
+    is the bracket end with the smaller residual. The arrays are compacted
+    in place to the cells still running, so a step allocates only what W
+    and W' do; every argument but W and out is overwritten.
+    """
+    out[idx] = np.where(flo == 0.0, lo, hi)
+    idx, lo, hi, flo, fhi, t = _compact(
+        np.flatnonzero((flo != 0.0) & (fhi != 0.0)), idx, lo, hi, flo, fhi, t)
+    # the secant point lo - flo (hi - lo) / (fhi - flo)
+    x = hi - lo
+    x *= flo
+    x /= fhi - flo
+    np.subtract(lo, x, out=x)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(W.eval(mid), dtype=float) - targets
-        same = np.sign(fm) == sign_lo
-        # a step that moves no bracket would repeat forever; stop
-        if np.array_equal(mid, np.where(same, lo, hi)):
+        mid = lo + hi
+        mid *= 0.5
+        np.copyto(x, mid, where=~((lo < x) & (x < hi)))
+        f = W.eval(x)
+        f -= t
+        same = (f < 0.0) == (flo < 0.0)
+        np.copyto(lo, x, where=same)
+        np.copyto(flo, f, where=same)
+        np.invert(same, out=same)
+        np.copyto(hi, x, where=same)
+        np.copyto(fhi, f, where=same)
+        out[idx] = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+        go = f != 0.0
+        go &= np.nextafter(lo, np.inf) < hi
+        go = np.flatnonzero(go)
+        if not go.size:
             break
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    nu = 0.5 * (lo + hi)
-    nu = np.where(~has, np.maximum(y, M), nu)
-    # y sits in its own level set, so it floors the outermost point
-    nu = np.maximum(nu, y)
-    # around a well the float evaluation of W flattens to an exact-zero
-    # plateau of width ~sqrt(eps) and the walk stops at its far edge;
-    # inputs already outermost to that resolution snap back exactly
-    snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
-    return np.where(snap, y, nu)
+        idx, x, f, lo, hi, flo, fhi, t = _compact(go, idx, x, f, lo, hi, flo,
+                                                  fhi, t)
+        # the Newton step, at least one ulp long; where W' is 0 it is
+        # infinite and the midpoint replaces it
+        with np.errstate(divide="ignore"):
+            f /= W.derivative(x)
+        ulp = np.spacing(x)
+        np.copyto(f, np.copysign(ulp, f), where=np.abs(f) < ulp)
+        x -= f
+
+
+def _compact(keep, *arrays):
+    # the entries at the increasing indices keep, moved to the front of
+    # each array in place; returns those fronts as views
+    m = len(keep)
+    if m == len(arrays[0]):
+        return arrays
+    for arr in arrays:
+        arr[:m] = arr.take(keep)
+    return tuple(arr[:m] for arr in arrays)
 
 
 def monotone_rearrange(profile: RadialProfile,
@@ -670,9 +726,11 @@ def monotone_rearrange(profile: RadialProfile,
     last scan interval that brackets W(|s|) comes from a searchsorted into
     suffix minima (or maxima) of the scan. A slope with |s| >= M outside
     every detachment interval, whose last bracket holds |s|, is its own
-    outermost point and is kept; up to 60 bisection steps refine the
-    bracket of every other cell, snapping to |s| when |s| is already
-    outermost. Time is O(4097 + K log 4097) and memory O(K) for K cells.
+    outermost point and is kept. Every other cell's root in its bracket
+    is found by safeguarded Newton from the bracket's secant point, which
+    the scan values at its ends give (about 4 steps per cell, 60 at
+    most), and snaps to |s| when |s| is already outermost. Time is
+    O(4097 + K log 4097) and memory O(K) for K cells.
     """
     y = np.abs(profile.slopes)
     nu = _outermost_levels(env, y)

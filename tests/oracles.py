@@ -165,59 +165,61 @@ def brute_force_largest_argmin(W, points=1_000_000):
     return float(t[i])
 
 
-def quadratic_outermost_levels(W, env, y):
-    """Largest nu >= 0 with W(nu) = W(y), per entry of y.
-
-    The K x 4097 bracket-matrix form that preceded the suffix-table search
-    in ``radial_solver._outermost_levels``: every scan interval is tested
-    against every target and the last bracketing one is kept.  Quadratic
-    memory; call it only on small K.
-    """
-    M = env.M
+def _level_scan(env, y):
+    # the 4097-point scan of W on [M, T] of radial_solver._level_brackets,
+    # and the targets W(y)
+    W, M = env.potential, env.M
     T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
             M + 1.0)
     grid = np.linspace(M, T, 4097)
-    vals = np.asarray(W.eval(grid), dtype=float)
-    targets = np.asarray(W.eval(y), dtype=float)
+    return (grid, np.asarray(W.eval(grid), dtype=float),
+            np.asarray(W.eval(y), dtype=float))
+
+
+def quadratic_level_brackets(env, y):
+    """The last scan interval [lo, hi] over which W - W(y) changes sign or
+    vanishes, per entry of y, and whether there is one (else lo = hi =
+    max(y, M)).
+
+    The K x 4097 bracket-matrix form that preceded the suffix-table search
+    of ``radial_solver._last_brackets``: every scan interval is tested
+    against every target and the last bracketing one is kept.  Quadratic
+    memory; call it only on small K.
+    """
+    grid, vals, targets = _level_scan(env, y)
     sign = vals[None, :] - targets[:, None]
     bracket = sign[:, :-1] * sign[:, 1:] <= 0.0
     has = bracket.any(axis=1)
     last = grid.shape[0] - 2 - np.argmax(bracket[:, ::-1], axis=1)
-    lo = np.where(has, grid[last], np.maximum(y, M))
+    lo = np.where(has, grid[last], np.maximum(y, env.M))
     hi = np.where(has, grid[np.minimum(last + 1, len(grid) - 1)], lo)
-    flo = np.asarray(W.eval(lo), dtype=float) - targets
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(W.eval(mid), dtype=float) - targets
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    nu = 0.5 * (lo + hi)
-    nu = np.where(~has, np.maximum(y, M), nu)
-    nu = np.maximum(nu, y)
-    snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
-    return np.where(snap, y, nu)
+    return lo, hi, has
 
 
-def bisecting_outermost_levels(W, env, y):
-    """Largest nu >= 0 with W(nu) = W(y), per entry of y.
-
-    ``radial_solver._outermost_levels`` as it was before it kept the
-    slopes that are their own outermost point: every cell bisects its last
-    scan bracket, carrying the residual at lo in an array of its own.
-    """
+def suffix_level_brackets(env, y):
+    """The brackets of ``quadratic_level_brackets`` from the suffix tables
+    of ``radial_solver._last_brackets``."""
     from radrelax.radial_solver import _last_brackets
 
-    M = env.M
-    T = max(float(W.domain_halfwidth), 1.5 * float(np.max(y, initial=0.0)) + 1.0,
-            M + 1.0)
-    grid = np.linspace(M, T, 4097)
-    vals = np.asarray(W.eval(grid), dtype=float)
-    targets = np.asarray(W.eval(y), dtype=float)
+    grid, vals, targets = _level_scan(env, y)
     last, has = _last_brackets(vals, targets)
-    lo = np.where(has, grid[last], np.maximum(y, M))
+    lo = np.where(has, grid[last], np.maximum(y, env.M))
     hi = np.where(has, grid[last + 1], lo)
+    return lo, hi, has
+
+
+def bisected_levels(env, y, brackets):
+    """Largest nu >= 0 with W(nu) = W(y), per entry of y, by bisecting
+    every bracket (lo, hi, has) to float resolution.
+
+    ``radial_solver._outermost_levels`` as it was before it kept the
+    slopes that are their own outermost point and found the other roots
+    by Newton: up to 60 bisection steps on every cell, carrying the
+    residual at lo, then the floor at y and the 1e-7 snap.
+    """
+    W, M = env.potential, env.M
+    lo, hi, has = brackets
+    targets = np.asarray(W.eval(y), dtype=float)
     flo = np.asarray(W.eval(lo), dtype=float) - targets
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -233,6 +235,29 @@ def bisecting_outermost_levels(W, env, y):
     nu = np.maximum(nu, y)
     snap = np.abs(nu - y) <= 1e-7 * np.maximum(1.0, np.abs(y))
     return np.where(snap, y, nu)
+
+
+def level_defects(env, y, nu, want, brackets):
+    """Indices of y where the levels nu break their contract with the
+    bisected levels want of the same brackets (lo, hi, has).
+
+    Cells that ``radial_solver._level_brackets`` keeps, or finds without
+    a bracket, must equal want bit for bit. Every other cell must equal
+    want, or have nu >= y, lie in [lo, hi], and leave a residual
+    |W(nu) - W(y)| no larger than want's plus 4 ulps of W(y).
+    """
+    from radrelax.radial_solver import _level_brackets
+
+    W = env.potential
+    lo, hi, _ = brackets
+    moved = np.zeros(len(y), dtype=bool)
+    moved[_level_brackets(env, y)[1]] = True
+    t = np.asarray(W.eval(y), dtype=float)
+    res = np.abs(np.asarray(W.eval(nu), dtype=float) - t)
+    res_want = np.abs(np.asarray(W.eval(want), dtype=float) - t)
+    ok = moved & (nu >= y) & (lo <= nu) & (nu <= hi)
+    ok &= res <= res_want + 4.0 * np.spacing(np.abs(t))
+    return np.flatnonzero(~(ok | (nu == want)))
 
 
 def quadratic_window_density(rbar, inside, radius):

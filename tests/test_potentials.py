@@ -241,6 +241,20 @@ def test_unused_fields_rejected(kind, field, value):
         Potential1D(kind=kind, **given, **{field: value})
 
 
+@pytest.mark.parametrize("kind,given,field,empty", [
+    ("poly_in_t_squared", {"coefficients": (1.0, 1.0)}, "breakpoints", []),
+    ("piecewise_poly", {"coefficients": ((1.0, -2.0, 1.0),)}, "samples", ()),
+    ("sampled", {"samples": _SAMPLES}, "coefficients", []),
+])
+def test_empty_unused_field_compares_equal(kind, given, field, empty):
+    # an empty unused field was kept as given, so these pairs compared
+    # unequal
+    bare = Potential1D(kind=kind, **given)
+    padded = Potential1D(kind=kind, **given, **{field: empty})
+    assert padded == bare
+    assert getattr(padded, field) == getattr(bare, field)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_polynomial_data_rejected(bad):
     # the spec parser rejects these first; the library must too, or

@@ -1,5 +1,5 @@
 """Property tests on arbitrary inputs: the monotone rearrangement laws
-and its bits against the all-cell bisection, the spec emit/parse round
+and its levels against the all-cell bisection, the spec emit/parse round
 trip, the sampled-kind hull against the chord-walk oracle, the hull
 against the plain monotone chain, the detachment runs against the scalar
 walk, the report writer against json.dumps, the derivative tables
@@ -26,6 +26,7 @@ from radrelax.potentials import (Potential1D, ProblemSpec,  # noqa: E402
 from radrelax.radial_solver import (  # noqa: E402
     RadialGrid,
     RadialProfile,
+    _outermost_levels,
     _spd_tridiagonal_solve,
     energy_reduced,
     ensure_envelope,
@@ -35,9 +36,10 @@ from radrelax.specfile import emit_spec_text, parse_spec_text  # noqa: E402
 
 from conftest import (double_well, graded_grid, make_m0_spec,  # noqa: E402
                       three_well)
-from oracles import (bisecting_outermost_levels, chord_hull_values,  # noqa: E402
-                     chord_hull_vertices, masked_envelope_eval,
-                     plain_monotone_chain, random_even_sampled, runs_walk)
+from oracles import (bisected_levels, chord_hull_values,  # noqa: E402
+                     chord_hull_vertices, level_defects, masked_envelope_eval,
+                     plain_monotone_chain, random_even_sampled, runs_walk,
+                     suffix_level_brackets)
 
 # G(u) = -u^2 does not increase in |u| (G2), so the energy cannot rise
 _SPECS = {
@@ -128,9 +130,16 @@ def test_rearrangement_matches_bisecting_oracle(name, data):
     prof = RadialProfile(RadialGrid.uniform(float(cells), cells), u)
     y = np.abs(prof.slopes)
     assert np.array_equal(y, np.repeat(values, 2))
-    drops = bisecting_outermost_levels(env.potential, env, y) * prof.grid.dr
-    want = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
-    assert np.array_equal(monotone_rearrange(prof, env).u, want)
+    # kept and bracketless cells keep the bisection's bits; a root found
+    # by Newton lies in its bracket, is no smaller than y, and misses
+    # W(y) by no more than the bisection's root plus 4 ulps of W(y)
+    nu = _outermost_levels(env, y)
+    brackets = suffix_level_brackets(env, y)
+    want = bisected_levels(env, y, brackets)
+    assert level_defects(env, y, nu, want, brackets).size == 0
+    drops = nu * prof.grid.dr
+    v = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+    assert np.array_equal(monotone_rearrange(prof, env).u, v)
 
 
 _COEFF = st.floats(-10.0, 10.0, allow_nan=False)

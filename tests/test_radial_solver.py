@@ -19,7 +19,7 @@ from radrelax.radial_solver import (
     monotone_rearrange,
     solve_pipeline,
 )
-from radrelax.radial_solver import (_RelaxedEnergy, _newton,
+from radrelax.radial_solver import (_RelaxedEnergy, _last_brackets, _newton,
                                     _newton_direction, _outermost_levels,
                                     _slope_bound, _spd_tridiagonal_solve)
 
@@ -28,8 +28,9 @@ from conftest import (double_well, graded_grid, make_m0_spec,
 from corpus import (HARD, HARD_CELLS, HARD_REFERENCE, MONOTONE,
                     MONOTONE_CELLS, MONOTONE_REFERENCE)
 from oracles import (allocating_dp_oracle, array_only_envelope,
-                     banded_newton_direction, ladder_newton_direction,
-                     quadratic_outermost_levels, random_even_sampled)
+                     banded_newton_direction, bisected_levels,
+                     ladder_newton_direction, level_defects,
+                     quadratic_level_brackets, random_even_sampled)
 
 # Frozen before any solver tuning; regression guard for the DP reference.
 DP_PROTOTYPE_RELAXED = -0.5237016831861441
@@ -211,14 +212,34 @@ def test_minimize_three_well_under_G_with_a_well(dimension, g, cells,
     assert abs(report.relaxed_energy - relaxed) <= 1e-10
 
 
+def _spy_on_root_finder(monkeypatch):
+    # the number of cells of each call to the rearrangement's root finder
+    import radrelax.radial_solver as solver_mod
+
+    real, calls = solver_mod._bracketed_roots, []
+
+    def spy(W, out, idx, *rest):
+        calls.append(len(idx))
+        return real(W, out, idx, *rest)
+
+    monkeypatch.setattr(solver_mod, "_bracketed_roots", spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", list(MONOTONE))
-def test_monotone_corpus_matches_reference(name):
+def test_monotone_corpus_matches_reference(name, monkeypatch):
     spec = MONOTONE[name]()
     report = minimize_relaxed(spec, RadialGrid.uniform(spec.radius,
                                                        MONOTONE_CELLS))
     reference, _ = MONOTONE_REFERENCE[name]
     assert report.converged
     assert abs(report.relaxed_energy - reference) <= 1e-15 * abs(reference)
+    # every descent slope is its own outermost level point, so no cell
+    # reaches the root finder and the rearranged profile keeps the
+    # descent's bits; among these are the `solve` workload's bench1-4
+    calls = _spy_on_root_finder(monkeypatch)
+    monotone_rearrange(report.profile, ensure_envelope(spec))
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", list(HARD))
@@ -546,12 +567,48 @@ def test_outermost_levels_equal_the_quadratic_scan():
         for cells in (16, 33, 257, 4096):
             y = np.abs(rng.uniform(-3.0, 3.0, cells))
             y[:4] = (M + 1e-9, max(M - 1e-9, 0.0), 0.0, M)
-            new = _outermost_levels(env, y)
-            old = quadratic_outermost_levels(W, env, y)
-            assert np.array_equal(new, old), (k, cells)
+            # the bisection of the matrix form's brackets: bits where
+            # cells are kept or have no bracket, the root contract where
+            # Newton finds them
+            nu = _outermost_levels(env, y)
+            brackets = quadratic_level_brackets(env, y)
+            want = bisected_levels(env, y, brackets)
+            bad = level_defects(env, y, nu, want, brackets)
+            assert bad.size == 0, (k, cells, bad)
             T = max(W.domain_halfwidth, 1.5 * float(np.max(y)) + 1.0, M + 1.0)
             ends_below |= bool(np.any(W.eval(T) < W.eval(y)))
     assert ends_below
+
+
+def test_last_brackets_at_the_scan_end_and_past_it():
+    # a target equal to the last scan value brackets at the last interval;
+    # one above or below every scan value has no bracket (its last reads
+    # n - 2); among several crossings the last one counts, whether the
+    # scan ends above the target or below it
+    vals = np.array([3.0, 0.0, 2.0, 1.0, 4.0])
+    last, has = _last_brackets(vals, np.array([4.0, 5.0, 1.5]))
+    assert last.tolist() == [3, 3, 3]
+    assert has.tolist() == [True, False, True]
+    last, has = _last_brackets(vals[:4], np.array([1.0, 0.5, -1.0, 1.5]))
+    assert last.tolist() == [2, 1, 2, 2]
+    assert has.tolist() == [True, True, False, True]
+
+
+def test_outermost_levels_keep_and_snap_margins(monkeypatch):
+    # past the 1e-7 margin above M the slope is kept without a root
+    # search; 1e-6 below M the outer root is 2e-6 from y, past the snap
+    env = convexify(double_well())
+    M = env.M
+    calls = _spy_on_root_finder(monkeypatch)
+    y = np.array([M * (1.0 + 2e-7)])
+    assert np.array_equal(_outermost_levels(env, y), y)
+    assert calls == []
+    y = np.array([M * (1.0 - 1e-6)])
+    nu = float(_outermost_levels(env, y)[0])
+    assert calls == [1]
+    assert nu > M
+    W = env.potential
+    assert abs(W.eval(nu) - W.eval(float(y[0]))) <= 1e-15
 
 
 def test_rearrange_never_increases_energy_under_G2(prototype_spec):

@@ -273,6 +273,20 @@ def test_rearrange_and_full_report_memory_linear(proto_env):
     assert _peak_mb(full_report, prof, spec, env) < 16.0
 
 
+def test_rearrange_peak_memory_at_check_size(proto_env):
+    # the check workload's 4096 cells with slopes in [-1.6, 1.6], about
+    # 2,550 of them root-searched: 0.36 MiB, against 0.46 MiB with the
+    # bisection and 0.65 MiB for a Newton that allocates its state anew
+    # each step
+    _, env = proto_env
+    grid = RadialGrid.uniform(1.0, 4096)
+    rng = np.random.default_rng(1)
+    u = np.concatenate([[0.0], np.cumsum(rng.uniform(-1.6, 1.6, grid.cells)
+                                         * grid.dr)])
+    prof = RadialProfile(grid, u - u[-1])
+    assert _peak_mb(monotone_rearrange, prof, env) < 0.5
+
+
 def test_energy_consistency_cone(proto_env, cone):
     spec, env = proto_env
     rec = energy_consistency(cone, spec, env)
