@@ -47,7 +47,7 @@ _BLOCK_ROWS = 32
 _BLOCK_RAYS = 16
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscField:
     """Nodal scalar field on an n-by-n grid over [-R, R]^2, zero outside
     the open disc of radius R.
@@ -202,93 +202,61 @@ class _DiscGeometry:
 
     @cached_property
     def rim(self):
-        """The rim cells in row-major order, as index arrays (i, j), and
-        the fraction of each inside the disc.
+        """The rim table: the rim cells in row-major order, as arrays
+        (i, j, w, di, dj) of each cell's indices, its area weight and its
+        gradient donor.
 
         A cell is in the rim when it is not full and the point of its box
-        nearest the origin lies inside the disc.  The fraction counts the
-        subcell centres of a 16x16 lattice that lie inside; the count of
-        0/1 values is exact, so it has the bits of their float mean.
-        """
-        x, R = self.x, self.radius
-        # nearest point of the cell box to the origin, per axis
-        near = np.clip(0.0, x[:-1], x[1:])
-        i, j = np.nonzero(~self.full & self._outer(near * near,
-                                                   lambda s: np.sqrt(s) < R))
-        frac = np.empty(len(i))
-        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * self.h
-        for s in range(0, len(i), _RIM_CHUNK):
-            sx = x[i[s:s + _RIM_CHUNK], None, None] + off[None, :, None]
-            sy = x[j[s:s + _RIM_CHUNK], None, None] + off[None, None, :]
-            frac[s:s + _RIM_CHUNK] = np.count_nonzero(
-                sx * sx + sy * sy < R * R, axis=(1, 2)) / _SUBCELL ** 2
-        return i, j, frac
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        """Cells of area weight 1, whose farthest corner is within the
-        radius.
-
-        The farthest corner of a cell is its farthest node along each
-        axis: rounded squares, sums and square roots are monotone, so the
+        nearest the origin lies inside the disc.  It weighs 1 where its
+        farthest corner is within the radius, and otherwise the fraction
+        of the subcell centres of a 16x16 lattice that lie inside.  The
+        farthest corner of a cell is its farthest node along each axis:
+        rounded squares, sums and square roots are monotone, so the
         corner distance built from ``far2`` is the largest of the four
-        computed corner distances, bit for bit.  A full cell counts 1,
-        since sqrt(R * R) == R in IEEE arithmetic.
-        """
-        return self._outer(self.far2, lambda s: np.sqrt(s) <= self.radius)
-
-    @cached_property
-    def partial(self):
-        """The cells of ``rim`` outside ``unit``, as index arrays (i, j) in
-        row-major order, and the fraction of each inside the disc."""
-        i, j, frac = self.rim
-        keep = ~self.unit[i, j]
-        return i[keep], j[keep], frac[keep]
-
-    def weights(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
-        """Fraction of each cell of rows a..b inside the disc, into
-        ``out``: 1 on ``unit``, the fraction on ``partial``, 0 elsewhere."""
-        np.copyto(out, self.unit[a:b])
-        i, j, frac = self.partial
-        lo, hi = np.searchsorted(i, (a, b))
-        out[i[lo:hi] - a, j[lo:hi]] = frac[lo:hi]
-        return out
-
-    @cached_property
-    def donors(self):
-        """Rim cells that borrow the gradient of a full cell, as index
-        arrays (i0, j0) of the borrowers and (ci, cj) of their donors,
-        row-major in the borrowers.
+        computed corner distances, bit for bit.  The count of 0/1 values
+        is exact, so a fraction has the bits of their float mean.  Every
+        other cell weighs 1 if full and 0 if outside, and keeps its own
+        gradient.
 
         Cells cut by the circle have corners pinned to zero outside the
         disc, which flattens their bilinear patch and misprices the
         gradient term badly whenever the radial slope at the rim is
-        nonzero.  Copying the gradient from the adjacent interior cell
-        keeps the error at O(h) on an O(h) strip.
-
-        Every cell of ``rim`` walks toward the center at once, in at most
-        six array steps: each step moves one cell along the axis whose
-        center coordinate is larger in magnitude, and a cell stops
-        walking once it stands on a full cell (its donor).  A step moves
-        toward the centre, so no walk leaves the grid; a cell that finds
-        no full cell in six steps keeps its own gradient and is not in
-        the map.  Donors are full cells and borrowers never are, so a
-        donor's gradient is its own.
+        nonzero.  A rim cell therefore borrows the gradient of a full
+        cell, its donor, which keeps the error at O(h) on an O(h) strip.
+        Every rim cell walks toward the centre at once, in at most six
+        array steps: each step moves one cell along the axis whose centre
+        coordinate is larger in magnitude, and a cell stops walking once
+        it stands on a full cell.  A step moves toward the centre, so no
+        walk leaves the grid; a cell that finds no full cell in six steps
+        is its own donor.  Donors are full cells or rim cells that do not
+        land, so a donor's gradient is its own.
         """
-        full, xc = self.full, self.xc
-        i0, j0, _ = self.rim
-        ci, cj = i0, j0
-        walking = np.ones(len(i0), dtype=bool)
+        x, R, full, xc = self.x, self.radius, self.full, self.xc
+        # nearest point of the cell box to the origin, per axis
+        near = np.clip(0.0, x[:-1], x[1:])
+        i, j = np.nonzero(~full & self._outer(near * near,
+                                              lambda s: np.sqrt(s) < R))
+        w = np.empty(len(i))
+        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * self.h
+        for a, b in _row_blocks(len(i), _RIM_CHUNK):
+            sx = x[i[a:b], None, None] + off[None, :, None]
+            sy = x[j[a:b], None, None] + off[None, None, :]
+            w[a:b] = np.count_nonzero(sx * sx + sy * sy < R * R,
+                                      axis=(1, 2)) / _SUBCELL ** 2
+        w[np.sqrt(self.far2[i] + self.far2[j]) <= R] = 1.0
+        # the donor walk
+        di, dj = i, j
+        walking = np.ones(len(i), dtype=bool)
         for _ in range(6):
-            walking &= ~full[ci, cj]
+            walking &= ~full[di, dj]
             if not walking.any():
                 break
-            xi, xj = xc[ci], xc[cj]
+            xi, xj = xc[di], xc[dj]
             along_x = np.abs(xi) >= np.abs(xj)
-            ci = np.where(walking & along_x, ci + np.where(xi < 0, 1, -1), ci)
-            cj = np.where(walking & ~along_x, cj + np.where(xj < 0, 1, -1), cj)
-        landed = full[ci, cj]
-        return i0[landed], j0[landed], ci[landed], cj[landed]
+            di = np.where(walking & along_x, di + np.where(xi < 0, 1, -1), di)
+            dj = np.where(walking & ~along_x, dj + np.where(xj < 0, 1, -1), dj)
+        landed = full[di, dj]
+        return i, j, w, np.where(landed, di, i), np.where(landed, dj, j)
 
     def cells(self, values: np.ndarray, means: bool = True):
         """The cell map of nodal values, a block of cell rows a..b at a
@@ -349,21 +317,24 @@ def _energy_2d(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
     W = ensure_envelope(spec) if use_envelope else spec.W
     h = geo.h
-    i0, j0, ci, cj = geo.donors
-    donor_norm = np.hypot(*_gradient(*_cell_corners(fld.values, ci, cj), h,
-                                      *np.empty((2, len(ci)))))
+    i, j, w, di, dj = geo.rim
+    rim_norm = np.hypot(*_gradient(*_cell_corners(fld.values, di, dj), h,
+                                    *np.empty((2, len(i)))))
     terms = np.empty((fld.n - 1, fld.n - 1))
     for a, b, ux, uy, ubar in geo.cells(fld.values):
         gnorm = np.hypot(ux, uy, out=ux)
-        lo, hi = np.searchsorted(i0, (a, b))
-        gnorm[i0[lo:hi] - a, j0[lo:hi]] = donor_norm[lo:hi]
+        lo, hi = np.searchsorted(i, (a, b))
+        ri, rj = i[lo:hi] - a, j[lo:hi]
+        gnorm[ri, rj] = rim_norm[lo:hi]
         t = terms[a:b]
         t[...] = W.eval(gnorm.ravel()).reshape(t.shape)
         t += spec.G.eval(ubar.ravel()).reshape(t.shape)
-        # the weights go in gnorm's buffer, which W has priced
-        w = geo.weights(a, b, gnorm)
-        w *= h ** 2
-        t *= w
+        # the weights go in gnorm's buffer, which W has priced: 1 on the
+        # full cells, 0 outside, and the rim table's weights on the rim
+        np.copyto(gnorm, geo.full[a:b])
+        gnorm[ri, rj] = w[lo:hi]
+        gnorm *= h ** 2
+        t *= gnorm
     return float(np.sum(terms))
 
 

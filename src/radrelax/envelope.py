@@ -52,7 +52,7 @@ class DetachmentComponent:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class EnvelopeResult:
     """Envelope values on a symmetric grid plus detachment structure."""
 
@@ -62,7 +62,7 @@ class EnvelopeResult:
     components: List[DetachmentComponent]
     M: float
     wcaffine_holds: bool
-    potential: Potential1D = field(repr=False, compare=False)
+    potential: Potential1D = field(repr=False)
 
     def _patched(self, t, outside, inside):
         # outside(t) everywhere, then inside(c, t) on each component c. A

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialGrid:
     """Strictly increasing radial nodes r_0 = 0 < ... < r_K = R, K >= 16."""
 
@@ -67,7 +67,7 @@ class RadialGrid:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialProfile:
     """Nodal values on a radial grid with the boundary value pinned to 0."""
 
@@ -91,7 +91,7 @@ class RadialProfile:
         return 0.5 * (self.u[1:] + self.u[:-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Solver outcome; original energy prices W, relaxed prices its envelope."""
 

@@ -24,14 +24,17 @@ those into one short digest of the whole matrix. ``potential_digests``
 returns one SHA-256 of W, W' and W'' of each of 225 potentials (the W and
 G of every ``MONOTONE`` and ``HARD`` problem, the three double wells, the
 three-well and ``random_even_sampled(0..38)``) on a fixed point set.
+``disc_digests`` returns one SHA-256 of the planar disc checks of each of
+126 random fields (``DISC_FIELDS``), from public calls only.
 
 Run as a script, ``PYTHONPATH=src python tests/corpus.py``, it prints
-the matrix digest on its first line and the folded potential digest on
-its second; ``--save FILE`` also writes the per-run and per-potential
-``{name: digest}`` JSON to FILE, and ``--diff FILE`` prints, in place of
-the digests, the names whose digest differs from FILE's, then FILE's two
-folded digests and the current ones. A byte comparison of two trees is
-then ``--save`` on one and ``--diff`` on the other.
+the matrix digest on its first line, the folded potential digest on its
+second and the folded disc digest on its third; ``--save FILE`` also
+writes the per-run, per-potential and per-field ``{name: digest}`` JSON
+to FILE, and ``--diff FILE`` prints, in place of the digests, the names
+whose digest differs from FILE's, then FILE's three folded digests and
+the current ones. A byte comparison of two trees is then ``--save`` on
+one and ``--diff`` on the other.
 """
 
 import contextlib
@@ -44,7 +47,8 @@ import os
 
 import numpy as np
 
-from radrelax.disc2d import DiscField
+from radrelax.disc2d import (DiscField, averaged_ray_energy_check,
+                             colinearity_defect, energy_2d)
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.specfile import emit_spec_text, parse_spec_text
 
@@ -308,6 +312,39 @@ def potential_digests():
     return digests
 
 
+# The disc fields: ``DiscField.random_smooth(n, R, seed)`` on 42
+# geometries, seven grid sizes (one block of cell rows, short last
+# blocks, rims that borrow across a block edge) times six radii
+DISC_FIELDS = {f"disc/n{n}/R{radius:g}/seed{seed}": (n, radius, seed)
+               for n in (33, 35, 65, 129, 257, 259, 513)
+               for radius in (0.3, 0.5, 1.0, 1.7, 2.0, 10.0)
+               for seed in (0, 1, 7)}
+
+
+def disc_digests():
+    """``{"disc/n<n>/R<R>/seed<seed>": sha256 hex}`` over ``DISC_FIELDS``.
+
+    A digest covers the field's planar energy under the prototype's W and
+    G at its radius, with W and with its envelope, the lhs, rhs and
+    per-ray energies of the 16-ray check, and the colinearity defect.
+    """
+    specs = {}
+    digests = {}
+    for name, (n, radius, seed) in DISC_FIELDS.items():
+        if radius not in specs:
+            specs[radius] = dataclasses.replace(make_prototype_spec(),
+                                                radius=radius)
+        spec = specs[radius]
+        fld = DiscField.random_smooth(n, radius, seed)
+        rep = averaged_ray_energy_check(fld, spec, n_thetas=16)
+        h = hashlib.sha256(np.array([
+            energy_2d(fld, spec), energy_2d(fld, spec, use_envelope=True),
+            rep.lhs, rep.rhs, colinearity_defect(fld)]).tobytes())
+        h.update(rep.per_theta.tobytes())
+        digests[name] = h.hexdigest()
+    return digests
+
+
 def _bench_text(name):
     return emit_spec_text(_bench_spec(name))
 
@@ -431,29 +468,31 @@ if __name__ == "__main__":
     import tempfile
 
     parser = argparse.ArgumentParser(
-        description="Digests of the outputs of the CLI matrix and of the "
-        "potentials' values.")
+        description="Digests of the outputs of the CLI matrix, of the "
+        "potentials' values and of the planar disc checks.")
     parser.add_argument("--save", metavar="FILE",
                         help="write the {name: digest} JSON to FILE")
     parser.add_argument("--diff", metavar="FILE",
                         help="print the names whose digest differs from "
-                        "FILE's, then both pairs of folded digests")
+                        "FILE's, then both triples of folded digests")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         digests = cli_matrix_digests(workdir)
     kernel = potential_digests()
+    disc = disc_digests()
 
     def folded(found):
-        # the matrix digest and the potential digest of {name: digest}
-        return (matrix_digest({k: v for k, v in found.items()
-                               if k in CLI_MATRIX}),
-                matrix_digest({k: v for k, v in found.items()
-                               if k not in CLI_MATRIX}))
+        # the matrix, potential and disc digests of {name: digest}
+        def group(k):
+            return 0 if k in CLI_MATRIX else 2 if k in DISC_FIELDS else 1
+        return tuple(matrix_digest({k: v for k, v in found.items()
+                                    if group(k) == g}) for g in range(3))
 
     if args.diff is None:
-        print(matrix_digest(digests))
-        print(matrix_digest(kernel))
+        for part in (digests, kernel, disc):
+            print(matrix_digest(part))
     digests.update(kernel)
+    digests.update(disc)
     if args.diff is not None:
         with open(args.diff, encoding="utf-8") as fh:
             saved = json.load(fh)

@@ -1014,6 +1014,19 @@ def test_coarse_grid_default_window_exits_1_before_descent(
             == f"corner window 0.2 holds {held} cells; need at least 8\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_coarse_grid_default_window_of_8_cells_exits_0(command, prototype_ini,
+                                                       tmp_path):
+    # at 38 cells the default window holds exactly the 8 cells the corner
+    # fit needs
+    out = tmp_path / "rep.json"
+    assert main([command, "--spec", prototype_ini, "--grid-points", "38",
+                 "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["results"]["verify"]["records"]
+    corner, = (r for r in records if r["name"] == "corner_condition")
+    assert corner["details"]["cells"] == 8
+
+
 def test_coarse_grid_with_wide_window_exits_0(prototype_ini, capsys):
     assert main(["solve", "--spec", prototype_ini, "--grid-points", "16",
                  "--window", "0.6"]) == 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from radrelax.disc2d import DiscField
 from radrelax.envelope import NumericalFailure, convexify
 from radrelax.potentials import Potential1D, ProblemSpec, sphere_area
 from radrelax.radial_solver import (
@@ -72,6 +73,25 @@ def test_grid_validation():
     graded = graded_grid(2.0, 64)
     assert graded.nodes[-1] == 2.0
     assert graded.dr[0] < graded.dr[-1]
+
+
+def test_array_holders_compare_by_identity():
+    # an elementwise __eq__ over array fields raised "truth value of an
+    # array is ambiguous" whenever the arrays were distinct objects; == is
+    # identity, and never raises
+    spec = make_prototype_spec()
+    grid = RadialGrid.uniform(1.0, 16)
+    pairs = [
+        (RadialGrid.uniform(1.0, 16), RadialGrid.uniform(1.0, 16)),
+        (RadialProfile(grid, np.zeros(17)), RadialProfile(grid, np.zeros(17))),
+        (DiscField.random_smooth(33, 1.0, 1), DiscField.random_smooth(33, 1.0, 1)),
+        (convexify(spec.W), convexify(spec.W)),
+        (minimize_relaxed(spec, grid), minimize_relaxed(spec, grid)),
+    ]
+    for a, b in pairs:
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
 
 
 def test_profile_boundary_pinned():
@@ -630,6 +650,20 @@ def test_pipeline_warning_without_monotone_shape():
         shape_flag="none")
     report = solve_pipeline(spec, RadialGrid.uniform(1.0, 64))
     assert any("G2" in w for w in report.warnings)
+
+
+def test_pipeline_without_monotone_shape_warns_nothing_at_m0():
+    # W = t^2 + t^4 has M = 0, so there is no slope band for an undeclared
+    # G shape to leave unrearranged
+    spec = ProblemSpec(
+        dimension=2, radius=1.0, p=4.0,
+        W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, 1.0)),
+        G=Potential1D(kind="piecewise_poly", coefficients=((0.0, -1.0),)),
+        shape_flag="none")
+    report = solve_pipeline(spec, RadialGrid.uniform(1.0, 64))
+    assert ensure_envelope(spec).M == 0.0
+    assert report.warnings == []
+    assert report.verify.overall
 
 
 def test_pipeline_warning_detachment_escapes(three_well_spec):

@@ -143,6 +143,15 @@ def test_corner_fit_rejects_non_finite_intercept(grid):
             corner_condition_check(prof, 1.0, window=0.2)
 
 
+def test_corner_condition_window_of_8_cells(cone):
+    # 8 cells are the fewest the fit takes
+    rec = corner_condition_check(cone, 1.0, window=8.0 / K)
+    assert rec["details"]["cells"] == 8
+    assert rec["passed"]
+    with pytest.raises(ValueError, match="holds 7 cells"):
+        corner_condition_check(cone, 1.0, window=7.5 / K)
+
+
 def test_corner_condition_window_too_small(cone):
     with pytest.raises(ValueError, match="at least 8"):
         corner_condition_check(cone, 1.0, window=3.0 / K)
