@@ -375,31 +375,83 @@ def _require_coercive(W: Potential1D):
             raise ValueError("potential is not coercive (sample tail not rising)")
 
 
+def _bracketed_roots(f, fprime, out, idx, lo, hi, flo, fhi, t):
+    """Write into out[idx] a root of f - t in each bracket [lo, hi] whose
+    end residuals flo and fhi differ in sign or are 0, by safeguarded
+    Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4); f and its
+    derivative fprime map arrays to arrays.
+
+    An end with residual 0 is its root. Every other cell starts at the
+    secant point of its bracket. A step takes the bracket's midpoint where
+    the point has left the open bracket, evaluates f there, and keeps the
+    bracket by the residual's sign; the Newton step from it, by fprime, is
+    lengthened to one ulp toward the root where it is shorter, so the
+    iterates cross the root. A cell stops once its residual is 0 or its
+    bracket ends are adjacent floats, and after 60 steps at most; its root
+    is the bracket end with the smaller residual. The arrays are compacted
+    in place to the cells still running, so a step allocates only what f
+    and fprime do; every argument but f, fprime and out is overwritten.
+    """
+    out[idx] = np.where(flo == 0.0, lo, hi)
+    idx, lo, hi, flo, fhi, t = _compact(
+        np.flatnonzero((flo != 0.0) & (fhi != 0.0)), idx, lo, hi, flo, fhi, t)
+    # the secant point lo - flo (hi - lo) / (fhi - flo)
+    x = hi - lo
+    x *= flo
+    x /= fhi - flo
+    np.subtract(lo, x, out=x)
+    for _ in range(60):
+        mid = lo + hi
+        mid *= 0.5
+        np.copyto(x, mid, where=~((lo < x) & (x < hi)))
+        r = f(x)
+        r -= t
+        same = (r < 0.0) == (flo < 0.0)
+        np.copyto(lo, x, where=same)
+        np.copyto(flo, r, where=same)
+        np.invert(same, out=same)
+        np.copyto(hi, x, where=same)
+        np.copyto(fhi, r, where=same)
+        out[idx] = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+        go = r != 0.0
+        go &= np.nextafter(lo, np.inf) < hi
+        go = np.flatnonzero(go)
+        if not go.size:
+            break
+        idx, x, r, lo, hi, flo, fhi, t = _compact(go, idx, x, r, lo, hi, flo,
+                                                  fhi, t)
+        # the Newton step, at least one ulp long; where fprime is 0 it is
+        # infinite and the midpoint replaces it
+        with np.errstate(divide="ignore"):
+            r /= fprime(x)
+        ulp = np.spacing(x)
+        np.copyto(r, np.copysign(ulp, r), where=np.abs(r) < ulp)
+        x -= r
+
+
+def _compact(keep, *arrays):
+    # the entries at the increasing indices keep, moved to the front of
+    # each array in place; returns those fronts as views
+    m = len(keep)
+    if m == len(arrays[0]):
+        return arrays
+    for arr in arrays:
+        arr[:m] = arr.take(keep)
+    return tuple(arr[:m] for arr in arrays)
+
+
 def _refine_min_poly(W: Potential1D, lo: float, hi: float) -> float:
-    # bisection on W' over a bracket holding one interior minimum
+    # the minimum in a scan bracket: the root of W' by rtsafe where W'
+    # changes sign across it, else the best of 33 points
     dlo, dhi = W.derivative(lo), W.derivative(hi)
     if not (dlo <= 0.0 <= dhi):
         grid = np.linspace(lo, hi, 33)
         return float(grid[np.argmin(W.eval(grid))])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
-            break
-        if W.derivative(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    # Newton finish: bisection stalls at the 1e-13 width floor
-    for _ in range(3):
-        d2 = W.derivative(t, order=2)
-        if abs(d2) < 1e-12:
-            break
-        step = W.derivative(t) / d2
-        if not (lo - (hi - lo) <= t - step <= hi + (hi - lo)):
-            break
-        t -= step
-    return float(t)
+    out = np.empty(1)
+    _bracketed_roots(W.derivative, lambda x: W.derivative(x, 2), out,
+                     np.zeros(1, dtype=int),
+                     *(np.array([v]) for v in (lo, hi, dlo, dhi, 0.0)))
+    return float(out[0])
 
 
 def compute_M(W: Potential1D) -> float:
@@ -409,9 +461,9 @@ def compute_M(W: Potential1D) -> float:
     t = 0 when W does not fall from it): of the samples with t >= 0 for
     sampled kinds, whose monotone interpolant has its minima on the
     samples; of a ``_SCAN_POINTS`` scan of [0, T] for polynomial kinds,
-    each refined by bisection on W'. Value ties within 1e-10 resolve
-    toward the largest candidate. Returns exactly 0.0 when the global
-    minimum is attained only at t = 0.
+    each refined to a root of W' by ``_bracketed_roots``. Value ties
+    within 1e-10 resolve toward the largest candidate. Returns exactly
+    0.0 when the global minimum is attained only at t = 0.
 
     Raises:
         ValueError: if W is not coercive.

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .envelope import EnvelopeResult, NumericalFailure, convexify
-from .potentials import ProblemSpec, sphere_area
+from .potentials import ProblemSpec, _bracketed_roots, sphere_area
 
 __all__ = [
     "RadialGrid",
@@ -190,7 +190,7 @@ class _RelaxedEnergy:
     """
 
     def __init__(self, spec, env, grid: RadialGrid):
-        self.spec, self.env, self.dr = spec, env, grid.dr
+        self.spec, self.env, self.grid, self.dr = spec, env, grid, grid.dr
         self.weight = (sphere_area(spec.dimension)
                        * grid.midpoints ** (spec.dimension - 1) * grid.dr)
         # lumped node mass: scales the gradient test and the Levenberg shift
@@ -209,9 +209,10 @@ class _RelaxedEnergy:
         return np.diff(u) / self.dr, 0.5 * (u[1:] + u[:-1])
 
     def value(self, x) -> float:
-        s, ubar = self._cells(x)
-        return float(np.sum(self.weight * (self.env.eval(s)
-                                           + self.spec.G.eval(ubar))))
+        # the report's price, through the spec's cached envelope (env, as
+        # minimize_relaxed passes it), so descent and report agree bit for bit
+        return float(_reduced_energy(self.grid, np.append(x, 0.0), self.spec,
+                                     use_envelope=True))
 
     def gradient(self, x) -> np.ndarray:
         s, ubar = self._cells(x)
@@ -610,7 +611,8 @@ def _outermost_levels(env, y: np.ndarray) -> np.ndarray:
     # no scan interval brackets W(y): y, floored at M
     nu[free] = np.maximum(y[free], env.M)
     if idx.size:
-        _bracketed_roots(env.potential, nu, idx, *bracket)
+        W = env.potential
+        _bracketed_roots(W.eval, W.derivative, nu, idx, *bracket)
     # y sits in its own level set, so it floors the outermost point
     np.maximum(nu, y, out=nu)
     # around a well the float evaluation of W flattens to a plateau of
@@ -650,70 +652,6 @@ def _level_brackets(env, y: np.ndarray):
     t = targets[idx]
     return (np.flatnonzero(~(keep | has)), idx,
             (grid[j], grid[j + 1], vals[j] - t, vals[j + 1] - t, t))
-
-
-def _bracketed_roots(W, out, idx, lo, hi, flo, fhi, t):
-    """Write into out[idx] a root of W - t in each bracket [lo, hi] whose
-    end residuals flo and fhi differ in sign or are 0, by safeguarded
-    Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4).
-
-    An end with residual 0 is its root. Every other cell starts at the
-    secant point of its bracket. A step takes the bracket's midpoint where
-    the point has left the open bracket, evaluates W there, and keeps the
-    bracket by the residual's sign; the Newton step from it, by W', is
-    lengthened to one ulp toward the root where it is shorter, so the
-    iterates cross the root. A cell stops once its residual is 0 or its
-    bracket ends are adjacent floats, and after 60 steps at most; its root
-    is the bracket end with the smaller residual. The arrays are compacted
-    in place to the cells still running, so a step allocates only what W
-    and W' do; every argument but W and out is overwritten.
-    """
-    out[idx] = np.where(flo == 0.0, lo, hi)
-    idx, lo, hi, flo, fhi, t = _compact(
-        np.flatnonzero((flo != 0.0) & (fhi != 0.0)), idx, lo, hi, flo, fhi, t)
-    # the secant point lo - flo (hi - lo) / (fhi - flo)
-    x = hi - lo
-    x *= flo
-    x /= fhi - flo
-    np.subtract(lo, x, out=x)
-    for _ in range(60):
-        mid = lo + hi
-        mid *= 0.5
-        np.copyto(x, mid, where=~((lo < x) & (x < hi)))
-        f = W.eval(x)
-        f -= t
-        same = (f < 0.0) == (flo < 0.0)
-        np.copyto(lo, x, where=same)
-        np.copyto(flo, f, where=same)
-        np.invert(same, out=same)
-        np.copyto(hi, x, where=same)
-        np.copyto(fhi, f, where=same)
-        out[idx] = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
-        go = f != 0.0
-        go &= np.nextafter(lo, np.inf) < hi
-        go = np.flatnonzero(go)
-        if not go.size:
-            break
-        idx, x, f, lo, hi, flo, fhi, t = _compact(go, idx, x, f, lo, hi, flo,
-                                                  fhi, t)
-        # the Newton step, at least one ulp long; where W' is 0 it is
-        # infinite and the midpoint replaces it
-        with np.errstate(divide="ignore"):
-            f /= W.derivative(x)
-        ulp = np.spacing(x)
-        np.copyto(f, np.copysign(ulp, f), where=np.abs(f) < ulp)
-        x -= f
-
-
-def _compact(keep, *arrays):
-    # the entries at the increasing indices keep, moved to the front of
-    # each array in place; returns those fronts as views
-    m = len(keep)
-    if m == len(arrays[0]):
-        return arrays
-    for arr in arrays:
-        arr[:m] = arr.take(keep)
-    return tuple(arr[:m] for arr in arrays)
 
 
 def monotone_rearrange(profile: RadialProfile,

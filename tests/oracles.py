@@ -165,6 +165,37 @@ def brute_force_largest_argmin(W, points=1_000_000):
     return float(t[i])
 
 
+def bisected_min_poly(W, lo, hi):
+    """The minimum of W in a scan bracket [lo, hi] as ``compute_M``
+    refined it before it took the rearrangement's safeguarded Newton:
+    bisection on the sign of W' down to a width of 1e-13 relative, then
+    up to three Newton steps on W' kept within one width of the bracket.
+    A bracket across which W' does not change sign gives the best of 33
+    points."""
+    dlo, dhi = W.derivative(lo), W.derivative(hi)
+    if not (dlo <= 0.0 <= dhi):
+        grid = np.linspace(lo, hi, 33)
+        return float(grid[np.argmin(W.eval(grid))])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-13 * max(1.0, abs(mid)):
+            break
+        if W.derivative(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    for _ in range(3):
+        d2 = W.derivative(t, order=2)
+        if abs(d2) < 1e-12:
+            break
+        step = W.derivative(t) / d2
+        if not (lo - (hi - lo) <= t - step <= hi + (hi - lo)):
+            break
+        t -= step
+    return float(t)
+
+
 def _level_scan(env, y):
     # the 4097-point scan of W on [M, T] of radial_solver._level_brackets,
     # and the targets W(y)

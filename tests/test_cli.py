@@ -101,6 +101,10 @@ def test_solve_with_oracle_gap(prototype_ini, tmp_path):
     assert res["oracle"]["relaxed_energy"] <= res["oracle"]["original_energy"]
     # descent on the fine grid must not trail the coarse reference
     assert res["oracle_gap"] <= 1e-3
+    # the gap is relative to the oracle's energy, whose size is not 1
+    oracle = res["oracle"]["relaxed_energy"]
+    assert abs(oracle) != 1.0
+    assert res["oracle_gap"] == (res["relaxed_energy"] - oracle) / abs(oracle)
 
 
 def test_solve_oracle_on_zero_energy_problem(convex_ini, tmp_path):
@@ -194,6 +198,21 @@ def test_envelope_report(convex_ini, tmp_path):
     assert res["wcaffine_holds"] is True
     assert res["components"] == []
     assert res["M"] == 0.0
+
+
+def test_seed_bound_is_two_to_the_64(convex_ini, tmp_path, capsys):
+    # the largest 64-bit seed is accepted and echoed; one more is a usage
+    # error, with nothing written
+    out = tmp_path / "env.json"
+    top = 2 ** 64 - 1
+    assert main(["envelope", "--spec", convex_ini, "--seed", str(top),
+                 "--out", str(out)]) == 0
+    assert _load(out)["seed"] == top
+    out.unlink()
+    assert main(["envelope", "--spec", convex_ini, "--seed", str(top + 1),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "--seed must fit in 64 bits\n"
+    assert not out.exists()
 
 
 def test_envelope_csv(prototype_ini, capsys):

@@ -231,6 +231,23 @@ def test_tangency_residuals(name, grid_points):
         assert float(np.min(W.eval(x) - (c.alpha * x + c.beta))) >= -1e-12 * scale
 
 
+def test_convexify_extends_a_tail_that_is_not_yet_convex():
+    # W = t^6/3 - 9t^4 + 81.01t^2 rises on t > 0, W' = 2t((t^2 - 9)^2 + 0.01),
+    # but bends down past T = 2, around t = 3: the scan grows T by 1.6
+    # twice, to 5.12, and finds the two exact tangents across the bend
+    W = Potential1D(kind="poly_in_t_squared",
+                    coefficients=(0.0, 81.01, -9.0, 1.0 / 3.0))
+    assert W.domain_halfwidth == 2.0
+    env = convexify(W)
+    assert env.grid[-1] == -env.grid[0] == 2.0 * 1.6 * 1.6
+    assert env.M == 0.0
+    ends = [(c.a, c.b) for c in env.components]
+    assert np.allclose(ends, [(-3.51238, -0.51268), (0.51268, 3.51238)],
+                       rtol=0.0, atol=1e-5)
+    for c in env.components:
+        assert W.derivative(c.a) == W.derivative(c.b) == c.alpha
+
+
 @pytest.mark.parametrize("grid_points", [64, 257, 4097, 16385])
 def test_polish_early_exit_keeps_components(grid_points, monkeypatch):
     # leaving the Newton loops once a step or a round changes nothing must

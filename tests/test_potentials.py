@@ -18,8 +18,10 @@ from radrelax.potentials import (
     compute_M,
 )
 
-from conftest import double_well, three_well
-from oracles import brute_force_largest_argmin, random_even_sampled
+from conftest import double_well, make_m0_spec, three_well
+from corpus import HARD, MONOTONE
+from oracles import (bisected_min_poly, brute_force_largest_argmin,
+                     random_even_sampled)
 
 
 def test_double_well_point_values():
@@ -413,6 +415,28 @@ def test_compute_M_picks_largest_tied_minimizer():
     )
     assert abs(compute_M(W) - 2.0) <= 1e-10
     assert abs(brute_force_largest_argmin(W) - 2.0) <= 1e-6
+
+
+def test_compute_M_refines_as_the_bisection_did(monkeypatch):
+    # safeguarded Newton on W' lands on the bisection's minimizer, bit for
+    # bit, in every scan bracket of the corpus and fixture potentials
+    import radrelax.potentials as potentials_mod
+
+    real, calls = potentials_mod._refine_min_poly, []
+
+    def spy(W, lo, hi):
+        calls.append((W, lo, hi, real(W, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(potentials_mod, "_refine_min_poly", spy)
+    Ws = {(W.kind, W.coefficients): W for W in
+          [make().W for make in (*MONOTONE.values(), *HARD.values())]
+          + [double_well(), three_well(), make_m0_spec().W]}
+    for W in Ws.values():
+        compute_M(W)
+    assert len(Ws) == 53 and len(calls) == 54
+    for W, lo, hi, got in calls:
+        assert got == bisected_min_poly(W, lo, hi)
 
 
 def test_compute_M_shift_and_scale_invariance():

@@ -238,9 +238,9 @@ def _spy_on_root_finder(monkeypatch):
 
     real, calls = solver_mod._bracketed_roots, []
 
-    def spy(W, out, idx, *rest):
+    def spy(f, fprime, out, idx, *rest):
         calls.append(len(idx))
-        return real(W, out, idx, *rest)
+        return real(f, fprime, out, idx, *rest)
 
     monkeypatch.setattr(solver_mod, "_bracketed_roots", spy)
     return calls
@@ -254,6 +254,9 @@ def test_monotone_corpus_matches_reference(name, monkeypatch):
     reference, _ = MONOTONE_REFERENCE[name]
     assert report.converged
     assert abs(report.relaxed_energy - reference) <= 1e-15 * abs(reference)
+    # descent prices its energy by the report's quadrature
+    assert report.relaxed_energy == energy_reduced(report.profile, spec,
+                                                   use_envelope=True)
     # every descent slope is its own outermost level point, so no cell
     # reaches the root finder and the rearranged profile keeps the
     # descent's bits; among these are the `solve` workload's bench1-4
@@ -271,6 +274,28 @@ def test_hard_corpus_matches_reference(name):
     assert report.converged is converged
     assert (abs(report.relaxed_energy - reference)
             <= 1e-12 * (1.0 + abs(reference)))
+
+
+@pytest.mark.parametrize("cells, error", [(256, -8.7885e-4),
+                                           (1024, -5.4928e-5)])
+def test_manufactured_minimizer_has_exact_energy(cells, error):
+    # u* = 1 - r^2 minimizes W = t^2 + t^4 under G = -136u + 64u^2 in
+    # N = 2 (G' = (r Wc'(u*'))' / r on u*, and the relaxed problem is
+    # convex), so E* = -118 pi / 3 exactly; the midpoint energy lies
+    # below it by an O(h^2) error measured at these grids
+    spec = ProblemSpec(
+        dimension=2, radius=1.0, p=4.0,
+        W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, 1.0)),
+        G=Potential1D(kind="piecewise_poly",
+                      coefficients=((0.0, -136.0, 64.0),)),
+        shape_flag="none")
+    report = solve_pipeline(spec, RadialGrid.uniform(1.0, cells))
+    got = report.relaxed_energy + 118.0 * math.pi / 3.0
+    assert got < 0.0
+    assert abs(got - error) <= 0.01 * abs(error)
+    assert abs(report.profile.u[0] - 1.0) <= 1e-4
+    assert report.converged
+    assert report.verify.overall
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -479,6 +504,22 @@ def test_slope_bound_scalar_kernels_match_array_path():
         env = ensure_envelope(spec)
         assert (_slope_bound(spec, env).hex()
                 == _slope_bound(spec, array_only_envelope(env)).hex()), make.__name__
+
+
+def test_slope_bound_doubles_past_a_low_first_bracket():
+    # W = t^2 + t^4 has M = 0, so the bracket's first upper end is 1,
+    # where Wc' = 6 lies below the target R max|G'| / N = 10; the end
+    # doubles once, and the bisection ends on the root to one ulp
+    spec = ProblemSpec(
+        dimension=2, radius=1.0, p=4.0,
+        W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, 1.0)),
+        G=Potential1D(kind="piecewise_poly", coefficients=((0.0, -20.0),)),
+        shape_flag="G2_strict")
+    env = ensure_envelope(spec)
+    assert env.M == 0.0 and env.deriv(1.0) == 6.0
+    nu = _slope_bound(spec, env)
+    assert nu == 1.2347728250532968
+    assert env.deriv(nu) <= 10.0 <= env.deriv(math.nextafter(nu, math.inf))
 
 
 def test_dp_oracle_value_grid_refinement_monotone():
