@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .potentials import ProblemSpec
-from .radial_solver import (RadialGrid, RadialProfile, _off_radius,
-                            _reduced_energy, ensure_envelope)
+from .radial_solver import (RadialGrid, RadialProfile, _RadialCells,
+                            _off_radius, ensure_envelope)
 
 __all__ = [
     "DiscField",
@@ -424,9 +424,10 @@ def _ray_energies(fld: DiscField, spec: ProblemSpec, thetas) -> np.ndarray:
         ValueError: if the field radius disagrees with the spec.
     """
     grid = RadialGrid.uniform(fld.radius, fld.n)
+    cells, env = _RadialCells(grid, spec), ensure_envelope(spec)
     energies = np.empty(len(thetas))
     for a, b, u in _ray_blocks(fld, grid, thetas):
-        energies[a:b] = _reduced_energy(grid, u, spec, use_envelope=True)
+        energies[a:b] = cells.price(u, env)
     return energies
 
 

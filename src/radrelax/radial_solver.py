@@ -144,23 +144,63 @@ def _off_radius(end: float, radius: float) -> bool:
     return abs(end - radius) > 1e-12 * max(1.0, radius)
 
 
-def _reduced_energy(grid: RadialGrid, u: np.ndarray, spec: ProblemSpec,
-                    use_envelope: bool) -> np.ndarray:
-    # the midpoint quadrature of each row of nodal values (a 1-D u is one
-    # row), with one W (or envelope) and one G evaluation for all rows
-    nodes = grid.nodes
-    if _off_radius(nodes[-1], spec.radius):
-        raise ValueError(
-            f"grid ends at {nodes[-1]}, spec radius is {spec.radius}")
-    dr = grid.dr
-    s = np.diff(u, axis=-1) / dr
-    ubar = 0.5 * (u[..., 1:] + u[..., :-1])
-    W = ensure_envelope(spec) if use_envelope else spec.W
-    wterm = W.eval(s.ravel()).reshape(s.shape)
-    gterm = spec.G.eval(ubar.ravel()).reshape(ubar.shape)
-    area = sphere_area(spec.dimension)
-    return area * np.sum(grid.midpoints ** (spec.dimension - 1)
-                         * (wterm + gterm) * dr, axis=-1)
+class _RadialCells:
+    """The module's midpoint quadrature on one grid, its radius checked
+    once. ``price`` takes rows of nodal values (a 1-D u is one row), with
+    one W and one G evaluation for all rows. From the same weights
+    w_i = area rbar_i^(N-1) dr_i descent gets the relaxed energy's gradient
+    and Hessian in the free nodal values x = u[:K] (u[K] = 0): cell i
+    couples nodes i and i + 1 only, so the Hessian is the sum of per-cell
+    2 x 2 blocks a_i [[1, -1], [-1, 1]] + b_i [[1, 1], [1, 1]] with
+    a_i = w_i Wc''(s_i) / dr_i^2 and b_i = w_i G''(ubar_i) / 4.
+    """
+
+    def __init__(self, grid: RadialGrid, spec: ProblemSpec):
+        end = grid.nodes[-1]
+        if _off_radius(end, spec.radius):
+            raise ValueError(f"grid ends at {end}, spec radius is {spec.radius}")
+        self.G, self.dr = spec.G, grid.dr
+        self.area = sphere_area(spec.dimension)
+        self.rpow = grid.midpoints ** (spec.dimension - 1)
+        self.weight = self.area * self.rpow * self.dr
+
+    def price(self, u: np.ndarray, W) -> np.ndarray:
+        s = np.diff(u, axis=-1) / self.dr
+        ubar = 0.5 * (u[..., 1:] + u[..., :-1])
+        wterm = W.eval(s.ravel()).reshape(s.shape)
+        gterm = self.G.eval(ubar.ravel()).reshape(ubar.shape)
+        return self.area * np.sum(self.rpow * (wterm + gterm) * self.dr,
+                                  axis=-1)
+
+    @staticmethod
+    def _to_nodes(left, right):
+        # per-cell terms on a cell's left and right node, free nodes only
+        out = np.zeros(len(left) + 1)
+        out[:-1] += left
+        out[1:] += right
+        return out[:-1]
+
+    def _cells(self, x):
+        u = np.append(x, 0.0)
+        return np.diff(u) / self.dr, 0.5 * (u[1:] + u[:-1])
+
+    def lumped_mass(self) -> np.ndarray:
+        """Half of each cell's weight on each of its free nodes; it scales
+        descent's gradient test and its Levenberg shift."""
+        return self._to_nodes(0.5 * self.weight, 0.5 * self.weight)
+
+    def gradient(self, x, env) -> np.ndarray:
+        s, ubar = self._cells(x)
+        a = self.weight * env.deriv(s) / self.dr
+        g = 0.5 * self.weight * self.G.derivative(ubar)
+        return self._to_nodes(g - a, g + a)
+
+    def hessian(self, x, env):
+        """Diagonal and superdiagonal of the Hessian."""
+        s, ubar = self._cells(x)
+        a = self.weight * env.deriv2(s) / self.dr ** 2
+        b = 0.25 * self.weight * self.G.derivative(ubar, 2)
+        return self._to_nodes(a + b, a + b), (b - a)[:-1]
 
 
 def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
@@ -176,56 +216,9 @@ def energy_reduced(profile: RadialProfile, spec: ProblemSpec,
     Raises:
         ValueError: if the grid radius disagrees with the spec.
     """
-    return float(_reduced_energy(profile.grid, profile.u, spec, use_envelope))
-
-
-class _RelaxedEnergy:
-    """The relaxed energy as a function of the free nodal values x = u[:K]
-    (u[K] = 0), with its gradient and its tridiagonal Hessian.
-
-    Cell i contributes w_i [Wc(s_i) + G(ubar_i)] and couples nodes i and
-    i + 1 only, so the Hessian is the sum of per-cell 2 x 2 blocks
-    a_i [[1, -1], [-1, 1]] + b_i [[1, 1], [1, 1]] with
-    a_i = w_i Wc''(s_i) / dr_i^2 and b_i = w_i G''(ubar_i) / 4.
-    """
-
-    def __init__(self, spec, env, grid: RadialGrid):
-        self.spec, self.env, self.grid, self.dr = spec, env, grid, grid.dr
-        self.weight = (sphere_area(spec.dimension)
-                       * grid.midpoints ** (spec.dimension - 1) * grid.dr)
-        # lumped node mass: scales the gradient test and the Levenberg shift
-        self.mass = self._to_nodes(0.5 * self.weight, 0.5 * self.weight)
-
-    @staticmethod
-    def _to_nodes(left, right):
-        # per-cell terms on a cell's left and right node, free nodes only
-        out = np.zeros(len(left) + 1)
-        out[:-1] += left
-        out[1:] += right
-        return out[:-1]
-
-    def _cells(self, x):
-        u = np.append(x, 0.0)
-        return np.diff(u) / self.dr, 0.5 * (u[1:] + u[:-1])
-
-    def value(self, x) -> float:
-        # the report's price, through the spec's cached envelope (env, as
-        # minimize_relaxed passes it), so descent and report agree bit for bit
-        return float(_reduced_energy(self.grid, np.append(x, 0.0), self.spec,
-                                     use_envelope=True))
-
-    def gradient(self, x) -> np.ndarray:
-        s, ubar = self._cells(x)
-        a = self.weight * self.env.deriv(s) / self.dr
-        g = 0.5 * self.weight * self.spec.G.derivative(ubar)
-        return self._to_nodes(g - a, g + a)
-
-    def hessian(self, x):
-        """Diagonal and superdiagonal of the Hessian."""
-        s, ubar = self._cells(x)
-        a = self.weight * self.env.deriv2(s) / self.dr ** 2
-        b = 0.25 * self.weight * self.spec.G.derivative(ubar, 2)
-        return self._to_nodes(a + b, a + b), (b - a)[:-1]
+    cells = _RadialCells(profile.grid, spec)
+    W = ensure_envelope(spec) if use_envelope else spec.W
+    return float(cells.price(profile.u, W))
 
 
 _MAX_ITERS = 20000
@@ -355,8 +348,9 @@ def _newton_direction(diag, off, mass, g):
     return -x
 
 
-def _newton(energy: _RelaxedEnergy, x: np.ndarray):
-    """Damped Newton descent with Armijo backtracking.
+def _newton(cells: _RadialCells, env, mass: np.ndarray, x: np.ndarray):
+    """Damped Newton descent on the relaxed energy, priced with the envelope
+    env on cells, with Armijo backtracking; mass is ``cells.lumped_mass()``.
 
     Returns (x, E, iterations, converged). A start converges when its
     mass-scaled gradient falls to _GTOL, or when no step decreases E and
@@ -365,29 +359,29 @@ def _newton(energy: _RelaxedEnergy, x: np.ndarray):
     negligible fails to decrease E, or when the derivatives stop being
     finite.
     """
-    e = energy.value(x)
+    e = float(cells.price(np.append(x, 0.0), env))
     for it in range(_MAX_ITERS + 1):
-        g = energy.gradient(x)
-        if float(np.max(np.abs(g) / energy.mass)) <= _GTOL:
+        g = cells.gradient(x, env)
+        if float(np.max(np.abs(g) / mass)) <= _GTOL:
             return x, e, it, True
         if it == _MAX_ITERS:
             break
-        diag, off = energy.hessian(x)
+        diag, off = cells.hessian(x, env)
         if not all(np.all(np.isfinite(a)) for a in (g, diag, off)):
             break
-        d = _newton_direction(diag, off, energy.mass, g)
+        d = _newton_direction(diag, off, mass, g)
         slope = float(g @ d)
         # the quadratic model is trusted for slope changes up to 1 + max|s|
         # per step: a near-singular shift must not leap out of the basin
-        s = np.diff(np.append(x, 0.0)) / energy.dr
-        ds = np.diff(np.append(d, 0.0)) / energy.dr
+        s = np.diff(np.append(x, 0.0)) / cells.dr
+        ds = np.diff(np.append(d, 0.0)) / cells.dr
         t = min(1.0, (1.0 + np.max(np.abs(s))) / np.max(np.abs(ds)))
         # below the roundoff floor shorter steps cannot resolve a decrease
         # the full step did not show, so one trial decides
         negligible = -slope <= _ROUNDOFF * (1.0 + abs(e))
         for _ in range(1 if negligible else _HALVINGS):
             trial = x + t * d
-            e_trial = energy.value(trial)
+            e_trial = float(cells.price(np.append(trial, 0.0), env))
             if e_trial < e and e_trial <= e + _ARMIJO * t * slope:
                 break
             t *= 0.5
@@ -419,8 +413,9 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
             is not finite where descent stops (an energy unbounded below).
     """
     env = ensure_envelope(spec)
-    energy = _RelaxedEnergy(spec, env, grid)
-    if not energy.mass.min() > 0.0:
+    cells = _RadialCells(grid, spec)
+    mass = cells.lumped_mass()
+    if not mass.min() > 0.0:
         raise NumericalFailure(
             f"dimension {spec.dimension} is too large for {grid.cells} cells: "
             f"the lumped mass of the first node underflows to 0")
@@ -428,7 +423,7 @@ def minimize_relaxed(spec: ProblemSpec, grid: RadialGrid) -> SolveReport:
     # the quadratic term keeps the start off the zero profile when M = 0,
     # since that profile is stationary whenever G'(0) = 0
     start = M * (R - nodes) + 0.125 * max(M, 0.5) / R * (R * R - nodes ** 2)
-    x, e, iterations, converged = _newton(energy, start[:-1])
+    x, e, iterations, converged = _newton(cells, env, mass, start[:-1])
     if not math.isfinite(e):
         raise NumericalFailure(
             f"descent diverged: the relaxed energy is {e} after "

@@ -20,7 +20,7 @@ from radrelax.radial_solver import (
     monotone_rearrange,
     solve_pipeline,
 )
-from radrelax.radial_solver import (_RelaxedEnergy, _last_brackets, _newton,
+from radrelax.radial_solver import (_RadialCells, _last_brackets, _newton,
                                     _newton_direction, _outermost_levels,
                                     _slope_bound, _spd_tridiagonal_solve)
 
@@ -206,6 +206,27 @@ def test_solve_prices_its_profiles_three_times(make, monkeypatch):
     assert calls[1] is calls[2] is report.profile
 
 
+def test_descent_and_ray_check_build_their_cells_once(prototype_spec,
+                                                      monkeypatch):
+    # one sphere area per cell model: descent prices every trial point on
+    # the cells it built, and the ray check prices all its blocks on one
+    from radrelax.disc2d import averaged_ray_energy_check
+
+    calls = []
+
+    def counting(dimension):
+        calls.append(dimension)
+        return sphere_area(dimension)
+
+    monkeypatch.setattr("radrelax.radial_solver.sphere_area", counting)
+    minimize_relaxed(prototype_spec, RadialGrid.uniform(1.0, 128))
+    assert len(calls) <= 2
+    calls.clear()
+    averaged_ray_energy_check(DiscField.random_smooth(33, 1.0, 1),
+                              prototype_spec, n_thetas=64)
+    assert len(calls) == 1
+
+
 def test_minimize_iteration_cap_reports_not_converged(prototype_spec,
                                                      monkeypatch):
     monkeypatch.setattr("radrelax.radial_solver._MAX_ITERS", 1)
@@ -380,8 +401,7 @@ def test_zero_node_mass_raises_before_descent(capped_solves):
 def test_subnormal_node_masses_still_descend(dimension, cells, capped_solves):
     spec = dataclasses.replace(make_prototype_spec(), dimension=dimension)
     grid = RadialGrid.uniform(1.0, cells)
-    energy = _RelaxedEnergy(spec, ensure_envelope(spec), grid)
-    assert 0.0 < energy.mass[0] < sys.float_info.min
+    assert 0.0 < _RadialCells(grid, spec).lumped_mass()[0] < sys.float_info.min
     report = minimize_relaxed(spec, grid)
     assert report.converged
     assert -math.inf < report.relaxed_energy < 0.0
@@ -394,10 +414,10 @@ def test_newton_converged_is_plain_bool(prototype_spec, cells):
     # reject any record that carries it
     grid = RadialGrid.uniform(1.0, cells)
     env = ensure_envelope(prototype_spec)
-    energy = _RelaxedEnergy(prototype_spec, env, grid)
+    cells = _RadialCells(grid, prototype_spec)
     for slope in (env.M, 1.25 * env.M):
         cone = slope * (1.0 - grid.nodes)
-        *_, converged = _newton(energy, cone[:-1])
+        *_, converged = _newton(cells, env, cells.lumped_mass(), cone[:-1])
         assert type(converged) is bool
         assert converged
     assert type(minimize_relaxed(prototype_spec, grid).converged) is bool
@@ -412,13 +432,14 @@ def test_newton_direction_matches_banded_cholesky(three_well_spec):
     # gates residuals instead.)
     grid = RadialGrid.uniform(1.0, 256)
     env = ensure_envelope(three_well_spec)
-    energy = _RelaxedEnergy(three_well_spec, env, grid)
+    cells = _RadialCells(grid, three_well_spec)
+    mass = cells.lumped_mass()
     x = 1.25 * env.M * (1.0 - grid.nodes[:-1])
-    g = energy.gradient(x)
-    diag, off = energy.hessian(x)
+    g = cells.gradient(x, env)
+    diag, off = cells.hessian(x, env)
     assert _spd_tridiagonal_solve(diag, off, g) is None
-    want = banded_newton_direction(diag, off, energy.mass, g)
-    got = _newton_direction(diag, off, energy.mass, g)
+    want = banded_newton_direction(diag, off, mass, g)
+    got = _newton_direction(diag, off, mass, g)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -561,6 +582,16 @@ def test_solve_report_energy_invariant():
     with pytest.raises(NumericalFailure, match="fell below"):
         SolveReport(profile=prof, relaxed_energy=1.0, original_energy=0.5,
                     iterations=0)
+
+
+def test_solve_report_energy_invariant_boundary():
+    # the invariant tolerates exactly 1e-9 (1 + |relaxed|) below relaxed
+    prof = RadialProfile(RadialGrid.uniform(1.0, 16), np.zeros(17))
+    SolveReport(profile=prof, relaxed_energy=0.0, original_energy=-1e-9,
+                iterations=0)
+    with pytest.raises(NumericalFailure, match="fell below"):
+        SolveReport(profile=prof, relaxed_energy=0.0,
+                    original_energy=np.nextafter(-1e-9, -1.0), iterations=0)
 
 
 def test_rearrange_alternating_sawtooth(prototype_spec):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from radrelax.envelope import DetachmentComponent
 from radrelax.potentials import Potential1D, ProblemSpec
 from radrelax.radial_solver import (
     RadialGrid,
@@ -26,7 +27,7 @@ from radrelax.verify import (
     full_report,
     slope_and_sign_check,
 )
-from radrelax.verify import _window_density
+from radrelax.verify import _interior_mask, _window_density
 
 from conftest import graded_grid, make_prototype_spec, three_well
 from corpus import MONOTONE
@@ -81,6 +82,15 @@ def test_detachment_avoidance_half_domain_fail(proto_env, grid):
     assert not rec["passed"]
     assert abs(rec["details"]["measure"] - 0.5) <= 1e-12
     assert rec["details"]["threshold"] == 2.0 / K
+
+
+def test_interior_mask_is_open_by_the_slope_margin():
+    # slopes exactly 1e-6 inside either end are outside the interval; the
+    # next floats inward are inside
+    c = DetachmentComponent(-2.0, 2.0, 0.0, 0.0, True)
+    lo, hi = -2.0 + 1e-6, 2.0 - 1e-6
+    slopes = np.array([lo, hi, np.nextafter(hi, 0.0), np.nextafter(lo, 0.0)])
+    assert _interior_mask(slopes, [c]).tolist() == [False, False, True, True]
 
 
 def test_slope_and_sign_cone(cone):
@@ -325,6 +335,17 @@ def test_full_report_structure_and_purity(proto_env, cone):
                      "concavity_exclusion", "energy_consistency"]
     assert a.grid["cells"] == K
     assert a.grid["lipschitz_G"] >= 0.0
+
+
+def test_full_report_lipschitz_G_spans_512_points(cone):
+    # max |G'| over 512 points spanning the midpoint values; 513 points
+    # read 0.7698002653087315
+    spec = dataclasses.replace(
+        make_prototype_spec(), shape_flag="none",
+        G=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, -1.0, 0.5)))
+    rep = full_report(cone, spec, ensure_envelope(spec))
+    assert rep.grid["lipschitz_G"] == pytest.approx(0.7697988743929771,
+                                                    rel=1e-9, abs=0.0)
 
 
 def test_full_report_runs_derivative_checks_for_sampled_G():
