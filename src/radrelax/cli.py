@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .specfile import SpecFileError, emit_spec_text, parse_spec
 
 # each command imports the modules it runs, so a command loads only those
 if TYPE_CHECKING:
-    from .disc2d import DiscField, _DiscGeometry
+    from .disc2d import DiscField
     from .radial_solver import RadialGrid, RadialProfile
 
 SCHEMA_VERSION = 2
@@ -364,12 +364,11 @@ def _require_priced(path: str, what: str, *priced) -> None:
         raise SpecFileError(f"{path}: W or G is not finite on this {what}")
 
 
-def _read_field_csv(path: str,
-                    spec: ProblemSpec) -> Tuple[DiscField, _DiscGeometry]:
+def _read_field_csv(path: str, spec: ProblemSpec) -> DiscField:
     """Read an x,y,u field table: a header row ``x,y,u``, then one row per
     node of a square grid over [-R, R]^2, R the spec radius, in any order.
     W must price each cell's gradient norm and G each cell's mean, as the
-    planar energy takes them. Returns the field and its grid geometry."""
+    planar energy takes them."""
     from .disc2d import DiscField, _DiscGeometry
     from .radial_solver import _off_radius
 
@@ -409,7 +408,7 @@ def _read_field_csv(path: str,
         for _, _, ux, uy, ubar in geo.cells(fld.values):
             _require_priced(path, "field", spec.W.eval(np.hypot(ux, uy).ravel()),
                             spec.G.eval(ubar.ravel()))
-    return fld, geo
+    return fld
 
 
 def _cmd_envelope(cfg: argparse.Namespace) -> int:
@@ -510,20 +509,17 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry(cfg: argparse.Namespace) -> int:
-    from .disc2d import (DiscField, _colinearity, _DiscGeometry, _ray_check,
-                         ray_profiles)
+    from .disc2d import (DiscField, averaged_ray_energy_check,
+                         colinearity_defect, ray_profiles)
 
     spec = parse_spec(cfg.spec)
     if spec.dimension != 2:
         raise SpecFileError(
             f"{cfg.spec}: symmetry needs a spec of dimension 2, "
             f"got {spec.dimension}")
-    # one grid geometry for every field of the run
     if cfg.field_csv is not None:
-        fld, geo = _read_field_csv(cfg.field_csv, spec)
-        fields = [(None, fld)]
+        fields = [(None, _read_field_csv(cfg.field_csv, spec))]
     else:
-        geo = _DiscGeometry(cfg.grid_points, spec.radius)
         # one field at a time, whatever the count
         fields = ((cfg.seed + k,
                    DiscField.random_smooth(cfg.grid_points, spec.radius,
@@ -535,8 +531,8 @@ def _cmd_symmetry(cfg: argparse.Namespace) -> int:
         # a field W or G cannot price gives a non-finite record, which the
         # report writer refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = _ray_check(geo, fld, spec, cfg.rays)
-            defect = _colinearity(geo, fld)
+            rep = averaged_ray_energy_check(fld, spec, cfg.rays)
+            defect = colinearity_defect(fld)
         rec = rep.to_dict()
         rec["defect"] = defect
         rec["field_seed"] = field_seed

@@ -162,8 +162,7 @@ class _DiscGeometry:
     it: each fact is derived once, the two-dimensional ones on first use,
     and kept.
 
-    The public kernels build one per call; ``radrelax symmetry`` builds
-    one per run and prices every field on it.  The two-dimensional facts
+    Each public kernel builds one per call.  The two-dimensional facts
     are built a block of rows at a time, so none needs an n-by-n float
     temporary.
     """
@@ -303,19 +302,13 @@ def energy_2d(fld: DiscField, spec: ProblemSpec,
     Raises:
         ValueError: if spec.dimension is not 2 or the radii disagree.
     """
-    return _energy_2d(_DiscGeometry(fld.n, fld.radius), fld, spec,
-                      use_envelope)
-
-
-def _energy_2d(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
-               use_envelope: bool) -> float:
-    # energy_2d on the field's geometry
     if spec.dimension != 2:
         raise ValueError("planar energy requires dimension 2")
     if _off_radius(fld.radius, spec.radius):
         raise ValueError(
             f"field radius {fld.radius} does not match spec radius {spec.radius}")
     W = ensure_envelope(spec) if use_envelope else spec.W
+    geo = _DiscGeometry(fld.n, fld.radius)
     h = geo.h
     i, j, w, di, dj = geo.rim
     rim_norm = np.hypot(*_gradient(*_cell_corners(fld.values, di, dj), h,
@@ -471,19 +464,13 @@ def averaged_ray_energy_check(fld: DiscField, spec: ProblemSpec,
         ValueError: if n_thetas < 1, the radii disagree, or the spec is
             not two-dimensional.
     """
-    return _ray_check(_DiscGeometry(fld.n, fld.radius), fld, spec, n_thetas)
-
-
-def _ray_check(geo: _DiscGeometry, fld: DiscField, spec: ProblemSpec,
-               n_thetas: int) -> RayAverageReport:
-    # averaged_ray_energy_check on the field's geometry
     if n_thetas < 1:
         raise ValueError("need at least one ray")
     thetas = np.arange(n_thetas) * (2.0 * math.pi / n_thetas)
     energies = _ray_energies(fld, spec, thetas)
     lhs = float(np.mean(energies))
-    rhs = _energy_2d(geo, fld, spec, use_envelope=True)
-    tol = RAY_CHECK_TOL_COEFF * geo.h
+    rhs = energy_2d(fld, spec, use_envelope=True)
+    tol = RAY_CHECK_TOL_COEFF * fld.h
     return RayAverageReport(lhs, rhs, tol, lhs <= rhs + tol, energies, thetas)
 
 
@@ -498,11 +485,7 @@ def colinearity_defect(fld: DiscField) -> float:
     The full cells' terms are gathered in blocks of rows, in row-major
     order, into two 1-D arrays, each summed whole.
     """
-    return _colinearity(_DiscGeometry(fld.n, fld.radius), fld)
-
-
-def _colinearity(geo: _DiscGeometry, fld: DiscField) -> float:
-    # colinearity_defect on the field's geometry
+    geo = _DiscGeometry(fld.n, fld.radius)
     tang = np.empty(np.count_nonzero(geo.full))
     grad = np.empty_like(tang)
     k = 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import EnvelopeResult
 from .potentials import ProblemSpec, sphere_area
-from .radial_solver import RadialProfile, energy_reduced
+from .radial_solver import RadialProfile, _RadialCells
 
 __all__ = [
     "VerifyReport",
@@ -284,9 +284,11 @@ def energy_consistency(profile: RadialProfile, spec: ProblemSpec,
                        env: EnvelopeResult) -> dict:
     """The potential and its envelope must price the profile identically up
     to the tolerance for an allowed grid-resolution detachment set. The
-    record's energies are the price ``solve`` and ``verify`` report."""
-    e_orig = energy_reduced(profile, spec, use_envelope=False)
-    e_rel = energy_reduced(profile, spec, use_envelope=True)
+    record's energies are the price ``solve`` and ``verify`` report, the
+    relaxed one by ``env``."""
+    cells = _RadialCells(profile.grid, spec)
+    e_orig = float(cells.price(profile.u, spec.W))
+    e_rel = float(cells.price(profile.u, env))
     gap = abs(e_orig - e_rel)
     tol = consistency_tolerance(profile, spec, env, e_rel)
     return _rec(

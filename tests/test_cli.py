@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import radrelax
-from radrelax import verify
+from radrelax import disc2d, verify
 from radrelax.cli import _read_field_csv, main, parse_args
 from radrelax.disc2d import (DiscField, averaged_ray_energy_check,
                              colinearity_defect)
@@ -414,6 +415,32 @@ def test_symmetry_field_csv(prototype_ini, tmp_path):
     assert res["fields"][0]["defect"] <= 0.01
 
 
+def test_symmetry_prices_each_field_through_the_public_checks(
+        prototype_ini, tmp_path, monkeypatch):
+    # every field goes through the two public disc checks, and the ray
+    # check prices its planar side through energy_2d
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(disc2d, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(disc2d, name, wrapper)
+
+    for name in ("averaged_ray_energy_check", "colinearity_defect",
+                 "energy_2d"):
+        counting(name)
+    out = tmp_path / "sym.json"
+    assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
+                 "--rays", "4", "--random-fields", "3",
+                 "--out", str(out)]) in (0, 3)
+    assert len(_load(out)["results"]["fields"]) == 3
+    assert calls == {"averaged_ray_energy_check": 3,
+                     "colinearity_defect": 3, "energy_2d": 3}
+
+
 def _no_ray_work(*args, **kwargs):
     raise AssertionError("rays priced before the input was checked")
 
@@ -423,7 +450,7 @@ def test_symmetry_rejects_3d_spec_before_ray_work(prototype_ini, tmp_path,
     spec3 = tmp_path / "d3.ini"
     spec3.write_text(open(prototype_ini).read().replace("dimension = 2",
                                                         "dimension = 3"))
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", str(spec3), "--grid-points", "33",
                  "--rays", "4"]) == 1
     err = capsys.readouterr().err
@@ -435,7 +462,7 @@ def test_symmetry_rejects_field_radius_mismatch(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     path = tmp_path / "r2.csv"
     write_field_csv(DiscField.random_smooth(33, 2.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path)]) == 1
     err = capsys.readouterr().err
@@ -489,8 +516,7 @@ def test_field_csv_round_trip(tmp_path):
     fld = DiscField.random_smooth(33, 1.5, seed=9)
     path = str(tmp_path / "field.csv")
     write_field_csv(fld, path)
-    back, geo = _read_field_csv(path, _prototype_of_radius(1.5))
-    assert (geo.n, geo.radius) == (fld.n, fld.radius)
+    back = _read_field_csv(path, _prototype_of_radius(1.5))
     assert back.n == fld.n
     assert back.radius == fld.radius
     assert np.array_equal(back.values, fld.values)
@@ -548,7 +574,7 @@ def test_field_csv_places_nodes_as_the_row_loop(tmp_path):
                 with pytest.raises(ValueError, match="off the grid"):
                     _read_field_csv(str(path), spec)
             else:
-                back, _ = _read_field_csv(str(path), spec)
+                back = _read_field_csv(str(path), spec)
                 assert (back.n, back.radius) == ref[:2]
                 assert (back.values.tobytes()
                         == DiscField(*ref).values.tobytes())
@@ -638,7 +664,7 @@ def test_csv_reader_messages(table, case, prototype_ini, tmp_path,
         edit, message = _PROFILE_ERRORS[case]
         argv = ["verify", "--profile-csv", str(path)]
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     monkeypatch.setattr("radrelax.verify.full_report", _no_ray_work)
     out = tmp_path / "rep.json"
     assert main(argv + ["--spec", prototype_ini, "--out", str(out)]) == 1
@@ -686,7 +712,7 @@ def test_symmetry_csv_needs_single_field(prototype_ini, capsys):
 
 def test_symmetry_csv_rejects_many_fields_before_ray_work(prototype_ini,
                                                          monkeypatch, capsys):
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "65",
                  "--random-fields", "2", "--format", "csv"]) == 1
     assert "csv format needs a single field" in capsys.readouterr().err
@@ -696,7 +722,7 @@ def test_symmetry_profile_csv_needs_single_field(prototype_ini, tmp_path,
                                                 monkeypatch, capsys):
     # per-ray CSVs are written for one field only, so asking for them with
     # several fields is a usage error, not a silent skip
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     prefix = str(tmp_path / "p_")
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--grid-points", "33",
@@ -714,7 +740,7 @@ def test_symmetry_field_csv_rejects_random_fields(prototype_ini, tmp_path,
     # random fields with it is a usage error, not a one-field report
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(33, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), "--random-fields", fields,
@@ -735,7 +761,7 @@ def test_symmetry_field_csv_rejects_grid_points_and_seed(
     # flags would be ignored, and --seed echoed for a field it did not make
     path = tmp_path / "field.csv"
     write_field_csv(DiscField.random_smooth(65, 1.0, seed=1), str(path))
-    monkeypatch.setattr("radrelax.disc2d._ray_check", _no_ray_work)
+    monkeypatch.setattr("radrelax.disc2d.averaged_ray_energy_check", _no_ray_work)
     out = tmp_path / "sym.json"
     assert main(["symmetry", "--spec", prototype_ini, "--rays", "4",
                  "--field-csv", str(path), flag, value,

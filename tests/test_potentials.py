@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from radrelax.potentials import (
     check_G_shape,
     compute_M,
 )
+from radrelax.radial_solver import RadialGrid, RadialProfile
 
 from conftest import double_well, make_m0_spec, three_well
 from corpus import HARD, MONOTONE
@@ -220,6 +222,31 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="finite"):
         Potential1D(kind="sampled",
                     samples=((-1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Potential1D(kind="poly_in_t_squared"),
+     "poly_in_t_squared needs coefficients"),
+    (lambda: Potential1D(kind="piecewise_poly", coefficients=()),
+     "piecewise_poly needs per-piece coefficients"),
+    (lambda: Potential1D(kind="sampled"), "sampled kind needs samples"),
+    (lambda: Potential1D(kind="sampled",
+                         samples=((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))),
+     "samples need matching t/value arrays, >= 4 points"),
+    (lambda: double_well().derivative(1.0, order=3), "order must be 1 or 2"),
+    (lambda: ProblemSpec(dimension=2, radius=1.0, p=4.0, W=double_well(),
+                         G=double_well(), shape_flag="G3"),
+     "unknown shape flag 'G3'"),
+    (lambda: RadialProfile(RadialGrid.uniform(1.0, 16), np.zeros(5)),
+     "profile length must match grid nodes"),
+])
+def test_missing_and_malformed_inputs_raise(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_potential_is_unequal_to_other_types():
+    assert (double_well() == 3) is False
 
 
 _SAMPLES = ((-1.0, 0.0, 1.0, 2.0), (1.0, 0.0, 1.0, 4.0))

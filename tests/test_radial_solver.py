@@ -189,21 +189,28 @@ def test_minimize_three_well(three_well_spec):
 @pytest.mark.parametrize("make", [make_three_well_spec, make_prototype_spec])
 def test_solve_prices_its_profiles_three_times(make, monkeypatch):
     # descent reports Newton's own relaxed energy and prices only the
-    # original one; the energy_consistency record prices the final profile
-    # twice, rearranged (G2) or not (shape none)
-    import radrelax.verify as verify_mod
-
-    calls = []
+    # original one, through energy_reduced; the energy_consistency record
+    # prices the final profile twice on its own cells, rearranged (G2) or
+    # not (shape none), with W and with the envelope it is given
+    calls, prices = [], []
+    price = _RadialCells.price
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return energy_reduced(*args, **kwargs)
 
+    def spying(cells, u, W):
+        prices.append((u, W))
+        return price(cells, u, W)
+
     monkeypatch.setattr("radrelax.radial_solver.energy_reduced", counting)
-    monkeypatch.setattr(verify_mod, "energy_reduced", counting)
-    report = solve_pipeline(make(), RadialGrid.uniform(1.0, 128))
-    assert len(calls) == 3
-    assert calls[1] is calls[2] is report.profile
+    monkeypatch.setattr(_RadialCells, "price", spying)
+    spec = make()
+    report = solve_pipeline(spec, RadialGrid.uniform(1.0, 128))
+    assert len(calls) == 1
+    (u1, W1), (u2, W2) = prices[-2:]
+    assert u1 is u2 is report.profile.u
+    assert W1 is spec.W and W2 is ensure_envelope(spec)
 
 
 def test_descent_and_ray_check_build_their_cells_once(prototype_spec,
@@ -317,6 +324,57 @@ def test_manufactured_minimizer_has_exact_energy(cells, error):
     assert abs(report.profile.u[0] - 1.0) <= 1e-4
     assert report.converged
     assert report.verify.overall
+
+
+@pytest.mark.parametrize("cells, error", [(256, -1.917479e-3),
+                                           (1024, -1.198423e-4)])
+def test_manufactured_minimizer_in_three_dimensions(cells, error):
+    # u* = 1 - r^2 minimizes W = t^2 + t^4 under G = -172u + 80u^2 in
+    # N = 3 (G' = (r^2 Wc'(u*'))' / r^2 on u*, and the relaxed problem is
+    # convex), so E* = -(1444 / 105) 4 pi exactly
+    spec = ProblemSpec(
+        dimension=3, radius=1.0, p=4.0,
+        W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, 1.0)),
+        G=Potential1D(kind="piecewise_poly",
+                      coefficients=((0.0, -172.0, 80.0),)),
+        shape_flag="none")
+    report = solve_pipeline(spec, RadialGrid.uniform(1.0, cells))
+    got = report.relaxed_energy + 1444.0 / 105.0 * 4.0 * math.pi
+    assert got < 0.0
+    assert abs(got - error) <= 0.01 * abs(error)
+    assert abs(report.profile.u[0] - 1.0) <= 2e-4
+    assert report.converged
+    assert report.verify.overall
+
+
+def _flat_well_spec():
+    # W = (t^2 - 1)^2 and G = -112u + 64u^2 below u = 3/4, -48 above, N = 2
+    return ProblemSpec(
+        dimension=2, radius=1.0, p=4.0, W=double_well(),
+        G=Potential1D(kind="piecewise_poly",
+                      coefficients=((0.0, -112.0, 64.0), (-48.0,)),
+                      breakpoints=(0.75,)),
+        shape_flag="G2")
+
+
+@pytest.mark.parametrize("cells, error", [(256, -7.070750e-4),
+                                           (1024, -4.419185e-5)])
+def test_manufactured_minimizer_with_a_detachment_set(cells, error):
+    # u* = 5/4 - r on r < 1/2 and 1 - r^2 on r > 1/2 minimizes the
+    # relaxed energy: inside, u* lies above 3/4, where G is constant, and
+    # its slope on Wc's flat part [-1, 1]; outside, G' = (r Wc'(u*'))' / r
+    # on u*. So E* = -129 pi / 4 exactly
+    grid = RadialGrid.uniform(1.0, cells)
+    report = minimize_relaxed(_flat_well_spec(), grid)
+    got = report.relaxed_energy + 129.0 * math.pi / 4.0
+    assert abs(got - error) <= 0.01 * abs(error)
+    assert abs(report.profile.u[0] - 1.25) <= 2e-4
+    assert report.converged
+    if cells == 256:
+        solved = solve_pipeline(_flat_well_spec(), grid)
+        assert abs(solved.relaxed_energy + 129.0 * math.pi / 4.0
+                   - error) <= 0.01 * abs(error)
+        assert solved.verify.overall
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -525,6 +583,16 @@ def test_slope_bound_scalar_kernels_match_array_path():
         env = ensure_envelope(spec)
         assert (_slope_bound(spec, env).hex()
                 == _slope_bound(spec, array_only_envelope(env)).hex()), make.__name__
+
+
+@pytest.mark.parametrize("make, nu", [(make_prototype_spec, 1.19049544616517),
+                                      (make_three_well_spec,
+                                       2.0926052255392404)])
+def test_slope_bound_value(make, nu):
+    # the bound depends on the first window's G-slope maximum, though
+    # the default oracle's grid of these specs does not; the value pins it
+    spec = make()
+    assert _slope_bound(spec, ensure_envelope(spec)) == nu
 
 
 def test_slope_bound_doubles_past_a_low_first_bracket():

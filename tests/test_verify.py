@@ -321,6 +321,21 @@ def test_energy_consistency_half_slope_gap(proto_env, half_slope):
     assert abs(rec["details"]["gap"] - 0.5625 * math.pi) <= 1e-12
 
 
+def test_energy_consistency_prices_with_the_given_envelope(proto_env):
+    # the record prices the relaxed energy with env, not with the spec's
+    # cached envelope: a plateau raised to 0.5 prices at its own height
+    spec, env = proto_env
+    (plateau,) = env.components
+    raised = dataclasses.replace(
+        env, components=[dataclasses.replace(plateau, beta=0.5)])
+    grid = RadialGrid.uniform(1.0, 64)
+    prof = RadialProfile(grid, 0.5 * (1.0 - grid.nodes))
+    rec = energy_consistency(prof, spec, raised)
+    assert rec["details"]["relaxed_energy"] == 1.4398806539287814
+    assert (rec["details"]["original_energy"]
+            == energy_reduced(prof, spec, use_envelope=False))
+
+
 def test_full_report_structure_and_purity(proto_env, cone):
     spec, env = proto_env
     a = full_report(cone, spec, env)
