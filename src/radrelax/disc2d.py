@@ -35,9 +35,6 @@ __all__ = [
 # with ratio |gap|/h well under 2.  Frozen with headroom.
 RAY_CHECK_TOL_COEFF = 8.0
 
-_SUBCELL = 16  # boundary-cell area weights resolve the arc at h/16
-_RIM_CHUNK = 128  # rim cells per subsampling lattice
-
 # Rows per block of the planar kernels, which hold block-sized
 # temporaries only (BENCH_disc_stream.json)
 _BLOCK_ROWS = 32
@@ -137,6 +134,17 @@ def _cell_corners(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
     return arr[i, j], arr[i + 1, j], arr[i, j + 1], arr[i + 1, j + 1]
 
 
+def _quadrant_area(x: np.ndarray, y: np.ndarray, R: float) -> np.ndarray:
+    """Signed area of the box [0, x] x [0, y] inside the circle |p| = R: each
+    column's height is min(|y|, arc).  (R - t)(R + t) and an atan2 stand for
+    R^2 - t^2 and asin(t / R), which keeps them accurate as t nears R."""
+    a, b = np.minimum(np.abs(x), R), np.minimum(np.abs(y), R)
+    m = np.minimum(a, np.sqrt((R - b) * (R + b)))
+    ca, cm = np.sqrt((R - a) * (R + a)), np.sqrt((R - m) * (R + m))
+    arc = a * ca - m * cm + R * R * (np.arctan2(a, ca) - np.arctan2(m, cm))
+    return np.sign(x * y) * (b * m + 0.5 * arc)
+
+
 def _gradient(c00, c10, c01, c11, h: float, ux: np.ndarray, uy: np.ndarray):
     """Cell-centred bilinear gradient (ux, uy) from the corner values, into
     the arrays ``ux`` and ``uy``.
@@ -207,15 +215,12 @@ class _DiscGeometry:
 
         A cell is in the rim when it is not full and the point of its box
         nearest the origin lies inside the disc.  It weighs 1 where its
-        farthest corner is within the radius, and otherwise the fraction
-        of the subcell centres of a 16x16 lattice that lie inside.  The
-        farthest corner of a cell is its farthest node along each axis:
-        rounded squares, sums and square roots are monotone, so the
-        corner distance built from ``far2`` is the largest of the four
-        computed corner distances, bit for bit.  The count of 0/1 values
-        is exact, so a fraction has the bits of their float mean.  Every
-        other cell weighs 1 if full and 0 if outside, and keeps its own
-        gradient.
+        farthest corner is within the radius, and otherwise its area inside
+        the disc over h^2.  The farthest corner of a cell is its farthest
+        node along each axis: rounded squares, sums and square roots are
+        monotone, so the corner distance built from ``far2`` is the largest
+        of the four computed corner distances, bit for bit.  Every other
+        cell weighs 1 if full and 0 if outside, and keeps its own gradient.
 
         Cells cut by the circle have corners pinned to zero outside the
         disc, which flattens their bilinear patch and misprices the
@@ -235,13 +240,8 @@ class _DiscGeometry:
         near = np.clip(0.0, x[:-1], x[1:])
         i, j = np.nonzero(~full & self._outer(near * near,
                                               lambda s: np.sqrt(s) < R))
-        w = np.empty(len(i))
-        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * self.h
-        for a, b in _row_blocks(len(i), _RIM_CHUNK):
-            sx = x[i[a:b], None, None] + off[None, :, None]
-            sy = x[j[a:b], None, None] + off[None, None, :]
-            w[a:b] = np.count_nonzero(sx * sx + sy * sy < R * R,
-                                      axis=(1, 2)) / _SUBCELL ** 2
+        q = _quadrant_area(x[[i + 1, i, i + 1, i]], x[[j + 1, j + 1, j, j]], R)
+        w = (q[0] - q[1] - q[2] + q[3]) / self.h ** 2
         w[np.sqrt(self.far2[i] + self.far2[j]) <= R] = 1.0
         # the donor walk
         di, dj = i, j

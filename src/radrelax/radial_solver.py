@@ -677,6 +677,9 @@ def solve_pipeline(spec: ProblemSpec, grid: RadialGrid,
                    corner_tol: float = 0.05) -> SolveReport:
     """Convexify, minimize, rearrange (under a monotone G), and verify.
 
+    Before rearrangement, a descent slope strictly inside (-M, M) goes to
+    -M and the profile is re-integrated inward from u(R) = 0.
+
     Structural hypotheses that fail to hold (M > 0 without a declared
     monotone shape for G, detachment intervals escaping (-M, M)) are
     recorded as warnings, not errors. The final profile is priced once, by
@@ -702,6 +705,15 @@ def solve_pipeline(spec: ProblemSpec, grid: RadialGrid,
     profile = descent.profile
     rearranged = spec.shape_flag in ("G2", "G2_strict")
     if rearranged:
+        # a slope on Wc's flat part (-M, M) goes to -M, which keeps its
+        # Wc term and, under G2, cannot raise G: so rearrangement, which
+        # keeps each cell's W, cannot raise the relaxed energy
+        s = profile.slopes
+        flat = np.abs(s) < env.M
+        if flat.any():
+            drops = np.where(flat, env.M, -s) * grid.dr
+            profile = RadialProfile(grid, np.append(
+                np.cumsum(drops[::-1])[::-1], 0.0))
         profile = monotone_rearrange(profile, env)
 
     vrep = verify.full_report(profile, spec, env,

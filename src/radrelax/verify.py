@@ -130,12 +130,19 @@ def _corner_cells(rbar: np.ndarray, window: float) -> np.ndarray:
 
 
 def corner_condition_check(profile: RadialProfile, M: float,
-                           window: float, tol: float = 0.05) -> dict:
+                           window: float, tol: float = 0.05,
+                           components=()) -> dict:
     """Least-squares linear fit of cell slopes on rbar < window, extrapolated
     to r = 0; the intercept must match -M within tol.
 
-    The line is the closed-form centred fit, so the check makes no LAPACK
-    call (whose first use leaves about 1 MB of workspace resident).
+    The fit takes the leading run of window cells on the -M branch: the
+    cells before the first whose |slope| exceeds the left end a of an
+    outer detachment interval (a component with a >= M), across which a
+    minimizer's slope jumps.  Without such an interval the run is the
+    whole window.  A run of fewer than 8 cells fails the record, which
+    then fits nothing and names the run's length in ``cells``.  The line
+    is the closed-form centred fit, so the check makes no LAPACK call
+    (whose first use leaves about 1 MB of workspace resident).
 
     Raises:
         ValueError: when fewer than 8 cells fall inside the window, or
@@ -143,21 +150,28 @@ def corner_condition_check(profile: RadialProfile, M: float,
     """
     rbar = profile.grid.midpoints
     sel = _corner_cells(rbar, window)
+    outer = [c.a for c in components if c.a >= M]
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = rbar[sel], profile.slopes[sel]
+        s = profile.slopes
+        if outer:
+            # the window is a prefix of the cells, so the run is one too
+            beyond = np.flatnonzero(sel & (np.abs(s) > min(outer)))
+            if beyond.size:
+                sel[beyond[0]:] = False
+        cells = int(np.count_nonzero(sel))
+        details = {"fit_at_zero": None, "target": -M,
+                   "window": float(window), "cells": cells}
+        if cells < 8:
+            return _rec("corner_condition", False, -1.0, details)
+        x, y = rbar[sel], s[sel]
         xm, ym = np.mean(x), np.mean(y)
         dx = x - xm
         fit0 = float(ym - xm * np.sum(dx * (y - ym)) / np.sum(dx * dx))
     if not math.isfinite(fit0):
         raise ValueError(f"corner fit at r = 0 is not finite ({fit0})")
     err = abs(fit0 + M)
-    return _rec(
-        "corner_condition",
-        err <= tol,
-        tol - err,
-        {"fit_at_zero": fit0, "target": -M, "window": float(window),
-         "cells": int(np.count_nonzero(sel))},
-    )
+    details["fit_at_zero"] = fit0
+    return _rec("corner_condition", err <= tol, tol - err, details)
 
 
 def euler_lagrange_affine_check(profile: RadialProfile, env: EnvelopeResult,
@@ -308,7 +322,8 @@ def full_report(profile: RadialProfile, spec: ProblemSpec,
     records = [
         detachment_avoidance_report(profile, env),
         slope_and_sign_check(profile, env.M),
-        corner_condition_check(profile, env.M, corner_window, corner_tol),
+        corner_condition_check(profile, env.M, corner_window, corner_tol,
+                               env.components),
         euler_lagrange_affine_check(profile, env, spec),
         concavity_exclusion_check(profile, env, spec),
         energy_consistency(profile, spec, env),

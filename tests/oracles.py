@@ -461,13 +461,12 @@ def meshgrid_cell_area_weights(fld):
     """``disc2d._cell_area_weights`` as it was before it took the corner
     distances from 1-D coordinates: the node distances as a 2-D array,
     the largest of the four corners per cell, the nearest box point from
-    2-D coordinate arrays."""
-    from radrelax.disc2d import _SUBCELL
-
-    x = fld.coords
+    2-D coordinate arrays, and each straddling cell's area inside the disc
+    from the quadrant areas at its four corners, read from the 2-D
+    arrays."""
     R = fld.radius
     h = fld.h
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    X, Y = np.meshgrid(fld.coords, fld.coords, indexing="ij")
     rad = np.sqrt(X * X + Y * Y)
     corner_max = np.maximum.reduce([rad[:-1, :-1], rad[1:, :-1],
                                     rad[:-1, 1:], rad[1:, 1:]])
@@ -478,13 +477,22 @@ def meshgrid_cell_area_weights(fld):
     w = np.zeros_like(corner_max)
     w[corner_max <= R] = 1.0
     straddle = (corner_max > R) & (nearest < R)
-    if np.any(straddle):
-        ii, jj = np.nonzero(straddle)
-        off = (np.arange(_SUBCELL) + 0.5) / _SUBCELL * h
-        sx = x[ii][:, None, None] + off[None, :, None]
-        sy = x[jj][:, None, None] + off[None, None, :]
-        frac = np.mean(sx * sx + sy * sy < R * R, axis=(1, 2))
-        w[ii, jj] = frac
+
+    def quadrant(x, y):
+        # signed area of [0, x] x [0, y] inside the circle: columns out to
+        # m = min(a, sqrt(R^2 - b^2)) reach b, the rest reach the arc
+        a = np.minimum(np.abs(x), R)
+        b = np.minimum(np.abs(y), R)
+        m = np.minimum(a, np.sqrt((R - b) * (R + b)))
+        ca = np.sqrt((R - a) * (R + a))
+        cm = np.sqrt((R - m) * (R + m))
+        arc = a * ca - m * cm + R * R * (np.arctan2(a, ca) - np.arctan2(m, cm))
+        return np.sign(x * y) * (b * m + 0.5 * arc)
+
+    x0, x1 = X[:-1, :-1][straddle], X[1:, 1:][straddle]
+    y0, y1 = Y[:-1, :-1][straddle], Y[1:, 1:][straddle]
+    w[straddle] = (quadrant(x1, y1) - quadrant(x0, y1) - quadrant(x1, y0)
+                   + quadrant(x0, y0)) / h ** 2
     return w
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from radrelax.disc2d import (
     DiscField,
@@ -60,9 +61,66 @@ def spec():
 
 
 def test_zero_field_energy_is_disc_area(spec):
-    # W(0) = 1 and G(0) = 0, so the energy reduces to the disc area
+    # W(0) = 1 and G(0) = 0, so the energy reduces to the disc area,
+    # which the exact rim areas give to rounding
     e = energy_2d(DiscField(N, R, np.zeros((N, N))), spec)
-    assert abs(e - math.pi) <= 1e-3
+    assert abs(e - math.pi) <= 1e-12 * math.pi
+
+
+def _chord_area(x0, x1, y0, y1, radius):
+    # area of the cell [x0, x1] x [y0, y1] inside the disc by a 1-D
+    # quadrature of the cell's chord length, with its kinks (where the arc
+    # crosses y = y0 or y = y1) given to quad
+    def chord(t):
+        c = math.sqrt(max(radius * radius - t * t, 0.0))
+        return max(0.0, min(y1, c) - max(y0, -c))
+
+    kinks = [s * math.sqrt(radius * radius - y * y) for y in (y0, y1)
+             if abs(y) < radius for s in (-1.0, 1.0)]
+    kinks = [t for t in kinks if x0 < t < x1] or None
+    return quad(chord, x0, x1, points=kinks, epsabs=1e-15, epsrel=1e-14,
+                limit=200)[0]
+
+
+@pytest.mark.parametrize("n, radius", [(33, 1.0), (129, 1.0), (257, 1.0),
+                                       (257, 0.93), (513, 1.7), (1025, 1.0)])
+def test_rim_weights_are_exact_cell_areas(n, radius):
+    # each rim weight is its cell's area inside the disc over h^2, by a
+    # second route; with the full cells they make up the disc's area
+    geo = _DiscGeometry(n, radius)
+    i, j, w, _, _ = geo.rim
+    x, h = geo.x, geo.h
+    areas = np.array([_chord_area(x[a], x[a + 1], x[b], x[b + 1], radius)
+                      for a, b in zip(i, j)]) / h ** 2
+    assert np.max(np.abs(w - areas)) <= 1e-10
+    disc = (np.count_nonzero(geo.full) + np.sum(w)) * h ** 2
+    assert abs(disc - math.pi * radius ** 2) <= 1e-12 * math.pi * radius ** 2
+
+
+def _paraboloid_spec():
+    # u* = 1 - r^2 minimizes W = t^2 + t^4 under G = -136u + 64u^2 in
+    # N = 2, and E* = -118 pi / 3
+    return ProblemSpec(
+        dimension=2, radius=1.0, p=4.0,
+        W=Potential1D(kind="poly_in_t_squared", coefficients=(0.0, 1.0, 1.0)),
+        G=Potential1D(kind="piecewise_poly",
+                      coefficients=((0.0, -136.0, 64.0),)),
+        shape_flag="none")
+
+
+@pytest.mark.parametrize("n, planar, rays", [(129, -5.3789e-2, 3.3549e-2),
+                                              (257, -1.3981e-2, 1.9972e-3)])
+def test_manufactured_minimizer_planar_errors(n, planar, rays):
+    # the planar energy and the mean ray energy of u*(|x|) against E*,
+    # each within 1% of its measured error
+    spec0 = _paraboloid_spec()
+    fld = field_from_function(lambda X, Y: 1.0 - (X * X + Y * Y), n, 1.0)
+    exact = -118.0 * math.pi / 3.0
+    got = energy_2d(fld, spec0) - exact
+    assert abs(got - planar) <= 0.01 * abs(planar)
+    rep = averaged_ray_energy_check(fld, spec0)
+    assert abs(rep.lhs - exact - rays) <= 0.01 * rays
+    assert rep.passes
 
 
 def test_cone_energy_matches_radial_value(spec):
@@ -130,13 +188,15 @@ def test_borrowers_are_the_rim_cells_that_land(n, radius):
 
 
 def test_rim_at_257_nodes_holds_1020_borrowers():
-    # every one of the 1,020 rim cells lands on a full cell here; 64 of
-    # them weigh 1 and 8 weigh 0 (no lattice point inside). Before the rim
-    # was one rule, the walk from every non-full cell centred within
-    # R + 7h found 3,364 borrowers, 2,352 of them with zero area weight
-    i, j, _, di, dj = _DiscGeometry(257, R).rim
+    # every one of the 1,020 rim cells lands on a full cell here, and
+    # each is cut by the circle, so its weight lies strictly between 0
+    # and 1. Before the rim was one rule, the walk from every non-full
+    # cell centred within R + 7h found 3,364 borrowers, 2,352 of them
+    # with zero area weight
+    i, j, w, di, dj = _DiscGeometry(257, R).rim
     assert len(i) == 1020
     assert np.count_nonzero((di != i) | (dj != j)) == 1020
+    assert np.all((w > 0.0) & (w < 1.0))
 
 
 def _weights(geo):

@@ -377,6 +377,23 @@ def test_manufactured_minimizer_with_a_detachment_set(cells, error):
         assert solved.verify.overall
 
 
+@pytest.mark.parametrize("cells, error", [(384, -3.142541e-4),
+                                           (1024, -4.419185e-5),
+                                           (1568, -1.884733e-5)])
+def test_rearrangement_keeps_descent_energy_on_the_flat_part(cells, error):
+    # descent leaves slopes inside Wc's flat part (-1, 1) near the
+    # origin; sent to -M before rearrangement they keep the relaxed
+    # energy, where their outermost level points raised the report above
+    # E* at these grids (by 8.96e-4, 8.36e-6 and 2.66e-4)
+    grid = RadialGrid.uniform(1.0, cells)
+    descent = minimize_relaxed(_flat_well_spec(), grid)
+    solved = solve_pipeline(_flat_well_spec(), grid)
+    assert solved.relaxed_energy == descent.relaxed_energy
+    got = solved.relaxed_energy + 129.0 * math.pi / 4.0
+    assert abs(got - error) <= 0.01 * abs(error)
+    assert solved.verify.overall
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_unbounded_energy_raises():

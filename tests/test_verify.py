@@ -30,7 +30,7 @@ from radrelax.verify import (
 from radrelax.verify import _interior_mask, _window_density
 
 from conftest import graded_grid, make_prototype_spec, three_well
-from corpus import MONOTONE
+from corpus import HARD, MONOTONE
 from oracles import exact_line_intercept, quadratic_window_density
 
 K = 128
@@ -140,6 +140,64 @@ def test_corner_fit_matches_exact_least_squares(name, cells):
     sel = grid.midpoints < window
     exact = exact_line_intercept(grid.midpoints[sel], prof.slopes[sel])
     assert abs(Fraction(fit0) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+@pytest.mark.parametrize("cells, run", [(256, 13), (1024, 53), (4096, 213)])
+def test_corner_fit_takes_the_run_before_the_slope_jump(cells, run):
+    # the three-well's minimizer leaves the origin at slope -M and jumps
+    # across the outer detachment interval (1.0123, 2.0031) near r = 0.05;
+    # the fit takes the cells before the jump
+    spec = MONOTONE["three_well"]()
+    report = solve_pipeline(spec, RadialGrid.uniform(spec.radius, cells))
+    rec = report.verify._record("corner_condition")
+    assert rec["details"]["cells"] == run
+    assert abs(rec["details"]["fit_at_zero"] + 1.0) < 1e-3
+    assert report.verify.overall
+
+
+@pytest.mark.parametrize("name, run, passed", [
+    ("three_well/-u^2/N2", 13, True), ("three_well/-u^2/N3", 21, True),
+    ("three_well/-3u^2/N2", 4, False), ("three_well/-3u^2/N3", 6, False)])
+def test_corner_fit_on_hard_three_wells(name, run, passed):
+    # converged at 256 cells; under -3u^2 the slope jumps after 4 and 6
+    # cells, too few for a fit, so the record fails and names the run
+    spec = HARD[name]()
+    report = minimize_relaxed(spec, RadialGrid.uniform(spec.radius, 256))
+    assert report.converged
+    rec = full_report(report.profile, spec,
+                      ensure_envelope(spec))._record("corner_condition")
+    assert (rec["passed"], rec["details"]["cells"]) == (passed, run)
+    if passed:
+        assert abs(rec["details"]["fit_at_zero"] + 1.0) < 1e-3
+    else:
+        assert rec["details"]["fit_at_zero"] is None
+        assert rec["margin"] == -1.0
+
+
+def test_corner_fit_fails_a_wrong_limit_slope():
+    # the three-well's minimizer with its first 20 cells set to -1.2 M,
+    # inside the outer detachment interval, leaves no run to fit
+    spec = MONOTONE["three_well"]()
+    env = ensure_envelope(spec)
+    prof = solve_pipeline(spec, RadialGrid.uniform(spec.radius, 256)).profile
+    s = prof.slopes
+    s[:20] = -1.2 * env.M
+    u = np.append(np.cumsum((-s * prof.grid.dr)[::-1])[::-1], 0.0)
+    rec = corner_condition_check(RadialProfile(prof.grid, u), env.M, 0.2,
+                                 0.05, env.components)
+    assert not rec["passed"]
+    assert rec["details"]["cells"] == 0
+
+
+@pytest.mark.parametrize("name", ["prototype", "m0", "bench1/0"])
+def test_corner_fit_without_an_outer_interval_keeps_the_window(name):
+    # no component starts at or beyond M, so the record is the whole
+    # window's, bit for bit
+    spec = MONOTONE[name]()
+    env = ensure_envelope(spec)
+    prof = minimize_relaxed(spec, RadialGrid.uniform(spec.radius, 256)).profile
+    assert (corner_condition_check(prof, env.M, 0.2, 0.05, env.components)
+            == corner_condition_check(prof, env.M, 0.2))
 
 
 def test_corner_fit_rejects_non_finite_intercept(grid):
